@@ -4,13 +4,13 @@ Laplace domains, with independent numerical oracles for every path."""
 
 __version__ = "0.1.0"
 
-from .errors import (LineportError, NetlistParseError, NumericalPreconditionError,
-                     ValidationError)
+from .errors import (InputError, LineportError, NetlistParseError,
+                     NumericalPreconditionError, ValidationError)
 from .netlist import (CircuitTopology, ReducedModel, build_capacitance_matrix,
                       derive_reduced_model, invariant_report, parse_netlist,
                       parse_netlist_file, potential_energy, potential_gradient,
                       reduce_ground, stiffness_matrix)
-from .signals import Signal, Trajectory, peak_envelope
+from .signals import Signal, Trajectory, peak_envelope, write_csv
 from .tline import (LineInitialState, LineParams, backward_wave, dalembert_eval,
                     forward_wave, line_params, thevenin_source)
 from .reduced_dynamics import (LadderSystem, ReducedState, assemble_rhs,

@@ -19,14 +19,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (LineportError, NetlistParseError, NumericalPreconditionError,
-                     ValidationError)
-from .inversion import impulse_response_table, residues
+from .errors import InputError, LineportError, NumericalPreconditionError, ValidationError
+from .inversion import MIN_IFFT_SAMPLES, impulse_response_table, residues
 from .netlist import (derive_reduced_model, invariant_report, parse_netlist_file,
                       potential_gradient, stiffness_matrix)
 from .reduced_dynamics import ReducedState, assemble_rhs, integrate, ladder_oracle
-from .signals import FLOAT_FMT
-from .spectral import find_poles, pole_locus, transfer_matrix
+from .signals import write_csv
+from .spectral import ENTRY_NAMES, find_poles, pole_locus, transfer_matrix
 from .tline import LineInitialState, line_params, thevenin_source
 
 OUT_DIR_ENV = "LINEPORT_OUT"
@@ -39,9 +38,18 @@ def _out_dir(args):
     return out
 
 
-def _write(path, text):
+def _json_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(path, payload):
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(_json_text(payload))
+
+
+def _write(path, writer, *args):
+    """Write one result file with ``writer(path, *args)`` and report it."""
+    writer(path, *args)
     print(f"wrote {path}")
 
 
@@ -52,10 +60,9 @@ def cmd_reduce(args):
     payload = model.to_json_dict()
     payload["invariants"] = report
     payload["warnings"] = list(model.warnings)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    sys.stdout.write(_json_text(payload))
     out = _out_dir(args)
-    _write(os.path.join(out, "reduced_model.json"), text + "\n")
+    _write(os.path.join(out, "reduced_model.json"), _write_json, payload)
     worst = max(report.values())
     if worst > INVARIANT_TOL:
         print(f"invariant residual {worst:.3g} exceeds {INVARIANT_TOL:g}",
@@ -68,35 +75,31 @@ def cmd_poles(args):
     alphas = args.alpha if args.alpha else [0.5, 1.0, 2.0]
     g_grid = np.arange(args.g_start, args.g_stop + 0.5 * args.g_step, args.g_step)
     g_grid = g_grid[(g_grid > 0.0) & (g_grid < 1.0)]
+    if len(g_grid) == 0:
+        raise InputError(f"empty g grid: --g-stop {args.g_stop:g} lies below "
+                         f"--g-start {args.g_start:g}; use --g-stop >= --g-start")
     out = _out_dir(args)
     files = []
     for alpha in alphas:
         locus = pole_locus(alpha, g_grid)
         path = os.path.join(out, f"poles_alpha{alpha:g}.csv")
-        locus.to_csv(path)
-        print(f"wrote {path}")
+        _write(path, locus.to_csv)
         files.append({"alpha": alpha, "file": os.path.basename(path),
                       "transitions": {str(k): v for k, v in locus.transitions.items()}})
     echo = {"alphas": alphas, "g_start": args.g_start, "g_stop": args.g_stop,
             "g_step": args.g_step, "normalized": True, "files": files}
-    _write(os.path.join(out, "poles_params.json"),
-           json.dumps(echo, indent=2, sort_keys=True) + "\n")
+    _write(os.path.join(out, "poles_params.json"), _write_json, echo)
     return 0
-
-
-def _round_up_pow2(n):
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
 
 
 def cmd_impulse(args):
     omega_r = 1.0 if args.normalized else args.omega_r
     gs = args.g if args.g else [0.3, 0.8]
     n = args.n
+    if n < MIN_IFFT_SAMPLES:
+        raise InputError(f"--n must be at least {MIN_IFFT_SAMPLES}, got {n}")
     if n & (n - 1):
-        n = _round_up_pow2(n)
+        n = 1 << (n - 1).bit_length()
         print(f"warning: n rounded up to the next power of two: {n}", file=sys.stderr)
     t_max = args.t_max if args.t_max is not None else 10.0 * 2.0 * np.pi / omega_r
     out = _out_dir(args)
@@ -105,12 +108,9 @@ def cmd_impulse(args):
         t_ref, table, discrepancy = impulse_response_table(spec, t_max, n_samples=n)
         stem = f"impulse_g{g:g}_alpha{args.alpha:g}"
         for suffix, col in (("", 0), ("_pf", 1)):
-            rows = ["t,h11,h12,h21,h22"]
-            series = [table[e][col].samples for e in ("h11", "h12", "h21", "h22")]
-            for k, t in enumerate(t_ref):
-                rows.append(",".join(FLOAT_FMT % v
-                                     for v in (t, *(s[k] for s in series))))
-            _write(os.path.join(out, f"{stem}{suffix}.csv"), "\n".join(rows) + "\n")
+            _write(os.path.join(out, f"{stem}{suffix}.csv"), write_csv,
+                   "t," + ",".join(ENTRY_NAMES),
+                   [t_ref, *(table[e][col].samples for e in ENTRY_NAMES)])
         ps = find_poles(spec.den, omega_r)
         sidecar = {
             "g": g, "alpha": args.alpha, "omega_r": omega_r, "t_max": t_max,
@@ -123,8 +123,7 @@ def cmd_impulse(args):
             "residues": {e: [[r.real, r.imag] for r in residues(spec, e)[1]]
                          for e in table},
         }
-        _write(os.path.join(out, f"{stem}.json"),
-               json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        _write(os.path.join(out, f"{stem}.json"), _write_json, sidecar)
     return 0
 
 
@@ -134,7 +133,7 @@ def _parse_vector(text, n, what):
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise NetlistParseError(f"bad {what} vector {text!r}")
+        raise InputError(f"bad {what} vector {text!r}")
     if len(vals) > n:
         raise ValidationError(f"{what} vector longer than the {n} circuit nodes")
     out = np.zeros(n)
@@ -154,6 +153,8 @@ def cmd_simulate(args):
     q = _parse_vector(args.q, n, "q")
     initial = ReducedState(phi=phi, q=q, q0=args.q0)
 
+    if args.samples < 2:
+        raise InputError(f"--samples must be at least 2, got {args.samples}")
     t_max = args.t_max
     t_grid = np.linspace(0.0, t_max, args.samples)
     length = args.length if args.length is not None else 1.12 * line.v_p * t_max / 2.0
@@ -175,12 +176,8 @@ def cmd_simulate(args):
     ladder = ladder_oracle(line, args.n_sections, length, topology, initial,
                            t_grid, line_initial=line_initial)
     out = _out_dir(args)
-    reduced_path = os.path.join(out, "trajectory_reduced.csv")
-    ladder_path = os.path.join(out, "trajectory_ladder.csv")
-    reduced.to_csv(reduced_path)
-    print(f"wrote {reduced_path}")
-    ladder.to_csv(ladder_path)
-    print(f"wrote {ladder_path}")
+    _write(os.path.join(out, "trajectory_reduced.csv"), reduced.to_csv)
+    _write(os.path.join(out, "trajectory_ladder.csv"), ladder.to_csv)
     scale = np.linalg.norm(reduced.phi[:, 0])
     l2 = float(np.linalg.norm(ladder.phi[:, 0] - reduced.phi[:, 0]) / scale) \
         if scale > 0 else float(np.linalg.norm(ladder.phi[:, 0]))
@@ -196,8 +193,7 @@ def cmd_simulate(args):
         "ladder_energy_drift": ladder.meta["energy_drift"],
         "phi1_l2_discrepancy": l2,
     }
-    _write(os.path.join(out, "simulate_summary.json"),
-           json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write(os.path.join(out, "simulate_summary.json"), _write_json, sidecar)
     print(f"phi1 L2 discrepancy (ladder vs reduced): {l2:.6g}")
     return 0
 
@@ -281,7 +277,7 @@ def main(argv=None) -> int:
                     return 2
     try:
         return args.func(args)
-    except NetlistParseError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalPreconditionError as exc:

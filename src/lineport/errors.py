@@ -1,7 +1,8 @@
 """Exception hierarchy shared by the whole package.
 
-The CLI maps these onto exit codes: parse errors exit 2, model/validation
-errors exit 3, violated numerical preconditions exit 4.
+The CLI maps these onto exit codes: input errors (netlist parse errors among
+them) exit 2, model/validation errors exit 3, violated numerical
+preconditions exit 4.
 """
 
 
@@ -9,7 +10,11 @@ class LineportError(Exception):
     """Base class for all lineport errors."""
 
 
-class NetlistParseError(LineportError):
+class InputError(LineportError):
+    """Unreadable or malformed user input: a missing file, a bad value."""
+
+
+class NetlistParseError(InputError):
     """Malformed netlist text. Carries the offending 1-based line number."""
 
     def __init__(self, message, line_no=None):

@@ -180,10 +180,6 @@ class SourceSpec:
     delta_coef: float = 0.0
     regular: Signal | None = None
 
-    def is_zero(self):
-        return (self.ddelta_coef == 0.0 and self.delta_coef == 0.0
-                and (self.regular is None or not self.regular.samples.any()))
-
 
 def sources_from_initial(params, phi1=0.0, q1=0.0, q0=0.0,
                          v_bwd: Signal | None = None) -> tuple[SourceSpec, SourceSpec]:

@@ -50,8 +50,9 @@ class CircuitTopology:
         n = self.node_count
         if n < 1:
             raise ValidationError("circuit needs at least one internal node")
-        if not (self.coupling_capacitance > 0):
-            raise ValidationError("coupling capacitance C_c must be positive")
+        if not (0.0 < self.coupling_capacitance < math.inf):
+            raise ValidationError("coupling capacitance C_c must be positive and finite, "
+                                  f"got {self.coupling_capacitance!r}")
         object.__setattr__(self, "capacitors", tuple(tuple(c) for c in self.capacitors))
         object.__setattr__(self, "inductors", tuple(tuple(l) for l in self.inductors))
         junctions = []
@@ -62,16 +63,17 @@ class CircuitTopology:
         object.__setattr__(self, "junctions", tuple(junctions))
         for i, j, c in self.capacitors:
             self._check_branch(i, j, "capacitor")
-            if not (c > 0):
-                raise ValidationError(f"capacitance must be positive, got {c!r}")
+            if not (0.0 < c < math.inf):
+                raise ValidationError(f"capacitance must be positive and finite, got {c!r}")
         for i, j, l in self.inductors:
             self._check_branch(i, j, "inductor")
-            if not (l > 0):
-                raise ValidationError(f"inductance must be positive, got {l!r}")
+            if not (0.0 < l < math.inf):
+                raise ValidationError(f"inductance must be positive and finite, got {l!r}")
         for i, j, ej, phi0 in self.junctions:
             self._check_branch(i, j, "junction")
-            if not (ej > 0) or not (phi0 > 0):
-                raise ValidationError("junction energy and flux scale must be positive")
+            if not (0.0 < ej < math.inf and 0.0 < phi0 < math.inf):
+                raise ValidationError("junction energy and flux scale must be positive "
+                                      f"and finite, got {ej!r} and {phi0!r}")
 
     def _check_branch(self, i, j, kind):
         n = self.node_count
@@ -166,6 +168,18 @@ class ReducedModel:
         return cls.from_json_dict(json.loads(text))
 
 
+def _stamp_branches(size, branches) -> np.ndarray:
+    """(size x size) matrix over nodes 1..size with each (i, j, w) branch
+    stamped in: -w on both off-diagonal entries, +w on both diagonal ones."""
+    full = np.zeros((size, size))
+    for i, j, w in branches:
+        full[i - 1, j - 1] -= w
+        full[j - 1, i - 1] -= w
+        full[i - 1, i - 1] += w
+        full[j - 1, j - 1] += w
+    return full
+
+
 def build_capacitance_matrix(topology: CircuitTopology) -> np.ndarray:
     """(N+1)x(N+1) capacitance matrix over nodes 1..N+1.
 
@@ -173,14 +187,7 @@ def build_capacitance_matrix(topology: CircuitTopology) -> np.ndarray:
     pair summed); each diagonal entry is the opposite of its row sum, so all
     row sums vanish. The coupling capacitor C_c is not part of this matrix.
     """
-    n = topology.node_count
-    full = np.zeros((n + 1, n + 1))
-    for i, j, c in topology.capacitors:
-        full[i - 1, j - 1] -= c
-        full[j - 1, i - 1] -= c
-        full[i - 1, i - 1] += c
-        full[j - 1, j - 1] += c
-    return full
+    return _stamp_branches(topology.node_count + 1, topology.capacitors)
 
 
 def reduce_ground(full_matrix, ground_index) -> np.ndarray:
@@ -300,17 +307,9 @@ def stiffness_matrix(topology: CircuitTopology) -> np.ndarray:
     if not topology.is_linear:
         raise ValidationError("stiffness matrix requires a linear circuit (no junctions)")
     n = topology.node_count
-    k = np.zeros((n, n))
-    for i, j, l in topology.inductors:
-        w = 1.0 / l
-        if i <= n:
-            k[i - 1, i - 1] += w
-        if j <= n:
-            k[j - 1, j - 1] += w
-        if i <= n and j <= n:
-            k[i - 1, j - 1] -= w
-            k[j - 1, i - 1] -= w
-    return k
+    full = _stamp_branches(n + 1, [(i, j, 1.0 / l) for i, j, l in topology.inductors])
+    # ground (node N+1) has zero flux: drop its row and column
+    return full[:n, :n].copy()
 
 
 def parse_netlist(text: str) -> CircuitTopology:
@@ -333,9 +332,12 @@ def parse_netlist(text: str) -> CircuitTopology:
 
     def parse_float(token, line_no, what):
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise NetlistParseError(f"bad {what} {token!r}", line_no)
+        if not math.isfinite(value):
+            raise NetlistParseError(f"{what} must be finite, got {token!r}", line_no)
+        return value
 
     def parse_node(token, line_no):
         try:
@@ -388,18 +390,21 @@ def parse_netlist(text: str) -> CircuitTopology:
         if ground != max_node:
             raise NetlistParseError(
                 f"ground must be the highest node index ({max_node})", ground_spec[1])
-    try:
-        return CircuitTopology(
-            node_count=max_node - 1,
-            capacitors=tuple(capacitors),
-            inductors=tuple(inductors),
-            junctions=tuple(junctions),
-            coupling_capacitance=couple,
-        )
-    except ValidationError:
-        raise
+    return CircuitTopology(
+        node_count=max_node - 1,
+        capacitors=tuple(capacitors),
+        inductors=tuple(inductors),
+        junctions=tuple(junctions),
+        coupling_capacitance=couple,
+    )
 
 
 def parse_netlist_file(path) -> CircuitTopology:
-    with open(path) as fh:
-        return parse_netlist(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise NetlistParseError(f"cannot read netlist file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise NetlistParseError(f"cannot decode netlist file {str(path)!r}: {exc}") from None
+    return parse_netlist(text)

@@ -23,7 +23,8 @@ from scipy.linalg import expm
 
 from .errors import ValidationError
 from .netlist import ReducedModel
-from .reduced_dynamics import LadderSystem, _propagate_affine, _propagate_homogeneous
+from .reduced_dynamics import (LadderSystem, _propagate_affine, _propagate_homogeneous,
+                               _reduced_flow_matrix)
 from .signals import Signal
 from .spectral import LcExampleParams, weak_coupling
 
@@ -72,19 +73,6 @@ class OpenReducedSystem:
     stiffness: np.ndarray
 
 
-def _matrix_power(matrix, steps):
-    out = np.eye(matrix.shape[0])
-    base = matrix.copy()
-    n = steps
-    while n:
-        if n & 1:
-            out = out @ base
-        n >>= 1
-        if n:
-            base = base @ base
-    return out
-
-
 def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
     """State-transition matrix of a linear system at time t.
 
@@ -103,7 +91,7 @@ def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
         if abs(steps * dt - t) > 1e-9 * max(t, dt):
             raise ValidationError(f"t={t:g} is not a multiple of dt={dt:g}")
         step = system.one_step_matrix(dt)
-        return Propagator(matrix=_matrix_power(step, steps), t=t,
+        return Propagator(matrix=np.linalg.matrix_power(step, steps), t=t,
                           kind="ladder-leapfrog", dt=dt)
     if isinstance(system, HamiltonianSystem):
         m_inv = np.linalg.inv(system.mass)
@@ -113,18 +101,15 @@ def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
         flow[d:, :d] = -system.stiffness
         return Propagator(matrix=expm(flow * t), t=t, kind="closed-exact")
     if isinstance(system, OpenReducedSystem):
-        model, k = system.model, np.asarray(system.stiffness, dtype=float)
+        model = system.model
         n = model.n_nodes
-        d = n + 1
-        flow = np.zeros((2 * d, 2 * d))
-        # state [Phi, Phi0, Q, Q0]
-        flow[:n, d:d + n] = model.cb_inv
-        flow[:n, d + n] = model.p
-        flow[n, d:d + n] = model.p
-        flow[n, d + n] = 1.0 / model.c_p
-        flow[d:d + n, :n] = -k
-        flow[d + n, d:d + n] = -model.p / model.z_c
-        flow[d + n, d + n] = -1.0 / model.tau
+        # embed the [Phi, Q, Q0] flow into the state [Phi, Phi0, Q, Q0]; no
+        # equation depends on Phi0, so its column stays zero
+        keep = np.r_[0:n, n + 1:2 * n + 2]
+        flow = np.zeros((2 * n + 2, 2 * n + 2))
+        flow[np.ix_(keep, keep)] = _reduced_flow_matrix(
+            model, np.asarray(system.stiffness, dtype=float))
+        flow[n, n + 1:] = np.append(model.p, 1.0 / model.c_p)  # dPhi0/dt = V0
         return Propagator(matrix=expm(flow * t), t=t, kind="reduced-open")
     raise ValidationError(f"unsupported system type {type(system).__name__}")
 

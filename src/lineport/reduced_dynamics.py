@@ -375,13 +375,6 @@ class LadderSystem:
     def hamiltonian(self, q, p):
         return 0.5 * float(p @ self.velocities(p)) + self.potential(q)
 
-    def mass_matrix(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim))
-        n = self.n_circ
-        m[:n + 1, :n + 1] = self._head
-        m[np.arange(n + 1, self.dim), np.arange(n + 1, self.dim)] = self.cells[1:]
-        return m
-
     def stiffness_full(self) -> np.ndarray:
         if self._k_circ is None:
             raise ValidationError("full stiffness requires a linear circuit")

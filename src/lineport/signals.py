@@ -1,7 +1,9 @@
 """Uniformly sampled time series and trajectory containers with CSV I/O.
 
-All CSV emitted by this package uses 17 significant digits so that repeated
-runs are byte-identical and diffs stay meaningful.
+Every CSV file this package writes goes through :func:`write_csv`, the one
+place that fixes the output format: comma-separated, a header line first,
+``\n`` line endings, and every value printed with 17 significant digits, so
+that repeated runs are byte-identical and every float64 reads back exactly.
 """
 from __future__ import annotations
 
@@ -9,13 +11,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InputError, ValidationError
 
 FLOAT_FMT = "%.17g"
 
 
-def _format_row(values):
-    return ",".join(FLOAT_FMT % v for v in values)
+def write_csv(path, header, columns):
+    """Write ``columns`` side by side under the ``header`` line.
+
+    Each column is a 1-D array or a 2-D array holding several columns; all
+    share one length. One row format is built per table and applied to the
+    Python-float rows, so formatting costs one ``%`` per row.
+    """
+    table = np.column_stack(columns)
+    row_fmt = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row_fmt % tuple(row) for row in table.tolist())
 
 
 @dataclass
@@ -92,14 +104,18 @@ class Signal:
                    samples=np.asarray(samples, dtype=float))
 
     def to_csv(self, path, header="t,value"):
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
-            for t, v in zip(self.t_grid, self.samples):
-                fh.write(_format_row((t, v)) + "\n")
+        write_csv(path, header, (self.t_grid, self.samples))
 
     @classmethod
     def from_csv(cls, path) -> "Signal":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except OSError as exc:
+            raise InputError(f"cannot read CSV file: {exc}") from None
+        except ValueError as exc:
+            raise InputError(f"bad CSV file {str(path)!r}: {exc}") from None
+        if data.shape[1] < 2:
+            raise InputError(f"CSV file {str(path)!r} needs two columns, has {data.shape[1]}")
         return cls.from_samples(data[:, 0], data[:, 1])
 
 
@@ -151,11 +167,7 @@ class Trajectory:
         n = self.n_nodes
         cols = ["t"] + [f"phi{i+1}" for i in range(n)] + [f"q{i+1}" for i in range(n)]
         cols += ["q0", "v0"]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for k in range(len(self.t_grid)):
-                row = [self.t_grid[k], *self.phi[k], *self.q[k], self.q0[k], self.v0[k]]
-                fh.write(_format_row(row) + "\n")
+        write_csv(path, ",".join(cols), (self.t_grid, self.phi, self.q, self.q0, self.v0))
 
 
 def peak_envelope(t_grid, samples):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .signals import FLOAT_FMT
+from .signals import write_csv
 
 ENTRY_NAMES = ("h11", "h12", "h21", "h22")
 
@@ -172,11 +172,9 @@ def find_poles(coeffs, omega_r: float = 1.0) -> PoleSet:
     else:
         work = coeffs
     roots = np.roots(work)
-    dwork = np.polyder(work)
-    for _ in range(1):
-        deriv = np.polyval(dwork, roots)
-        ok = np.abs(deriv) > 0
-        roots[ok] = roots[ok] - np.polyval(work, roots[ok]) / deriv[ok]
+    deriv = np.polyval(np.polyder(work), roots)
+    ok = np.abs(deriv) > 0
+    roots[ok] = roots[ok] - np.polyval(work, roots[ok]) / deriv[ok]
     if len(roots) > 1:
         sep = np.min([np.abs(a - b) for i, a in enumerate(roots)
                       for b in roots[i + 1:]])
@@ -292,13 +290,9 @@ class PoleLocus:
     transitions: dict = field(default_factory=dict)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("g,re_s1,im_s1,re_s2,im_s2,re_s3,im_s3\n")
-            for g, row in zip(self.g_grid, self.branches):
-                vals = [g]
-                for s in row:
-                    vals += [s.real, s.imag]
-                fh.write(",".join(FLOAT_FMT % v for v in vals) + "\n")
+        re_im = np.stack((self.branches.real, self.branches.imag), axis=2)
+        write_csv(path, "g,re_s1,im_s1,re_s2,im_s2,re_s3,im_s3",
+                  (self.g_grid, re_im.reshape(len(self.g_grid), -1)))
 
 
 def pole_locus(alpha, g_grid) -> PoleLocus:

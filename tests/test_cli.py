@@ -180,3 +180,48 @@ class TestSimulate:
         summary = json.loads((tmp_path / "simulate_summary.json").read_text())
         assert summary["phi1_l2_discrepancy"] <= 0.01
         assert summary["ladder_energy_drift"] <= 0.01
+
+
+SIM_FLAGS = ["--ell", "2.0", "--c-per-len", "0.5", "--t-max", "5.0"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    pytest.param(["reduce", "{tmp}/missing.net"], "missing.net", id="reduce-missing-netlist"),
+    pytest.param(["simulate", "{tmp}/missing.net", *SIM_FLAGS], "missing.net",
+                 id="simulate-missing-netlist"),
+    pytest.param(["reduce", "{tmp}/binary.net"], "binary.net", id="non-utf8-netlist"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--phi0-csv", "{tmp}/nope.csv"],
+                 "nope.csv", id="missing-phi0-csv"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--q0-csv", "{tmp}/nope.csv"],
+                 "nope.csv", id="missing-q0-csv"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--phi0-csv", "{net}"], "lc.net",
+                 id="malformed-phi0-csv"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--q0-csv", "{tmp}/one.csv"],
+                 "needs two columns", id="one-column-q0-csv"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--samples", "0"],
+                 "--samples must be at least 2", id="samples-0"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--samples", "1"],
+                 "--samples must be at least 2", id="samples-1"),
+    pytest.param(["poles", "--g-start", "0.5", "--g-stop", "0.4"], "--g-stop >= --g-start",
+                 id="empty-g-grid"),
+    pytest.param(["impulse", "--n", "-5"], "--n must be at least 1024, got -5", id="n-negative"),
+    pytest.param(["impulse", "--n", "100"], "--n must be at least 1024, got 100", id="n-100"),
+    pytest.param(["reduce", "{tmp}/cinf.net"],
+                 "line 1: element value must be finite, got 'inf'", id="capacitor-inf"),
+    pytest.param(["reduce", "{tmp}/linf.net"],
+                 "line 2: element value must be finite, got 'inf'", id="inductor-inf"),
+    pytest.param(["simulate", "{tmp}/linf.net", *SIM_FLAGS], "line 2",
+                 id="simulate-inductor-inf"),
+])
+def test_input_errors_exit_2(tmp_path, capsys, argv, names):
+    net = write_netlist(tmp_path)
+    (tmp_path / "cinf.net").write_text("C 1 2 inf\nL 1 2 1.0\nCOUPLE 0.5\n")
+    (tmp_path / "linf.net").write_text("C 1 2 1.0\nL 1 2 inf\nCOUPLE 0.5\n")
+    (tmp_path / "one.csv").write_text("x\n0\n1\n2\n")
+    (tmp_path / "binary.net").write_bytes(b"\xff\xfeC 1 2 1.0\n")
+    argv = [a.format(tmp=tmp_path, net=net) for a in argv]
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert names in err

@@ -51,6 +51,20 @@ class TestCapacitanceMatrix:
             CircuitTopology(node_count=1, capacitors=((1, 2, -1.0),),
                             inductors=((1, 2, 1.0),), coupling_capacitance=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("capacitors", ((1, 2, np.inf),)),
+        ("inductors", ((1, 2, np.inf),)),
+        ("inductors", ((1, 2, np.nan),)),
+        ("junctions", ((1, 2, np.inf, 1.0),)),
+        ("coupling_capacitance", np.inf),
+    ])
+    def test_nonfinite_element_rejected(self, field, value):
+        kwargs = dict(node_count=1, capacitors=((1, 2, 1.0),),
+                      inductors=((1, 2, 1.0),), coupling_capacitance=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match="finite"):
+            CircuitTopology(**kwargs)
+
     def test_node_zero_forbidden(self):
         with pytest.raises(ValidationError, match="node 0"):
             CircuitTopology(node_count=1, capacitors=((0, 1, 1.0),),
@@ -209,6 +223,20 @@ class TestPotential:
         k = stiffness_matrix(topo)
         phi = rng.normal(size=topo.node_count)
         assert np.allclose(k @ phi, potential_gradient(topo, phi), rtol=1e-12, atol=1e-14)
+        # entry-by-entry stamping over the internal nodes only, ground skipped:
+        # the same accumulation order, so the values agree bit for bit
+        n = topo.node_count
+        ref = np.zeros((n, n))
+        for i, j, l in topo.inductors:
+            w = 1.0 / l
+            if i <= n:
+                ref[i - 1, i - 1] += w
+            if j <= n:
+                ref[j - 1, j - 1] += w
+            if i <= n and j <= n:
+                ref[i - 1, j - 1] -= w
+                ref[j - 1, i - 1] -= w
+        assert np.array_equal(k, ref)
 
     def test_nonfinite_flux_rejected(self):
         topo, _ = lc_topology()
@@ -243,6 +271,15 @@ class TestParser:
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(NetlistParseError, match="line 2"):
             parse_netlist("C 1 2 1.0\nL 1 two 1.0\nCOUPLE 1.0\n")
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("C 1 2 inf\nL 1 2 1.0\nCOUPLE 1.0\n", 1),
+        ("C 1 2 1.0\nL 1 2 -inf\nCOUPLE 1.0\n", 2),
+        ("C 1 2 1.0\nL 1 2 1.0\nCOUPLE nan\n", 3),
+    ])
+    def test_nonfinite_value_names_line(self, text, line_no):
+        with pytest.raises(NetlistParseError, match=f"line {line_no}: .*finite"):
+            parse_netlist(text)
 
     def test_unknown_element(self):
         with pytest.raises(NetlistParseError, match="unknown element"):
