@@ -23,7 +23,8 @@ from .errors import InputError, LineportError, NumericalPreconditionError, Valid
 from .inversion import MIN_IFFT_SAMPLES, impulse_response_table, residues
 from .netlist import (derive_reduced_model, invariant_report, parse_netlist_file,
                       potential_gradient, stiffness_matrix)
-from .reduced_dynamics import ReducedState, assemble_rhs, integrate, ladder_oracle
+from .reduced_dynamics import (MIN_LADDER_SECTIONS, ReducedState, assemble_rhs,
+                               integrate, ladder_oracle)
 from .signals import write_csv
 from .spectral import ENTRY_NAMES, find_poles, pole_locus, transfer_matrix
 from .tline import LineInitialState, line_params, thevenin_source
@@ -105,13 +106,13 @@ def cmd_impulse(args):
     out = _out_dir(args)
     for g in gs:
         spec = transfer_matrix(g, args.alpha, omega_r)
-        t_ref, table, discrepancy = impulse_response_table(spec, t_max, n_samples=n)
+        ps = find_poles(spec.den, omega_r)
+        t_ref, table, discrepancy = impulse_response_table(spec, t_max, n, ps)
         stem = f"impulse_g{g:g}_alpha{args.alpha:g}"
         for suffix, col in (("", 0), ("_pf", 1)):
             _write(os.path.join(out, f"{stem}{suffix}.csv"), write_csv,
                    "t," + ",".join(ENTRY_NAMES),
                    [t_ref, *(table[e][col].samples for e in ENTRY_NAMES)])
-        ps = find_poles(spec.den, omega_r)
         sidecar = {
             "g": g, "alpha": args.alpha, "omega_r": omega_r, "t_max": t_max,
             "n_samples": n,
@@ -120,7 +121,7 @@ def cmd_impulse(args):
             "max_ifft_vs_partial_fractions": discrepancy,
             "poles": [[s.real, s.imag] for s in ps.poles],
             "pole_flags": list(ps.flags),
-            "residues": {e: [[r.real, r.imag] for r in residues(spec, e)[1]]
+            "residues": {e: [[r.real, r.imag] for r in residues(spec, e, ps)[1]]
                          for e in table},
         }
         _write(os.path.join(out, f"{stem}.json"), _write_json, sidecar)
@@ -135,7 +136,8 @@ def _parse_vector(text, n, what):
     except ValueError:
         raise InputError(f"bad {what} vector {text!r}")
     if len(vals) > n:
-        raise ValidationError(f"{what} vector longer than the {n} circuit nodes")
+        raise InputError(f"--{what} gives {len(vals)} values for {n} circuit "
+                         f"nodes; give at most {n}")
     out = np.zeros(n)
     out[:len(vals)] = vals
     return out
@@ -155,6 +157,9 @@ def cmd_simulate(args):
 
     if args.samples < 2:
         raise InputError(f"--samples must be at least 2, got {args.samples}")
+    if args.n_sections < MIN_LADDER_SECTIONS:
+        raise InputError(f"--n-sections must be at least {MIN_LADDER_SECTIONS}, "
+                         f"got {args.n_sections}")
     t_max = args.t_max
     t_grid = np.linspace(0.0, t_max, args.samples)
     length = args.length if args.length is not None else 1.12 * line.v_p * t_max / 2.0

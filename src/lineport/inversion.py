@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NumericalPreconditionError, ValidationError
 from .signals import Signal
-from .spectral import ENTRY_NAMES, TransferMatrixSpec, find_poles
+from .spectral import ENTRY_NAMES, PoleSet, TransferMatrixSpec, find_poles
 
 MIN_IFFT_SAMPLES = 1024
 
@@ -131,17 +131,23 @@ def invert_ifft(spec: TransferMatrixSpec, entry, t_max, n_samples=16384,
     return sig
 
 
-def residues(spec: TransferMatrixSpec, entry):
-    """Poles and residues of one entry in physical units: h(t) = sum R exp(s t)."""
+def residues(spec: TransferMatrixSpec, entry, poles: PoleSet | None = None):
+    """Poles and residues of one entry in physical units: h(t) = sum R exp(s t).
+
+    ``poles`` is ``find_poles(spec.den, spec.omega_r)`` when already at hand;
+    the entries of one transfer matrix share it.
+    """
     num, den = spec.entry_rational(entry)
-    ps = find_poles(spec.den, spec.omega_r)
+    ps = poles if poles is not None else find_poles(spec.den, spec.omega_r)
     s = ps.poles
     r = np.polyval(num, s) / np.polyval(np.polyder(den), s)
     return s, r, ps
 
 
-def invert_partial_fractions(spec: TransferMatrixSpec, entry, t_grid) -> Signal:
-    """Analytic inversion by residue calculus (simple poles).
+def invert_partial_fractions(spec: TransferMatrixSpec, entry, t_grid,
+                             poles: PoleSet | None = None) -> Signal:
+    """Analytic inversion by residue calculus (simple poles); ``poles`` as in
+    ``residues``.
 
     A near-double root makes the residue representation ill-conditioned; in
     that case the result falls back to the IFFT inversion with a warning.
@@ -150,7 +156,7 @@ def invert_partial_fractions(spec: TransferMatrixSpec, entry, t_grid) -> Signal:
         raise ValidationError(
             f"{entry} is improper: split off the polynomial part before inversion")
     t_grid = np.asarray(t_grid, dtype=float)
-    s, r, ps = residues(spec, entry)
+    s, r, ps = residues(spec, entry, poles)
     if "near-double-root" in ps.flags:
         warnings.warn("near-double pole: partial fractions ill-conditioned, "
                       "falling back to IFFT inversion", stacklevel=2)
@@ -228,9 +234,10 @@ def respond(spec: TransferMatrixSpec, f1: SourceSpec, f2: SourceSpec,
                         f"delta-dot source in {name} is inadmissible: {entry} has "
                         f"relative degree {spec.relative_degree(entry)} < 2")
     acc = {"h11": None, "h12": None, "h21": None, "h22": None}
+    poles = find_poles(spec.den, spec.omega_r)
     for name, src in sources.items():
         for entry in columns[name]:
-            s, r, _ = residues(spec, entry)
+            s, r, _ = residues(spec, entry, poles)
             total = np.zeros(len(t_grid))
             if src.delta_coef != 0.0:
                 total += src.delta_coef * _impulse_from_residues(s, r, t_grid)
@@ -260,15 +267,19 @@ def normalize_max_abs(sig: Signal) -> Signal:
     return out
 
 
-def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=16384):
+def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=16384,
+                           poles: PoleSet | None = None):
     """All four entries by IFFT and by partial fractions on the IFFT grid,
-    with the maximum pairwise discrepancy (used by the CLI)."""
+    with the maximum pairwise discrepancy (used by the CLI); ``poles`` as in
+    ``residues``."""
+    if poles is None:
+        poles = find_poles(spec.den, spec.omega_r)
     table = {}
     discrepancy = 0.0
     t_ref = None
     for entry in ENTRY_NAMES:
         via_ifft = invert_ifft(spec, entry, t_max, n_samples=n_samples)
-        via_pf = invert_partial_fractions(spec, entry, via_ifft.t_grid)
+        via_pf = invert_partial_fractions(spec, entry, via_ifft.t_grid, poles)
         table[entry] = (via_ifft, via_pf)
         discrepancy = max(discrepancy,
                           float(np.abs(via_ifft.samples - via_pf.samples).max()))

@@ -34,6 +34,7 @@ from .signals import Signal, Trajectory
 from .tline import LineInitialState, LineParams
 
 DT_SAFETY_FACTOR = 20.0
+MIN_LADDER_SECTIONS = 100
 
 
 @dataclass
@@ -310,8 +311,8 @@ class LadderSystem:
 
     def __init__(self, topology: CircuitTopology, line: LineParams,
                  n_sections: int, length: float):
-        if n_sections < 100:
-            raise ValidationError("ladder oracle needs n_sections >= 100")
+        if n_sections < MIN_LADDER_SECTIONS:
+            raise ValidationError(f"ladder oracle needs n_sections >= {MIN_LADDER_SECTIONS}")
         if length <= 0:
             raise ValidationError("ladder length must be positive")
         self.topology = topology

@@ -212,6 +212,14 @@ SIM_FLAGS = ["--ell", "2.0", "--c-per-len", "0.5", "--t-max", "5.0"]
                  "line 2: element value must be finite, got 'inf'", id="inductor-inf"),
     pytest.param(["simulate", "{tmp}/linf.net", *SIM_FLAGS], "line 2",
                  id="simulate-inductor-inf"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--n-sections", "5"],
+                 "--n-sections must be at least 100, got 5", id="n-sections-5"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--phi", "1,2,3"],
+                 "--phi gives 3 values for 1 circuit nodes; give at most 1",
+                 id="phi-too-long"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--q", "1,2,3"],
+                 "--q gives 3 values for 1 circuit nodes; give at most 1",
+                 id="q-too-long"),
 ])
 def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     net = write_netlist(tmp_path)

@@ -178,6 +178,53 @@ class TestWeakCoupling:
             weak_coupling(0.5, 1.0)
 
 
+def reference_order(roots):
+    real_mask = np.abs(roots.imag) <= 1e-9 * np.maximum(np.abs(roots), 1.0)
+    reals = np.sort(roots[real_mask].real)
+    complexes = roots[~real_mask]
+    if len(complexes) == 2:
+        pair_re = complexes.real.mean()
+        pair_im = np.abs(complexes.imag).mean()
+        ordered = [complex(r) for r in reals]
+        ordered += [pair_re + 1j * pair_im, pair_re - 1j * pair_im]
+        return np.array(ordered)
+    assert len(complexes) == 0
+    if len(reals) == 3:
+        return np.array([reals[0], reals[2], reals[1]], dtype=complex)
+    return reals.astype(complex)
+
+
+def reference_locus(alpha, g_grid):
+    """Pole locus one g at a time, as computed before the batched core."""
+    branches = np.empty((len(g_grid), 3), dtype=complex)
+    prev = None
+    for i, g in enumerate(g_grid):
+        work = np.array([alpha * g, 1.0, alpha * g, 1.0 - g])
+        roots = np.roots(work)
+        deriv = np.polyval(np.polyder(work), roots)
+        ok = np.abs(deriv) > 0
+        roots[ok] = roots[ok] - np.polyval(work, roots[ok]) / deriv[ok]
+        roots = reference_order(roots) * 1.0  # find_poles' omega_r scaling
+        if prev is None:
+            ordered = roots
+        else:
+            remaining = list(roots)
+            ordered = []
+            for target in prev:
+                j = int(np.argmin(np.abs(np.array(remaining) - target)))
+                ordered.append(remaining.pop(j))
+            ordered = np.array(ordered)
+        branches[i] = ordered
+        prev = ordered
+    transitions = {}
+    for k in range(3):
+        im = branches[:, k].imag
+        hit = np.where(np.abs(im) == 0.0)[0]
+        if np.abs(im[0]) > 0 and len(hit):
+            transitions[k] = float(g_grid[hit[0]])
+    return branches, transitions
+
+
 class TestPoleLocus:
     def test_transition_only_for_small_alpha(self):
         g_grid = np.arange(0.001, 1.0, 0.001)
@@ -240,6 +287,23 @@ class TestPoleLocus:
             pole_locus(1.0, np.array([0.0, 0.5]))
         with pytest.raises(ValidationError):
             pole_locus(1.0, np.array([0.5, 0.4]))
+        for grid in ([], np.array([[0.2, 0.4]])):
+            with pytest.raises(ValidationError, match="non-empty 1-D"):
+                pole_locus(1.0, grid)
+        with pytest.raises(ValidationError, match="underflows"):
+            pole_locus(5e-324, np.array([0.5]))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 2.0, 20.0, *np.exp(
+        np.random.default_rng(7).uniform(np.log(0.05), np.log(20.0), 4))])
+    def test_matches_per_g_loop(self, alpha):
+        # the batched locus equals, bit for bit, the former route: np.roots
+        # per g, one Newton step, per-g ordering and greedy matching
+        g_grid = np.arange(0.001, 0.999 + 0.0005, 0.001)
+        g_grid = g_grid[(g_grid > 0.0) & (g_grid < 1.0)]
+        branches, transitions = reference_locus(alpha, g_grid)
+        locus = pole_locus(alpha, g_grid)
+        assert np.array_equal(locus.branches, branches)
+        assert locus.transitions == transitions
 
 
 class TestStability:
