@@ -162,7 +162,6 @@ def cmd_simulate(args):
                          f"got {args.n_sections}")
     t_max = args.t_max
     t_grid = np.linspace(0.0, t_max, args.samples)
-    length = args.length if args.length is not None else 1.12 * line.v_p * t_max / 2.0
 
     line_initial = None
     e0 = None
@@ -170,6 +169,11 @@ def cmd_simulate(args):
         line_initial = LineInitialState.from_csv(args.phi0_csv, args.q0_csv,
                                                  extend="zero")
         e0 = thevenin_source(line_initial, line, t_grid)
+    # default: no wave that starts on the circuit or inside the sampled
+    # profiles returns from the open far end before t_max (12 % margin)
+    x_max = line_initial.x_max if line_initial is not None else 0.0
+    length = (args.length if args.length is not None
+              else 1.12 * line.v_p * t_max / 2.0 + 0.56 * x_max)
 
     if topology.is_linear:
         grad_u = stiffness_matrix(topology)
@@ -205,8 +209,8 @@ def cmd_simulate(args):
 
 def _positive_float(text):
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (0 < value < np.inf):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalPreconditionError, ValidationError
-from .signals import Signal
+from .signals import Signal, uniform_grid
 from .spectral import ENTRY_NAMES, PoleSet, TransferMatrixSpec, find_poles
 
 MIN_IFFT_SAMPLES = 1024
@@ -164,8 +164,7 @@ def invert_partial_fractions(spec: TransferMatrixSpec, entry, t_grid,
                           n_samples=max(16384, MIN_IFFT_SAMPLES))
         vals = np.interp(t_grid, sig.t_grid, sig.samples)
         return Signal.from_samples(t_grid, vals)
-    vals = np.real(np.exp(np.outer(t_grid, s)) @ r)
-    out = Signal.from_samples(t_grid, vals)
+    out = Signal.from_samples(t_grid, _impulse_from_residues(s, r, t_grid))
     out.meta["entry"] = entry
     out.meta["poles"] = s
     out.meta["residues"] = r
@@ -222,8 +221,7 @@ def respond(spec: TransferMatrixSpec, f1: SourceSpec, f2: SourceSpec,
     degree >= 2 (so that dh/dt exists as a function); the line source f2
     meets h22 of relative degree one and therefore must not carry one.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = t_grid[1] - t_grid[0]
+    t_grid, dt = uniform_grid(t_grid)
     sources = {"f1": f1, "f2": f2}
     columns = {"f1": ("h11", "h21"), "f2": ("h12", "h22")}
     for name, src in sources.items():
@@ -236,16 +234,18 @@ def respond(spec: TransferMatrixSpec, f1: SourceSpec, f2: SourceSpec,
     acc = {"h11": None, "h12": None, "h21": None, "h22": None}
     poles = find_poles(spec.den, spec.omega_r)
     for name, src in sources.items():
+        has_regular = src.regular is not None and src.regular.samples.any()
         for entry in columns[name]:
             s, r, _ = residues(spec, entry, poles)
+            if src.delta_coef != 0.0 or has_regular:
+                h_vals = _impulse_from_residues(s, r, t_grid)
             total = np.zeros(len(t_grid))
             if src.delta_coef != 0.0:
-                total += src.delta_coef * _impulse_from_residues(s, r, t_grid)
+                total += src.delta_coef * h_vals
             if src.ddelta_coef != 0.0:
                 total += src.ddelta_coef * _impulse_from_residues(s, r, t_grid,
                                                                   derivative=True)
-            if src.regular is not None and src.regular.samples.any():
-                h_vals = _impulse_from_residues(s, r, t_grid)
+            if has_regular:
                 f_vals = src.regular(t_grid, extend="zero")
                 total += _convolve_trapezoid(h_vals, f_vals, dt)
             acc[entry] = total

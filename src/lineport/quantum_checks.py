@@ -25,7 +25,7 @@ from .errors import ValidationError
 from .netlist import ReducedModel
 from .reduced_dynamics import (LadderSystem, _propagate_affine, _propagate_homogeneous,
                                _reduced_flow_matrix)
-from .signals import Signal
+from .signals import Signal, uniform_grid
 from .spectral import LcExampleParams, weak_coupling
 
 HBAR_DEFAULT = 1.0
@@ -193,8 +193,7 @@ def langevin_weak(params: LcExampleParams, drive: Signal | None,
         warnings.warn(
             f"Markovian approximation outside its regime: omega_r*tau = "
             f"{params.omega_r * params.tau:.3g} > 0.1", stacklevel=2)
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = t_grid[1] - t_grid[0]
+    t_grid, dt = uniform_grid(t_grid)
     omega_big, kappa = weak_coupling(params.g, params.alpha, params.omega_r)
     flow = np.array([[0.0, 1.0], [-omega_big ** 2, -kappa]])
     u0 = np.array([initial[0], initial[1]], dtype=float)

@@ -30,7 +30,7 @@ from scipy.linalg import cho_factor, cho_solve, expm
 from .errors import NumericalPreconditionError, ValidationError
 from .netlist import (CircuitTopology, ReducedModel, potential_energy,
                       potential_gradient, stiffness_matrix)
-from .signals import Signal, Trajectory
+from .signals import Signal, Trajectory, uniform_grid
 from .tline import LineInitialState, LineParams
 
 DT_SAFETY_FACTOR = 20.0
@@ -210,8 +210,7 @@ def integrate(rhs: ReducedRhs, initial: ReducedState, t_grid,
     exact for e0 piecewise linear on the grid), method='rk4' the classic
     4th-order Runge-Kutta scheme; 'auto' picks 'expm' when available.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = t_grid[1] - t_grid[0]
+    t_grid, dt = uniform_grid(t_grid)
     model = rhs.model
     n = model.n_nodes
     if method == "auto":
@@ -248,8 +247,7 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
     source term by y' = -y/tau + e0(t)/tau with y(0) = V0 at t=0. The port
     voltage is V0(t) = p.m + y.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = t_grid[1] - t_grid[0]
+    t_grid, dt = uniform_grid(t_grid)
     n = model.n_nodes
     stiffness, grad = _as_gradient(grad_u, n)
     if method == "auto":
@@ -338,15 +336,16 @@ class LadderSystem:
         head[n, 0] -= c_c
         head[n, n] = c_c + cells[0]
         self._head = head
-        self._head_chol = cho_factor(head)
-        self._head_inv = cho_solve(self._head_chol, np.eye(n + 1))
+        self._head_inv = cho_solve(cho_factor(head), np.eye(n + 1))
         self._k_line = 1.0 / (line.ell * self.dx)
         self._k_circ = stiffness_matrix(topology) if topology.is_linear else None
         self.dim = n + 1 + self.n_sections
 
     # -- Hamiltonian structure ------------------------------------------------
+    # grad_potential, velocities and leapfrog_step also act on (dim, B) stacks
 
     def grad_potential(self, q):
+        """Potential gradient dU/dq."""
         n = self.n_circ
         out = np.empty_like(q)
         phi_circ = q[:n]
@@ -355,17 +354,19 @@ class LadderSystem:
             out[:n] = self._k_circ @ phi_circ
         else:
             out[:n] = potential_gradient(self.topology, phi_circ)
-        d = np.diff(line)
+        d = np.diff(line, axis=0)
         out[n] = -self._k_line * d[0]
         out[n + 1:-1] = self._k_line * (d[:-1] - d[1:])
         out[-1] = self._k_line * d[-1]
         return out
 
     def velocities(self, p):
+        """Inverse mass action M^-1 p: the precomputed head inverse on the
+        circuit nodes and line node 0, one cell division per line node."""
         n = self.n_circ
         out = np.empty_like(p)
-        out[:n + 1] = cho_solve(self._head_chol, p[:n + 1])
-        out[n + 1:] = p[n + 1:] / self.cells[1:]
+        out[:n + 1] = self._head_inv @ p[:n + 1]
+        out[n + 1:] = (p[n + 1:].T / self.cells[1:]).T
         return out
 
     def potential(self, q):
@@ -376,33 +377,22 @@ class LadderSystem:
     def hamiltonian(self, q, p):
         return 0.5 * float(p @ self.velocities(p)) + self.potential(q)
 
-    def stiffness_full(self) -> np.ndarray:
-        if self._k_circ is None:
-            raise ValidationError("full stiffness requires a linear circuit")
-        n = self.n_circ
-        k = np.zeros((self.dim, self.dim))
-        k[:n, :n] = self._k_circ
-        idx = np.arange(n, self.dim)
-        k[idx, idx] += self._k_line
-        k[idx[1:-1], idx[1:-1]] += self._k_line
-        k[idx[:-1], idx[1:]] -= self._k_line
-        k[idx[1:], idx[:-1]] -= self._k_line
-        return k
+    def leapfrog_step(self, q, p, grad, dt):
+        """One kick-drift-kick step; ``grad`` is grad_potential(q), and the
+        new gradient comes back with the new state for the next step."""
+        p_half = p - 0.5 * dt * grad
+        q = q + dt * self.velocities(p_half)
+        grad = self.grad_potential(q)
+        return q, p_half - 0.5 * dt * grad, grad
 
     def one_step_matrix(self, dt: float) -> np.ndarray:
-        """Linear map of one leapfrog step on the stacked state [q, p]."""
-        k = self.stiffness_full()
-        minv = np.zeros((self.dim, self.dim))
-        n = self.n_circ
-        minv[:n + 1, :n + 1] = self._head_inv
-        minv[np.arange(n + 1, self.dim), np.arange(n + 1, self.dim)] = 1.0 / self.cells[1:]
-        eye = np.eye(self.dim)
-        a = minv @ k
-        s = np.zeros((2 * self.dim, 2 * self.dim))
-        s[:self.dim, :self.dim] = eye - 0.5 * dt * dt * a
-        s[:self.dim, self.dim:] = dt * minv
-        s[self.dim:, :self.dim] = -dt * k + 0.25 * dt ** 3 * (k @ a)
-        s[self.dim:, self.dim:] = eye - 0.5 * dt * dt * (k @ minv)
+        """Linear map of one leapfrog step on the stacked state [q, p]: the
+        step applied to the identity columns."""
+        if self._k_circ is None:
+            raise ValidationError("one-step matrix requires a linear circuit")
+        s = np.eye(2 * self.dim)
+        q, p = s[:self.dim], s[self.dim:]
+        s[:self.dim], s[self.dim:], _ = self.leapfrog_step(q, p, self.grad_potential(q), dt)
         return s
 
     def cfl_dt(self) -> float:
@@ -457,7 +447,7 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
     The requested window must satisfy the no-echo condition
     t_max < 2 length / v_p so that the open far end never influences x = 0.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid, dt_out = uniform_grid(t_grid)
     t_max = float(t_grid[-1])
     if t_max >= 2.0 * length / line.v_p:
         needed = line.v_p * t_max / 2.0
@@ -465,7 +455,6 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
             f"echo window violated: t_max={t_max:g} needs line length > {needed:g} "
             f"(have {length:g})")
     system = LadderSystem(topology, line, n_sections, length)
-    dt_out = float(t_grid[1] - t_grid[0])
     if dt is None:
         dt = courant * system.cfl_dt()
     n_sub = max(1, int(np.ceil(dt_out / dt - 1e-12)))
@@ -491,10 +480,7 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
         if k == n_out - 1:
             break
         for _ in range(n_sub):
-            p_half = p - 0.5 * dt * grad
-            q_pos = q_pos + dt * system.velocities(p_half)
-            grad = system.grad_potential(q_pos)
-            p = p_half - 0.5 * dt * grad
+            q_pos, p, grad = system.leapfrog_step(q_pos, p, grad, dt)
     if not np.all(np.isfinite(energy)):
         raise NumericalPreconditionError("ladder integration diverged; reduce dt")
     scale = max(abs(energy[0]), abs(energy).max() * 1e-12, 1e-300)

@@ -30,6 +30,20 @@ def write_csv(path, header, columns):
         fh.writelines(row_fmt % tuple(row) for row in table.tolist())
 
 
+def uniform_grid(t_grid):
+    """``t_grid`` as a float array and its step; a grid of fewer than two
+    points, not strictly increasing or not uniform (1e-9 relative) is refused."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if len(t_grid) < 2:
+        raise ValidationError("time grid needs at least two samples")
+    steps = np.diff(t_grid)
+    if np.any(steps <= 0):
+        raise ValidationError("time grid must be strictly increasing")
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValidationError("time grid must be uniform")
+    return t_grid, float(steps[0])
+
+
 @dataclass
 class Signal:
     """Real signal sampled on a uniform time grid.
@@ -94,14 +108,8 @@ class Signal:
 
     @classmethod
     def from_samples(cls, t_grid, samples) -> "Signal":
-        t_grid = np.asarray(t_grid, dtype=float)
-        if len(t_grid) < 2:
-            raise ValidationError("signal needs at least two samples")
-        steps = np.diff(t_grid)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValidationError("signal time grid must be uniform")
-        return cls(t0=float(t_grid[0]), dt=float(steps[0]),
-                   samples=np.asarray(samples, dtype=float))
+        t_grid, dt = uniform_grid(t_grid)
+        return cls(t0=float(t_grid[0]), dt=dt, samples=np.asarray(samples, dtype=float))
 
     def to_csv(self, path, header="t,value"):
         write_csv(path, header, (self.t_grid, self.samples))
@@ -135,12 +143,7 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.t_grid = np.asarray(self.t_grid, dtype=float)
-        steps = np.diff(self.t_grid)
-        if len(self.t_grid) < 2 or np.any(steps <= 0):
-            raise ValidationError("trajectory time grid must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValidationError("trajectory time grid must be uniform")
+        self.t_grid, _ = uniform_grid(self.t_grid)
 
     @property
     def dt(self) -> float:

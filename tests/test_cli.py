@@ -171,6 +171,22 @@ class TestSimulate:
         assert rc == 4
         assert "length > 10" in capsys.readouterr().err
 
+    def test_profile_default_length_has_no_echo(self, tmp_path, capsys):
+        # the default length must keep the forward half of a line pulse from
+        # echoing off the open far end inside the window
+        net = write_netlist(tmp_path)
+        x = np.linspace(0.0, 40.0, 4001)
+        phi0 = 0.5 * np.exp(-((x - 8.0) / 1.5) ** 2)
+        profile = tmp_path / "pulse.csv"
+        np.savetxt(profile, np.column_stack([x, phi0]), fmt="%.17g", delimiter=",",
+                   header="x,phi0", comments="")
+        rc = main(["simulate", str(net), "--ell", "2.0", "--c-per-len", "0.5",
+                   "--t-max", "37.7", "--n-sections", "1000",
+                   "--phi0-csv", str(profile), "--out", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "simulate_summary.json").read_text())
+        assert summary["phi1_l2_discrepancy"] <= 0.01
+
     def test_coupled_against_ladder(self, tmp_path, capsys):
         net = write_netlist(tmp_path)  # g = 0.3 with C_r = 1
         rc = main(["simulate", str(net), "--ell", "2.0", "--c-per-len", "0.5",
@@ -220,6 +236,21 @@ SIM_FLAGS = ["--ell", "2.0", "--c-per-len", "0.5", "--t-max", "5.0"]
     pytest.param(["simulate", "{net}", *SIM_FLAGS, "--q", "1,2,3"],
                  "--q gives 3 values for 1 circuit nodes; give at most 1",
                  id="q-too-long"),
+    pytest.param(["poles", "--alpha", "inf"],
+                 "argument --alpha: must be positive and finite, got inf", id="poles-alpha-inf"),
+    pytest.param(["poles", "--alpha", "nan"],
+                 "argument --alpha: must be positive and finite, got nan", id="poles-alpha-nan"),
+    pytest.param(["impulse", "--alpha", "inf"],
+                 "argument --alpha: must be positive and finite, got inf",
+                 id="impulse-alpha-inf"),
+    pytest.param(["impulse", "--omega-r", "inf"],
+                 "argument --omega-r: must be positive and finite, got inf",
+                 id="impulse-omega-r-inf"),
+    pytest.param(["simulate", "{net}", "--ell", "2.0", "--c-per-len", "0.5", "--t-max", "inf"],
+                 "argument --t-max: must be positive and finite, got inf",
+                 id="simulate-t-max-inf"),
+    pytest.param(["simulate", "{net}", "--ell", "nan", "--c-per-len", "0.5", "--t-max", "5.0"],
+                 "argument --ell: must be positive and finite, got nan", id="simulate-ell-nan"),
 ])
 def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     net = write_netlist(tmp_path)
@@ -228,8 +259,12 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     (tmp_path / "one.csv").write_text("x\n0\n1\n2\n")
     (tmp_path / "binary.net").write_bytes(b"\xff\xfeC 1 2 1.0\n")
     argv = [a.format(tmp=tmp_path, net=net) for a in argv]
-    rc = main([*argv, "--out", str(tmp_path / "out")])
+    try:  # argparse rejects a flag value by raising SystemExit(2)
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+    except SystemExit as exc:
+        rc = exc.code
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
     assert names in err
+

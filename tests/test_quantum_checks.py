@@ -4,7 +4,7 @@ import pytest
 from lineport import (GaussianMoments, HamiltonianSystem, LadderSystem,
                       OpenReducedSystem, ReducedState, Signal, ValidationError,
                       assemble_rhs, canonical_j, commutator_residual, integrate,
-                      langevin_weak, line_params, peak_envelope,
+                      ladder_oracle, langevin_weak, line_params, peak_envelope,
                       propagate_gaussian, propagator_of, stiffness_matrix)
 from lineport.spectral import LcExampleParams
 
@@ -55,6 +55,30 @@ class TestPropagator:
         system, params = lc_ladder()
         with pytest.raises(ValidationError, match="dt"):
             propagator_of(system, 1.0)
+
+    def test_ladder_propagator_is_the_trajectory_map(self):
+        # the certified propagator must be the map that ladder_oracle applies:
+        # S^k [q; p] at the initial ladder state gives output sample k
+        system, params = lc_ladder(n_sections=150, length=8.0)
+        t = np.linspace(0.0, 2.0 * params.t_r, 41)
+        dt_out = t[1] - t[0]
+        dt = dt_out / 8
+        initial = ReducedState(phi=[0.7], q=[-0.4], q0=0.2)
+        traj = ladder_oracle(system.line, system.n_sections, system.length,
+                             system.topology, initial, t, dt=dt)
+        assert traj.meta["dt"] == dt
+        state = np.concatenate(system.initial_state(initial))
+        n, dim = system.n_circ, system.dim
+        for k in (1, 7, 40):
+            mapped = propagator_of(system, k * dt_out, dt=dt).matrix @ state
+            for got, want in ((mapped[:n], traj.phi), (mapped[dim:dim + n], traj.q)):
+                assert np.abs(got - want[k]).max() <= 1e-12 * np.abs(want).max()
+
+        step = system.one_step_matrix(dt)
+        q, p = state[:dim], state[dim:]
+        q1, p1, _ = system.leapfrog_step(q, p, system.grad_potential(q), dt)
+        stepped = np.concatenate([q1, p1])
+        assert np.abs(step @ state - stepped).max() <= 1e-14 * np.abs(stepped).max()
 
 
 class TestCommutatorResidual:

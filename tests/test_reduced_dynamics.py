@@ -258,3 +258,43 @@ class TestLadderOracle:
                              ReducedState(phi=[1.0], q=[0.0], q0=0.0), t,
                              dt=params.t_r / 5000.0)
         assert traj.meta["energy_drift"] <= 1e-6
+
+
+class TestTimeGridChecked:
+    """A bad time grid is refused before any stepping or ladder assembly."""
+
+    BAD_GRIDS = [pytest.param([0.0], id="one-point"),
+                 pytest.param([0.0, 0.1, 0.3, 0.4], id="non-uniform"),
+                 pytest.param([0.0, -0.1, -0.2], id="decreasing")]
+
+    @pytest.fixture
+    def no_stepping(self, monkeypatch):
+        import lineport.reduced_dynamics as rd
+
+        def fail(*args, **kwargs):
+            raise AssertionError("stepping started on a bad time grid")
+        for name in ("_propagate_affine", "_rk4", "LadderSystem"):
+            monkeypatch.setattr(rd, name, fail)
+
+    @pytest.mark.parametrize("t", BAD_GRIDS)
+    @pytest.mark.parametrize("method", ["expm", "rk4"])
+    def test_integrate(self, no_stepping, t, method):
+        model, topo, _ = lc_model()
+        rhs = assemble_rhs(model, stiffness_matrix(topo))
+        with pytest.raises(ValidationError, match="time grid"):
+            integrate(rhs, ReducedState(phi=[1.0], q=[0.0], q0=0.0), t, method=method)
+
+    @pytest.mark.parametrize("t", BAD_GRIDS)
+    @pytest.mark.parametrize("method", ["expm", "rk4"])
+    def test_langevin_form(self, no_stepping, t, method):
+        model, topo, _ = lc_model()
+        with pytest.raises(ValidationError, match="time grid"):
+            langevin_form(model, stiffness_matrix(topo), None,
+                          ReducedState(phi=[1.0], q=[0.0], q0=0.0), t, method=method)
+
+    @pytest.mark.parametrize("t", BAD_GRIDS)
+    def test_ladder_oracle(self, no_stepping, t):
+        model, topo, params = lc_model()
+        with pytest.raises(ValidationError, match="time grid"):
+            ladder_oracle(lc_line(params), 200, 10.0, topo,
+                          ReducedState(phi=[1.0], q=[0.0], q0=0.0), t)
