@@ -135,6 +135,8 @@ def _parse_vector(text, n, what):
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise InputError(f"bad {what} vector {text!r}")
+    if not np.all(np.isfinite(vals)):
+        raise InputError(f"--{what} values must be finite, got {text!r}")
     if len(vals) > n:
         raise InputError(f"--{what} gives {len(vals)} values for {n} circuit "
                          f"nodes; give at most {n}")
@@ -214,6 +216,13 @@ def _positive_float(text):
     return value
 
 
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lineport",
@@ -264,7 +273,7 @@ def build_parser():
                    help="line length [m]; default sized to the no-echo window")
     p.add_argument("--phi", default=None, help="comma-separated initial node fluxes")
     p.add_argument("--q", default=None, help="comma-separated initial node charges")
-    p.add_argument("--q0", type=float, default=0.0, help="initial port momentum Q0")
+    p.add_argument("--q0", type=_finite_float, default=0.0, help="initial port momentum Q0")
     p.add_argument("--phi0-csv", default=None, help="initial line flux profile (x,value)")
     p.add_argument("--q0-csv", default=None,
                    help="initial line charge-density profile (x,value)")

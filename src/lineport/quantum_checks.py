@@ -23,8 +23,7 @@ from scipy.linalg import expm
 
 from .errors import ValidationError
 from .netlist import ReducedModel
-from .reduced_dynamics import (LadderSystem, _propagate_affine, _propagate_homogeneous,
-                               _reduced_flow_matrix)
+from .reduced_dynamics import LadderSystem, _propagate_affine, _reduced_flow_matrix
 from .signals import Signal, uniform_grid
 from .spectral import LcExampleParams, weak_coupling
 
@@ -197,12 +196,8 @@ def langevin_weak(params: LcExampleParams, drive: Signal | None,
     omega_big, kappa = weak_coupling(params.g, params.alpha, params.omega_r)
     flow = np.array([[0.0, 1.0], [-omega_big ** 2, -kappa]])
     u0 = np.array([initial[0], initial[1]], dtype=float)
-    if drive is None or not drive.samples.any():
-        ys = _propagate_homogeneous(expm(flow * dt), u0, len(t_grid))
-    else:
-        vals = drive(t_grid, extend="zero")
-        dvals = np.gradient(vals, dt)
-        b = np.zeros((2, len(t_grid)))
-        b[1] = 2.0 * params.g * dvals
-        ys = _propagate_affine(flow, b, u0, dt)
+    b = np.zeros((2, len(t_grid)))
+    if drive is not None:
+        b[1] = 2.0 * params.g * np.gradient(drive(t_grid, extend="zero"), dt)
+    ys = _propagate_affine(flow, b, u0, dt)
     return Signal.from_samples(t_grid, ys[0])

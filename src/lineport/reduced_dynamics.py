@@ -97,9 +97,6 @@ class ReducedRhs:
             return np.zeros(np.shape(t))
         return self.e0(t)
 
-    def source_index(self) -> int:
-        return 2 * self.model.n_nodes
-
     def __call__(self, t, y):
         m = self.model
         n = m.n_nodes
@@ -156,31 +153,21 @@ def _lti_step_operators(m, dt):
     return ew[:d, :d], ew[:d, d:2 * d], ew[:d, 2 * d:] / dt
 
 
-def _propagate_homogeneous(e_step, u0, n_samples):
-    """All iterates [u0, E u0, E^2 u0, ...] via repeated doubling."""
-    us = u0[:, None]
-    ek = e_step
-    while us.shape[1] < n_samples:
-        us = np.hstack([us, ek @ us])
-        ek = ek @ ek
-    return us[:, :n_samples]
-
-
 def _propagate_affine(flow, b_samples, u0, dt):
-    n_samples = b_samples.shape[1]
-    if not b_samples.any():
-        e_step = expm(flow * dt)
-        return _propagate_homogeneous(e_step, u0, n_samples)
+    """Columns u_k of u_{k+1} = E u_k + F b_k + G (b_{k+1} - b_k) by a doubling
+    scan: column k starts as step k's input term (u0 for k = 0), and each
+    pass at shift s = 1, 2, 4, ... adds E^s times the column s to its left."""
     e_step, f_op, g_op = _lti_step_operators(flow, dt)
-    out = np.empty((len(u0), n_samples))
-    u = u0.copy()
-    for k in range(n_samples - 1):
-        out[:, k] = u
-        b0 = b_samples[:, k]
-        b1 = b_samples[:, k + 1]
-        u = e_step @ u + f_op @ b0 + g_op @ (b1 - b0)
-    out[:, -1] = u
-    return out
+    us = np.empty((len(u0), b_samples.shape[1]))
+    us[:, 0] = u0
+    np.matmul(f_op - g_op, b_samples[:, :-1], out=us[:, 1:])
+    us[:, 1:] += g_op @ b_samples[:, 1:]
+    shift = 1
+    while shift < us.shape[1]:
+        us[:, shift:] += e_step @ us[:, :-shift]
+        e_step = e_step @ e_step
+        shift *= 2
+    return us
 
 
 def _rk4(rhs, y0, t_grid):
@@ -222,7 +209,7 @@ def integrate(rhs: ReducedRhs, initial: ReducedState, t_grid,
             raise ValidationError("matrix-exponential stepper requires a linear circuit")
         b = np.zeros((2 * n + 1, len(t_grid)))
         if rhs.e0 is not None:
-            b[rhs.source_index()] = rhs.e0(t_grid) / model.z_c
+            b[2 * n] = rhs.e0(t_grid) / model.z_c
         ys = _propagate_affine(rhs.flow_matrix, b, initial.packed(), dt)
     elif method == "rk4":
         ys = _rk4(rhs, initial.packed(), t_grid)

@@ -124,7 +124,14 @@ class Signal:
             raise InputError(f"bad CSV file {str(path)!r}: {exc}") from None
         if data.shape[1] < 2:
             raise InputError(f"CSV file {str(path)!r} needs two columns, has {data.shape[1]}")
-        return cls.from_samples(data[:, 0], data[:, 1])
+        try:
+            x, dx = uniform_grid(data[:, 0])
+        except ValidationError as exc:  # the first column is an x grid, not a time grid
+            raise InputError(f"CSV file {str(path)!r}: first column "
+                             f"{str(exc).removeprefix('time grid ')}") from None
+        if not np.all(np.isfinite(data[:, 1])):
+            raise InputError(f"CSV file {str(path)!r}: value column must be finite")
+        return cls(t0=float(x[0]), dt=dx, samples=data[:, 1])
 
 
 @dataclass

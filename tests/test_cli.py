@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from lineport.cli import main
 
@@ -200,6 +205,14 @@ class TestSimulate:
 
 SIM_FLAGS = ["--ell", "2.0", "--c-per-len", "0.5", "--t-max", "5.0"]
 
+JOSEPHSON_NETLIST = """\
+C 1 3 1.0
+J 1 2 0.5 1.0
+C 2 3 1.0
+L 2 3 1.0
+COUPLE 0.4
+"""
+
 
 @pytest.mark.parametrize("argv, names", [
     pytest.param(["reduce", "{tmp}/missing.net"], "missing.net", id="reduce-missing-netlist"),
@@ -251,6 +264,24 @@ SIM_FLAGS = ["--ell", "2.0", "--c-per-len", "0.5", "--t-max", "5.0"]
                  id="simulate-t-max-inf"),
     pytest.param(["simulate", "{net}", "--ell", "nan", "--c-per-len", "0.5", "--t-max", "5.0"],
                  "argument --ell: must be positive and finite, got nan", id="simulate-ell-nan"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--q0", "inf"],
+                 "argument --q0: must be finite, got inf", id="q0-inf"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--q0", "nan"],
+                 "argument --q0: must be finite, got nan", id="q0-nan"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--phi", "inf"],
+                 "--phi values must be finite, got 'inf'", id="phi-inf"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--q", "nan"],
+                 "--q values must be finite, got 'nan'", id="q-nan"),
+    pytest.param(["simulate", "{tmp}/jj.net", *SIM_FLAGS, "--phi", "inf,0"],
+                 "--phi values must be finite, got 'inf,0'", id="josephson-phi-inf"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--phi0-csv", "{tmp}/gap.csv"],
+                 "gap.csv': first column must be uniform", id="profile-non-uniform-x"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--q0-csv", "{tmp}/repeat.csv"],
+                 "repeat.csv': first column must be strictly increasing",
+                 id="profile-repeated-x"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--phi0-csv", "{tmp}/nan.csv"],
+                 "nan.csv': value column must be finite",
+                 id="profile-nan-value"),
 ])
 def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     net = write_netlist(tmp_path)
@@ -258,6 +289,10 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     (tmp_path / "linf.net").write_text("C 1 2 1.0\nL 1 2 inf\nCOUPLE 0.5\n")
     (tmp_path / "one.csv").write_text("x\n0\n1\n2\n")
     (tmp_path / "binary.net").write_bytes(b"\xff\xfeC 1 2 1.0\n")
+    (tmp_path / "jj.net").write_text(JOSEPHSON_NETLIST)
+    (tmp_path / "gap.csv").write_text("x,phi0\n0,0\n1,1\n3,0\n4,0\n")
+    (tmp_path / "repeat.csv").write_text("x,q0\n0,0\n1,1\n1,0\n2,0\n")
+    (tmp_path / "nan.csv").write_text("x,phi0\n0,0\n1,nan\n2,0\n3,0\n")
     argv = [a.format(tmp=tmp_path, net=net) for a in argv]
     try:  # argparse rejects a flag value by raising SystemExit(2)
         rc = main([*argv, "--out", str(tmp_path / "out")])
@@ -268,3 +303,89 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     assert "Traceback" not in err
     assert names in err
 
+
+# --- fuzzing simulate's initial-state inputs --------------------------------
+# Each draw is (text, defective); a defective input must exit exactly 2. About
+# half the cases draw only well-formed inputs, so the integrators run too.
+
+FINITE_TOKENS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: (repr(v), False))
+NON_FINITE_TOKENS = st.sampled_from(["inf", "-inf", "nan", "-nan", "Infinity"]).map(
+    lambda t: (t, True))
+JUNK_TOKENS = st.sampled_from(["abc", "1e", "0x10", "1.2.3", "+-1"]).map(lambda t: (t, True))
+ANY_TOKENS = st.one_of(FINITE_TOKENS, NON_FINITE_TOKENS, JUNK_TOKENS)
+
+
+@st.composite
+def vectors(draw, tokens, n_nodes, clean):
+    """--phi/--q text of 1 to n_nodes (+ 1 unless clean) values; longer than
+    n_nodes is defective."""
+    items = draw(st.lists(tokens, min_size=1, max_size=n_nodes if clean else n_nodes + 1))
+    return ",".join(t for t, _ in items), len(items) > n_nodes or any(b for _, b in items)
+
+
+@st.composite
+def profiles(draw, clean):
+    """A small (x, value) profile CSV; non-uniform or repeated x, or a nan, is defective."""
+    n = draw(st.integers(3, 6))
+    x = 0.5 * np.arange(n)
+    kind = "uniform" if clean else draw(st.sampled_from(["uniform", "non-uniform", "repeated"]))
+    if kind == "non-uniform":
+        x[-1] += 0.25
+    elif kind == "repeated":
+        i = draw(st.integers(1, n - 1))
+        x[i] = x[i - 1]
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    has_nan = not clean and draw(st.booleans())
+    if has_nan:
+        values[draw(st.integers(0, n - 1))] = float("nan")
+    text = "x,value\n" + "".join(f"{xi!r},{vi!r}\n" for xi, vi in zip(x.tolist(), values))
+    return text, kind != "uniform" or has_nan
+
+
+@st.composite
+def simulate_inputs(draw):
+    name, netlist, n_nodes = draw(st.sampled_from([("lc.net", LC_NETLIST.format(
+        couple=0.42857142857142855), 1), ("jj.net", JOSEPHSON_NETLIST, 2)]))
+    clean = draw(st.booleans())
+    tokens = FINITE_TOKENS if clean else ANY_TOKENS
+    files = {name: netlist}
+    argv, defective = [], False
+    for flag in ("--phi", "--q"):
+        if draw(st.booleans()):
+            text, bad = draw(vectors(tokens, n_nodes, clean))
+            argv.append(f"{flag}={text}")
+            defective |= bad
+    if draw(st.booleans()):
+        text, bad = draw(tokens)
+        argv.append(f"--q0={text}")
+        defective |= bad
+    for flag, csv in (("--phi0-csv", "phi0.csv"), ("--q0-csv", "q0.csv")):
+        if draw(st.integers(0, 2)) == 0:
+            files[csv], bad = draw(profiles(clean))
+            argv += [flag, "{tmp}/" + csv]
+            defective |= bad
+    return name, files, argv, defective
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(simulate_inputs())
+def test_fuzz_simulate_initial_state(case):
+    name, files, argv, defective = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for fname, text in files.items():
+            Path(tmp, fname).write_text(text)
+        argv = ["simulate", f"{tmp}/{name}", *SIM_FLAGS, "--n-sections", "100",
+                "--samples", "51", *(a.format(tmp=tmp) for a in argv), "--out", f"{tmp}/out"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+    event(f"exit {rc}")
+    assert rc in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if defective:
+        assert rc == 2, (argv, err.getvalue())
+    else:
+        assert rc != 2, (argv, err.getvalue())

@@ -223,6 +223,13 @@ class TestLangevinWeak:
         messages = " ".join(str(w.message) for w in recorded)
         assert "Markovian" in messages and "regime" in messages
 
+    def test_zero_drive_equals_no_drive(self):
+        params = LcExampleParams.from_dimensionless(0.02, 0.5)
+        t = np.linspace(0.0, 20 * params.t_r, 8001)
+        none = langevin_weak(params, None, (1.0, 0.3), t)
+        zero = langevin_weak(params, Signal.zeros(t), (1.0, 0.3), t)
+        assert np.abs(zero.samples - none.samples).max() <= 1e-14 * np.abs(none.samples).max()
+
     def test_drive_term_scaling(self):
         # a ramp drive enters as the constant force 2g * slope; compare the
         # response to the analytic step response of the damped oscillator

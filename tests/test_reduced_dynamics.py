@@ -5,6 +5,7 @@ from lineport import (LineInitialState, NumericalPreconditionError, ReducedState
                       ValidationError, assemble_rhs, integrate, ladder_oracle,
                       langevin_form, line_params, peak_envelope, stiffness_matrix,
                       thevenin_source)
+from lineport.reduced_dynamics import _lti_step_operators, _propagate_affine
 from lineport.signals import Signal
 
 from conftest import lc_model
@@ -108,6 +109,49 @@ class TestIntegrate:
         assert traj.meta["integrator"] == "rk4"
         with pytest.raises(ValidationError, match="linear"):
             integrate(rhs, ReducedState(phi=[0.3], q=[0.0], q0=0.0), t, method="expm")
+
+
+class TestPropagateAffine:
+    """The doubling scan against the per-sample loop it replaced; the sample
+    counts cover one and two passes and both sides of a power of two."""
+
+    DT = 0.01
+    COUNTS = [2, 3, 5, 64, 65, 20001]
+
+    @pytest.fixture
+    def flow(self):
+        a = np.random.default_rng(7).standard_normal((7, 7))
+        return a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(7)
+
+    @staticmethod
+    def per_sample_loop(flow, b, u0, dt):
+        e_step, f_op, g_op = _lti_step_operators(flow, dt)
+        out = np.empty((len(u0), b.shape[1]))
+        u = u0.copy()
+        for k in range(b.shape[1] - 1):
+            out[:, k] = u
+            u = e_step @ u + f_op @ b[:, k] + g_op @ (b[:, k + 1] - b[:, k])
+        out[:, -1] = u
+        return out
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_matches_per_sample_loop(self, flow, n):
+        rng = np.random.default_rng(n)
+        b, u0 = rng.standard_normal((7, n)), rng.standard_normal(7)
+        ref = self.per_sample_loop(flow, b, u0, self.DT)
+        got = _propagate_affine(flow, b, u0, self.DT)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_zero_source_is_repeated_step(self, flow, n):
+        u0 = np.random.default_rng(n).standard_normal(7)
+        e_step = _lti_step_operators(flow, self.DT)[0]
+        ref = np.empty((7, n))
+        ref[:, 0] = u0
+        for k in range(1, n):
+            ref[:, k] = e_step @ ref[:, k - 1]
+        got = _propagate_affine(flow, np.zeros((7, n)), u0, self.DT)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestLangevinForm:
