@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, LineportError, NumericalPreconditionError, ValidationError
-from .inversion import MIN_IFFT_SAMPLES, impulse_response_table, residues
+from .inversion import MAX_IFFT_SAMPLES, MIN_IFFT_SAMPLES, impulse_response_table, residues
 from .netlist import (derive_reduced_model, invariant_report, parse_netlist_file,
                       potential_gradient, stiffness_matrix)
 from .reduced_dynamics import (MIN_LADDER_SECTIONS, ReducedState, assemble_rhs,
@@ -31,6 +31,9 @@ from .tline import LineInitialState, line_params, thevenin_source
 
 OUT_DIR_ENV = "LINEPORT_OUT"
 INVARIANT_TOL = 1e-9
+MAX_G_POINTS = 10 ** 6
+#: omega_r range whose powers up to omega_r^3, which scale H(s), stay in float range
+OMEGA_R_RANGE = (1e-100, 1e100)
 
 
 def _out_dir(args):
@@ -74,7 +77,13 @@ def cmd_reduce(args):
 
 def cmd_poles(args):
     alphas = args.alpha if args.alpha else [0.5, 1.0, 2.0]
-    g_grid = np.arange(args.g_start, args.g_stop + 0.5 * args.g_step, args.g_step)
+    if (args.g_stop - args.g_start) / args.g_step >= MAX_G_POINTS:
+        raise InputError(f"--g-step {args.g_step:g} gives more than {MAX_G_POINTS} g points "
+                         f"from --g-start {args.g_start:g} to --g-stop {args.g_stop:g}; "
+                         f"use --g-step >= {(args.g_stop - args.g_start) / MAX_G_POINTS:.3g}")
+    # a stop below the start gives an empty range, however small the step
+    g_grid = np.arange(args.g_start, max(args.g_stop + 0.5 * args.g_step, args.g_start),
+                       args.g_step)
     g_grid = g_grid[(g_grid > 0.0) & (g_grid < 1.0)]
     if len(g_grid) == 0:
         raise InputError(f"empty g grid: --g-stop {args.g_stop:g} lies below "
@@ -94,11 +103,17 @@ def cmd_poles(args):
 
 
 def cmd_impulse(args):
-    omega_r = 1.0 if args.normalized else args.omega_r
-    gs = args.g if args.g else [0.3, 0.8]
     n = args.n
     if n < MIN_IFFT_SAMPLES:
         raise InputError(f"--n must be at least {MIN_IFFT_SAMPLES}, got {n}")
+    if n > MAX_IFFT_SAMPLES:
+        raise InputError(f"--n must be at most {MAX_IFFT_SAMPLES}, got {n}")
+    omega_r = 1.0 if args.normalized else args.omega_r
+    if not OMEGA_R_RANGE[0] <= omega_r <= OMEGA_R_RANGE[1]:
+        raise NumericalPreconditionError(
+            f"--omega-r {omega_r:g} lies outside [{OMEGA_R_RANGE[0]:g}, {OMEGA_R_RANGE[1]:g}], "
+            "where H(s) is representable; rescale the time unit")
+    gs = args.g if args.g else [0.3, 0.8]
     if n & (n - 1):
         n = 1 << (n - 1).bit_length()
         print(f"warning: n rounded up to the next power of two: {n}", file=sys.stderr)
@@ -147,6 +162,10 @@ def _parse_vector(text, n, what):
 
 def cmd_simulate(args):
     topology = parse_netlist_file(args.netlist)
+    if not (0.0 < args.ell * args.c_per_len < np.inf and 0.0 < args.ell / args.c_per_len < np.inf):
+        raise NumericalPreconditionError(
+            f"--ell {args.ell:g} and --c-per-len {args.c_per_len:g} give a wave speed or "
+            "impedance that is not representable; rescale the units")
     line = line_params(args.ell, args.c_per_len)
     model = derive_reduced_model(topology, line.z_c)
     n = topology.node_count
@@ -209,15 +228,22 @@ def cmd_simulate(args):
     return 0
 
 
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
 def _positive_float(text):
-    value = float(text)
+    value = _number(text)
     if not (0 < value < np.inf):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
 def _finite_float(text):
-    value = float(text)
+    value = _number(text)
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value

@@ -35,10 +35,16 @@ from .signals import Signal, uniform_grid
 from .spectral import ENTRY_NAMES, PoleSet, TransferMatrixSpec, find_poles
 
 MIN_IFFT_SAMPLES = 1024
+MAX_IFFT_SAMPLES = 2 ** 20
 
 
 def _pole_decays(den):
-    poles = np.roots(np.trim_zeros(np.asarray(den, dtype=float), "f"))
+    den = np.trim_zeros(np.asarray(den, dtype=float), "f")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(den[1:] / den[0]).all():
+            raise NumericalPreconditionError(
+                f"denominator {den.tolist()} puts a pole beyond the float range")
+    poles = np.roots(den)
     return poles, -poles.real.max(), -poles.real.min()
 
 

@@ -94,21 +94,13 @@ class CircuitTopology:
         """Check the active-node assumption: every internal node carries at
         least one capacitor and one inductive element."""
         n = self.node_count
-        has_cap = [False] * (n + 1)
-        has_ind = [False] * (n + 1)
-        for i, j, _ in self.capacitors:
-            for node in (i, j):
-                if node <= n:
-                    has_cap[node] = True
-        for branch in list(self.inductors) + [jn[:2] for jn in self.junctions]:
-            for node in branch[:2]:
-                if node <= n:
-                    has_ind[node] = True
-        for node in range(1, n + 1):
-            if not has_cap[node]:
-                raise ValidationError(f"inactive node {node}: no incident capacitor")
-            if not has_ind[node]:
-                raise ValidationError(f"inactive node {node}: no incident inductive element")
+        has_cap = np.diag(build_capacitance_matrix(self))[:n] > 0
+        inductive = [(i, j, 1.0) for i, j, *_ in self.inductors + self.junctions]
+        has_ind = np.diag(_stamp_branches(n + 1, inductive))[:n] > 0
+        if not (has_cap & has_ind).all():
+            node = int(np.argmin(has_cap & has_ind))
+            what = "inductive element" if has_cap[node] else "capacitor"
+            raise ValidationError(f"inactive node {node + 1}: no incident {what}")
 
     @property
     def is_linear(self) -> bool:

@@ -8,6 +8,7 @@ Three independent formulations of the same physics live here:
       dQ0/dt  = -Q0/tau - (p.Q)/Z_c + e0(t)/Z_c
   with an exact matrix-exponential stepper for linear circuits (default)
   or classic RK4 when Josephson junctions make the potential nonlinear.
+  Both steppers hold the source e0 linear between grid samples.
 
 * ``langevin_form`` evolves the convolution formulation
       dPhi/dt = A Q + B (g * dQ/dt) + w(t),   g(t) = exp(-t/tau),
@@ -72,38 +73,32 @@ def _as_gradient(grad_u, n):
 
 @dataclass
 class ReducedRhs:
-    """Right-hand side of the reduced equations, callable as f(t, y) on the
-    packed state y = [phi, q, q0]. ``flow_matrix`` is set for linear circuits
-    and enables the exact exponential stepper."""
+    """Autonomous part f(y) of the reduced equations on the packed state
+    y = [phi, q, q0], whose q0 row takes the input e0/Z_c. ``flow_matrix`` is
+    set for linear circuits and enables the exact exponential stepper."""
 
     model: ReducedModel
     grad_u: object
     e0: Signal | None = None
-    stiffness: np.ndarray | None = field(default=None)
-    flow_matrix: np.ndarray | None = field(default=None)
+    stiffness: np.ndarray | None = field(init=False)
+    flow_matrix: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        n = self.model.n_nodes
-        self.stiffness, self._grad = _as_gradient(self.grad_u, n)
-        if self.stiffness is not None:
-            self.flow_matrix = _reduced_flow_matrix(self.model, self.stiffness)
+        self.stiffness, self._grad = _as_gradient(self.grad_u, self.model.n_nodes)
+        self.flow_matrix = (None if self.stiffness is None
+                            else _reduced_flow_matrix(self.model, self.stiffness))
 
     @property
     def is_linear(self) -> bool:
         return self.flow_matrix is not None
 
-    def e0_at(self, t):
-        if self.e0 is None:
-            return np.zeros(np.shape(t))
-        return self.e0(t)
-
-    def __call__(self, t, y):
+    def __call__(self, y):
         m = self.model
         n = m.n_nodes
         phi, q, q0 = y[:n], y[n:2 * n], y[2 * n]
         dphi = m.cb_inv @ q + m.p * q0
         dq = -self._grad(phi)
-        dq0 = -q0 / m.tau - (m.p @ q) / m.z_c + self.e0_at(t) / m.z_c
+        dq0 = -q0 / m.tau - (m.p @ q) / m.z_c
         return np.concatenate([dphi, dq, [dq0]])
 
 
@@ -125,20 +120,6 @@ def assemble_rhs(model: ReducedModel, grad_u, e0: Signal | None = None) -> Reduc
     linear circuit) or a callable phi -> grad U (junction circuits).
     """
     return ReducedRhs(model=model, grad_u=grad_u, e0=e0)
-
-
-def _check_dt(dt, model: ReducedModel, stiffness, accuracy_depends_on_dt=True):
-    """Warn when dt fails to resolve min(tau, 1/omega_max)/20. The exact
-    homogeneous exponential stepper is dt-independent, so the check only
-    applies where accuracy depends on the step (RK4, sampled sources)."""
-    if stiffness is None or not accuracy_depends_on_dt:
-        return
-    omega_max = np.sqrt(np.linalg.norm(model.cb_inv, 2) * max(np.linalg.norm(stiffness, 2), 1e-300))
-    limit = min(model.tau, 1.0 / omega_max) / DT_SAFETY_FACTOR
-    if dt > limit:
-        warnings.warn(
-            f"dt={dt:.3g} does not resolve the fastest scale; "
-            f"recommended dt <= {limit:.3g}", stacklevel=3)
 
 
 def _lti_step_operators(m, dt):
@@ -170,53 +151,74 @@ def _propagate_affine(flow, b_samples, u0, dt):
     return us
 
 
-def _rk4(rhs, y0, t_grid):
+def _rk4(f, b, y0, t_grid):
+    """Classic RK4 for y' = f(y) + b(t), b linear between its columns; the
+    columns from the first non-finite state on are NaN."""
     dt = t_grid[1] - t_grid[0]
+    b_mid = 0.5 * (b[:, :-1] + b[:, 1:])
     out = np.empty((len(y0), len(t_grid)))
-    y = y0.copy()
-    for i, t in enumerate(t_grid):
-        out[:, i] = y
-        if i == len(t_grid) - 1:
-            break
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
+    out[:, 0] = y = y0
+    for k in range(len(t_grid) - 1):
+        k1 = f(y) + b[:, k]
+        k2 = f(y + 0.5 * dt * k1) + b_mid[:, k]
+        k3 = f(y + 0.5 * dt * k2) + b_mid[:, k]
+        k4 = f(y + dt * k3) + b[:, k + 1]
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(y)):
-            raise NumericalPreconditionError(
-                f"integration diverged at t={t + dt:.6g}: non-finite state; reduce dt")
+            out[:, k + 1:] = np.nan
+            break
+        out[:, k + 1] = y
     return out
+
+
+def _evolve(model: ReducedModel, stiffness, flow, f, b, y0, t_grid, method):
+    """Integrate y' = f(y) + b(t) on ``t_grid``, b sampled in its columns, by
+    'expm' on the linear ``flow`` (None if nonlinear) or 'rk4' on f; 'auto'
+    takes 'expm' when it can. Returns the state columns and the method."""
+    dt = t_grid[1] - t_grid[0]
+    if method == "auto":
+        method = "rk4" if flow is None else "expm"
+    # warn where accuracy depends on dt: all but the exact homogeneous stepper
+    if stiffness is not None and (method != "expm" or b.any()):
+        omega_max = np.sqrt(np.linalg.norm(model.cb_inv, 2)
+                            * max(np.linalg.norm(stiffness, 2), 1e-300))
+        limit = min(model.tau, 1.0 / omega_max) / DT_SAFETY_FACTOR
+        if dt > limit:
+            warnings.warn(f"dt={dt:.3g} does not resolve the fastest scale; "
+                          f"recommended dt <= {limit:.3g}", stacklevel=3)
+    if method == "expm":
+        if flow is None:
+            raise ValidationError("matrix-exponential stepper requires a linear circuit")
+        ys = _propagate_affine(flow, b, y0, dt)
+    elif method == "rk4":
+        ys = _rk4(f, b, y0, t_grid)
+    else:
+        raise ValidationError(f"unknown integration method {method!r}")
+    bad = ~np.isfinite(ys).all(axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        fix = f"the initial state (size {np.abs(y0).max():.3g}) or dt" if k <= 1 else "dt"
+        raise NumericalPreconditionError(
+            f"integration diverged at t={t_grid[k]:.6g}: non-finite state; reduce {fix}")
+    return ys, method
 
 
 def integrate(rhs: ReducedRhs, initial: ReducedState, t_grid,
               method: str = "auto") -> Trajectory:
     """Integrate the reduced system on a uniform time grid.
 
-    method='expm' uses the exact matrix-exponential stepper (linear circuits;
-    exact for e0 piecewise linear on the grid), method='rk4' the classic
-    4th-order Runge-Kutta scheme; 'auto' picks 'expm' when available.
+    method='expm' uses the exact matrix-exponential stepper (linear circuits),
+    method='rk4' the classic 4th-order Runge-Kutta scheme; 'auto' picks
+    'expm' when available. Both take e0 linear between grid samples.
     """
     t_grid, dt = uniform_grid(t_grid)
     model = rhs.model
     n = model.n_nodes
-    if method == "auto":
-        method = "expm" if rhs.is_linear else "rk4"
-    _check_dt(dt, model, rhs.stiffness,
-              accuracy_depends_on_dt=(method != "expm" or rhs.e0 is not None))
-    if method == "expm":
-        if not rhs.is_linear:
-            raise ValidationError("matrix-exponential stepper requires a linear circuit")
-        b = np.zeros((2 * n + 1, len(t_grid)))
-        if rhs.e0 is not None:
-            b[2 * n] = rhs.e0(t_grid) / model.z_c
-        ys = _propagate_affine(rhs.flow_matrix, b, initial.packed(), dt)
-    elif method == "rk4":
-        ys = _rk4(rhs, initial.packed(), t_grid)
-    else:
-        raise ValidationError(f"unknown integration method {method!r}")
-    if not np.all(np.isfinite(ys)):
-        raise NumericalPreconditionError("integration produced non-finite state; reduce dt")
+    b = np.zeros((2 * n + 1, len(t_grid)))
+    if rhs.e0 is not None:
+        b[2 * n] = rhs.e0(t_grid) / model.z_c
+    ys, method = _evolve(model, rhs.stiffness, rhs.flow_matrix, rhs, b,
+                         initial.packed(), t_grid, method)
     phi = ys[:n].T
     q = ys[n:2 * n].T
     q0 = ys[2 * n]
@@ -237,19 +239,13 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
     t_grid, dt = uniform_grid(t_grid)
     n = model.n_nodes
     stiffness, grad = _as_gradient(grad_u, n)
-    if method == "auto":
-        method = "rk4" if stiffness is None else "expm"
-    _check_dt(dt, model, stiffness,
-              accuracy_depends_on_dt=(method != "expm" or e0 is not None))
     v0_init = initial.v0(model)
     y0 = np.concatenate([initial.phi, initial.q, np.zeros(n), [v0_init]])
     cpp = model.c_p * model.p
 
-    if method == "expm":
-        if stiffness is None:
-            raise ValidationError("matrix-exponential stepper requires a linear circuit")
-        dim = 3 * n + 1
-        flow = np.zeros((dim, dim))
+    flow = None
+    if stiffness is not None:
+        flow = np.zeros((3 * n + 1, 3 * n + 1))
         flow[:n, n:2 * n] = model.a
         flow[:n, 2 * n:3 * n] = np.outer(cpp, model.p)
         flow[:n, 3 * n] = cpp
@@ -257,24 +253,19 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
         flow[2 * n:3 * n, :n] = -stiffness
         flow[2 * n:3 * n, 2 * n:3 * n] = -np.eye(n) / model.tau
         flow[3 * n, 3 * n] = -1.0 / model.tau
-        b = np.zeros((dim, len(t_grid)))
-        if e0 is not None:
-            b[3 * n] = e0(t_grid) / model.tau
-        ys = _propagate_affine(flow, b, y0, dt)
-    elif method == "rk4":
-        def rhs(t, y):
-            phi, q, mem, yv = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n]
-            dq = -grad(phi)
-            v0 = model.p @ mem + yv
-            dphi = model.a @ q + cpp * v0
-            dmem = dq - mem / model.tau
-            drive = e0(t) / model.tau if e0 is not None else 0.0
-            dy = -yv / model.tau + drive
-            return np.concatenate([dphi, dq, dmem, [dy]])
-        ys = _rk4(rhs, y0, t_grid)
-    else:
-        raise ValidationError(f"unknown integration method {method!r}")
 
+    def rhs(y):
+        phi, q, mem, yv = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n]
+        dq = -grad(phi)
+        v0 = model.p @ mem + yv
+        dphi = model.a @ q + cpp * v0
+        dmem = dq - mem / model.tau
+        return np.concatenate([dphi, dq, dmem, [-yv / model.tau]])
+
+    b = np.zeros((3 * n + 1, len(t_grid)))
+    if e0 is not None:
+        b[3 * n] = e0(t_grid) / model.tau
+    ys, method = _evolve(model, stiffness, flow, rhs, b, y0, t_grid, method)
     phi = ys[:n].T
     q = ys[n:2 * n].T
     v0 = ys[2 * n:3 * n].T @ model.p + ys[3 * n]
@@ -469,7 +460,8 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
         for _ in range(n_sub):
             q_pos, p, grad = system.leapfrog_step(q_pos, p, grad, dt)
     if not np.all(np.isfinite(energy)):
-        raise NumericalPreconditionError("ladder integration diverged; reduce dt")
+        fix = "dt" if np.isfinite(energy[0]) else "the initial state: its energy is not finite"
+        raise NumericalPreconditionError(f"ladder integration diverged; reduce {fix}")
     scale = max(abs(energy[0]), abs(energy).max() * 1e-12, 1e-300)
     drift = float(np.abs(energy - energy[0]).max() / scale)
     if drift > energy_drift_tol:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalPreconditionError, ValidationError
 from .signals import write_csv
 
 ENTRY_NAMES = ("h11", "h12", "h21", "h22")
@@ -199,7 +199,13 @@ def _poles_of_rows(work, omega_r=1.0, zero_roots=0):
     m, n = work.shape[0], work.shape[1] - 1
     k = n - zero_roots
     companion = np.zeros((m, k, k))
-    companion[:, 0, :] = -work[:, 1:k + 1] / work[:, :1]
+    with np.errstate(over="ignore"):
+        companion[:, 0, :] = -work[:, 1:k + 1] / work[:, :1]
+        bound = (1.0 + np.abs(companion[:, 0, :]).max(axis=1)) * omega_r  # Cauchy
+    if not np.all(bound < np.inf):
+        lead = work[np.argmin(bound < np.inf), 0]
+        raise NumericalPreconditionError(
+            f"leading coefficient {lead:g} puts a pole beyond the float range")
     companion[:, 1:, :-1] = np.eye(k - 1)
     roots = np.linalg.eigvals(companion)
     if zero_roots:
@@ -264,8 +270,13 @@ class TransferMatrixSpec:
         w = self.omega_r
         num_x = self.numerators[entry]
         dn = len(num_x)
-        num_s = self.scales[entry] * num_x / w ** np.arange(dn - 1, -1, -1)
-        den_s = self.den / w ** np.arange(len(self.den) - 1, -1, -1)
+        with np.errstate(over="ignore"):
+            num_s = self.scales[entry] * num_x / w ** np.arange(dn - 1, -1, -1)
+            den_s = self.den / w ** np.arange(len(self.den) - 1, -1, -1)
+        if not (np.isfinite(num_s).all() and np.isfinite(den_s).all()):
+            raise NumericalPreconditionError(
+                f"{entry} is not representable in physical units at alpha={self.alpha:g}, "
+                f"omega_r={w:g}; rescale omega_r")
         return num_s, den_s
 
     def relative_degree(self, entry) -> int:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from lineport.cli import main
+from lineport.cli import MAX_G_POINTS, main
+from lineport.inversion import MAX_IFFT_SAMPLES
 
 LC_NETLIST = """\
 # parallel LC, normalized units
@@ -282,6 +283,14 @@ COUPLE 0.4
     pytest.param(["simulate", "{net}", *SIM_FLAGS, "--phi0-csv", "{tmp}/nan.csv"],
                  "nan.csv': value column must be finite",
                  id="profile-nan-value"),
+    pytest.param(["poles", "--alpha", "junk"],
+                 "argument --alpha: expected a number, got 'junk'", id="poles-alpha-junk"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--q0", "junk"],
+                 "argument --q0: expected a number, got 'junk'", id="q0-junk"),
+    pytest.param(["poles", "--g-step", "1e-300"],
+                 "--g-step 1e-300 gives more than 1000000 g points", id="g-step-beyond-cap"),
+    pytest.param(["impulse", "--n", "99999999999999999999"],
+                 "--n must be at most 1048576, got 99999999999999999999", id="n-beyond-cap"),
 ])
 def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     net = write_netlist(tmp_path)
@@ -300,6 +309,35 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
         rc = exc.code
     err = capsys.readouterr().err
     assert rc == 2
+    assert "Traceback" not in err
+    assert names in err
+
+
+@pytest.mark.parametrize("argv, names", [
+    pytest.param(["impulse", "--omega-r", "1e-300", "--n", "1024"], "--omega-r 1e-300",
+                 id="omega-r-tiny"),
+    pytest.param(["impulse", "--omega-r", "1e300", "--n", "1024"], "--omega-r 1e+300",
+                 id="omega-r-huge"),
+    pytest.param(["simulate", "{net}", "--ell", "1e-300", "--c-per-len", "1e-300",
+                  "--t-max", "10", "--samples", "51", "--n-sections", "100"],
+                 "--ell 1e-300 and --c-per-len 1e-300", id="line-speed-overflow"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--samples", "51", "--n-sections", "100",
+                  "--phi=1e300"], "ladder integration diverged; reduce the initial state",
+                 id="lc-phi-huge"),
+    pytest.param(["simulate", "{tmp}/jj.net", *SIM_FLAGS, "--samples", "51",
+                  "--n-sections", "100", "--q=1e308"],
+                 "reduce the initial state (size 1e+308) or dt", id="josephson-q-huge"),
+])
+def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
+    """Valid values whose consequences overflow: exit 4, naming the flag or
+    the initial state as the cause."""
+    net = write_netlist(tmp_path)
+    (tmp_path / "jj.net").write_text(JOSEPHSON_NETLIST)
+    argv = [a.format(tmp=tmp_path, net=net) for a in argv]
+    with np.errstate(all="ignore"):
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
     assert "Traceback" not in err
     assert names in err
 
@@ -389,3 +427,101 @@ def test_fuzz_simulate_initial_state(case):
         assert rc == 2, (argv, err.getvalue())
     else:
         assert rc != 2, (argv, err.getvalue())
+
+
+# --- fuzzing the Laplace-side flags -----------------------------------------
+# Each value is drawn as text: a finite float over the whole range, a value
+# inside the flag's domain, or one of 0, negatives, non-finite and junk
+# tokens. A value that is not a number, not finite or outside the flag's
+# domain must exit exactly 2, and so must a grid beyond MAX_G_POINTS or an
+# --n beyond MAX_IFFT_SAMPLES; accepted runs are kept small (--n <= 4096,
+# about 1000 g points at most).
+
+SPECIAL_TOKENS = ["0", "-0.0", "-1", "-2.5e-300", "-1e300", "inf", "-inf", "nan",
+                  "abc", "1e", "0x10", ""]
+POSITIVE = (0.0, np.inf)
+UNIT = (0.0, 1.0)
+
+
+def number_texts(domain, clean):
+    inside = st.floats(*domain, exclude_min=True, exclude_max=True,
+                       allow_infinity=False).map(repr)
+    if clean:
+        return inside
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), inside,
+                     st.sampled_from(SPECIAL_TOKENS))
+
+
+def parsed(text, domain):
+    """The float value of an accepted flag value, None for a refused one."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if domain[0] < value < domain[1] else None
+
+
+@st.composite
+def laplace_inputs(draw):
+    """(argv, must exit 2) for one reduce, poles or impulse run; about half
+    the cases draw every value inside its domain, so the commands run too."""
+    command = draw(st.sampled_from(["reduce", "poles", "impulse"]))
+    clean = draw(st.booleans())
+    argv, refused = [command], False
+
+    def flag(name, domain, text=None):
+        nonlocal refused
+        text = draw(number_texts(domain, clean)) if text is None else text
+        argv.append(f"{name}={text}")
+        refused |= parsed(text, domain) is None
+
+    if command == "reduce":
+        argv.insert(1, "{net}")
+        flag("--z-c", POSITIVE)
+    elif command == "poles":
+        for _ in range(draw(st.integers(0, 2))):
+            flag("--alpha", POSITIVE)
+        texts = [draw(number_texts(d, clean)) for d in (UNIT, UNIT, POSITIVE)]
+        start, stop, step = (parsed(t, d) for t, d in zip(texts, (UNIT, UNIT, POSITIVE)))
+        if None not in (start, stop, step):
+            if 1000 < (stop - start) / step < MAX_G_POINTS:  # keep accepted grids small
+                texts[2] = repr((stop - start) / draw(st.integers(1, 1000)))
+                step = float(texts[2])
+            refused |= (stop - start) / step >= MAX_G_POINTS or \
+                stop + 0.5 * step <= start
+        for name, text, domain in zip(("--g-start", "--g-stop", "--g-step"), texts,
+                                      (UNIT, UNIT, POSITIVE)):
+            flag(name, domain, text)
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            flag("--g", UNIT)
+        for name in ("--alpha", "--omega-r", "--t-max"):
+            if draw(st.booleans()):
+                flag(name, POSITIVE)
+        n = draw(st.integers(1024, 4096) if clean else
+                 st.one_of(st.integers(1024, 4096), st.integers(-10 ** 6, 1023),
+                           st.integers(MAX_IFFT_SAMPLES + 1, 10 ** 30)))
+        n_text = str(n) if clean else draw(st.sampled_from([str(n), f"{n}.0", "abc"]))
+        argv.append(f"--n={n_text}")
+        refused |= n_text != str(n) or not 1024 <= n <= MAX_IFFT_SAMPLES
+    return argv, refused
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(laplace_inputs())
+def test_fuzz_laplace_flags(case):
+    argv, refused = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        net = write_netlist(Path(tmp))
+        argv = [a.format(net=net) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"):
+            try:
+                rc = main([*argv, "--out", f"{tmp}/out"])
+            except SystemExit as exc:
+                rc = exc.code
+    event(f"{argv[0]} exit {rc}")
+    assert rc in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (rc == 2) == refused, (argv, err.getvalue())

@@ -304,3 +304,53 @@ class TestParser:
     def test_comments_and_blanks_ignored(self):
         text = "\n# comment only\nC 1 2 1.0  # inline\n\nL 1 2 1.0\nCOUPLE 1.0\n"
         assert parse_netlist(text).node_count == 1
+
+
+class TestValidateActive:
+    """The stamped-diagonal check against the per-element loop it replaced."""
+
+    @staticmethod
+    def loop_reference(topo):
+        """The former check: first failing node, capacitor before inductor."""
+        n = topo.node_count
+        has_cap = [False] * (n + 1)
+        has_ind = [False] * (n + 1)
+        for i, j, _ in topo.capacitors:
+            for node in (i, j):
+                if node <= n:
+                    has_cap[node] = True
+        for branch in list(topo.inductors) + [jn[:2] for jn in topo.junctions]:
+            for node in branch[:2]:
+                if node <= n:
+                    has_ind[node] = True
+        for node in range(1, n + 1):
+            if not has_cap[node]:
+                return f"inactive node {node}: no incident capacitor"
+            if not has_ind[node]:
+                return f"inactive node {node}: no incident inductive element"
+        return None
+
+    def test_matches_loop_on_random_topologies(self):
+        rng = np.random.default_rng(3000)
+        messages = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 5))
+
+            def branches(max_count, n_values):
+                """Up to max_count (i, j, value...) branches on distinct nodes."""
+                return tuple((*(rng.choice(n + 1, 2, replace=False) + 1).tolist(),
+                              *rng.uniform(0.1, 2.0, n_values).tolist())
+                             for _ in range(int(rng.integers(0, max_count + 1))))
+
+            topo = CircuitTopology(node_count=n, capacitors=branches(4, 1),
+                                   inductors=branches(3, 1), junctions=branches(2, 2),
+                                   coupling_capacitance=1.0)
+            expected = self.loop_reference(topo)
+            try:
+                topo.validate_active()
+                got = None
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == expected, topo
+            messages.add(expected and expected.split(": ")[1])
+        assert messages == {None, "no incident capacitor", "no incident inductive element"}

@@ -111,6 +111,109 @@ class TestIntegrate:
             integrate(rhs, ReducedState(phi=[0.3], q=[0.0], q0=0.0), t, method="expm")
 
 
+def gaussian_source(t, center, width):
+    return Signal.from_samples(t, 0.5 * np.exp(-((t - center) / width) ** 2))
+
+
+def josephson_run(sourced):
+    """A one-node junction circuit, optionally driven by a pulse sampled on
+    the output grid: (rhs, initial state, grid)."""
+    from lineport import CircuitTopology, derive_reduced_model, potential_gradient
+    topo = CircuitTopology(node_count=1, capacitors=((1, 2, 1.0),),
+                           junctions=((1, 2, 0.8, 1.0),), coupling_capacitance=0.4)
+    t = np.linspace(0.0, 5.0, 2001)
+    rhs = assemble_rhs(derive_reduced_model(topo, 1.5),
+                       lambda phi: potential_gradient(topo, phi),
+                       e0=gaussian_source(t, 2.0, 0.4) if sourced else None)
+    return rhs, ReducedState(phi=[0.3], q=[0.1], q0=-0.2), t
+
+
+class TestRk4SampledSource:
+    """RK4 takes e0 sampled once on the grid and linear between samples,
+    against the former stepper that interpolated e0 at every stage."""
+
+    @staticmethod
+    def per_stage_rk4(rhs, y0, t_grid):
+        """The former RK4: f(t, y) with e0 interpolated at t, t + dt/2 and
+        t + dt inside each step."""
+        n = rhs.model.n_nodes
+
+        def f(t, y):
+            out = rhs(y)
+            out[2 * n] += (rhs.e0(t) if rhs.e0 is not None else 0.0) / rhs.model.z_c
+            return out
+
+        dt = t_grid[1] - t_grid[0]
+        out = np.empty((len(y0), len(t_grid)))
+        y = y0.copy()
+        for i, t in enumerate(t_grid):
+            out[:, i] = y
+            if i == len(t_grid) - 1:
+                break
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+            k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+            k4 = f(t + dt, y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return out
+
+    @staticmethod
+    def packed(traj):
+        return np.vstack([traj.phi.T, traj.q.T, traj.q0])
+
+    def test_unsourced_josephson_bit_identical(self):
+        rhs, initial, t = josephson_run(sourced=False)
+        got = self.packed(integrate(rhs, initial, t, method="rk4"))
+        assert np.array_equal(got, self.per_stage_rk4(rhs, initial.packed(), t))
+
+    def test_sourced_josephson_matches_to_rounding(self):
+        rhs, initial, t = josephson_run(sourced=True)
+        got = self.packed(integrate(rhs, initial, t, method="rk4"))
+        ref = self.per_stage_rk4(rhs, initial.packed(), t)
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert (np.abs(got - ref) <= 1e-13 * scale).all()
+
+    def test_sourced_lc_rk4_matches_expm(self):
+        model, topo, params = lc_model(g=0.3, alpha=2.0)
+        t = np.arange(0.0, 10 * params.t_r, 2.5e-3)
+        e0 = gaussian_source(t, 2 * params.t_r, 0.5 * params.t_r)
+        rhs = assemble_rhs(model, stiffness_matrix(topo), e0=e0)
+        initial = ReducedState(phi=[0.5], q=[0.3], q0=-0.2)
+        exact = self.packed(integrate(rhs, initial, t, method="expm"))
+        runge = self.packed(integrate(rhs, initial, t, method="rk4"))
+        scale = np.abs(exact).max(axis=1, keepdims=True)
+        assert (np.abs(exact - runge) <= 1e-8 * scale).all()
+
+    def test_source_sampled_once(self, monkeypatch):
+        rhs, initial, t = josephson_run(sourced=True)
+        calls = []
+        original = Signal.__call__
+        monkeypatch.setattr(Signal, "__call__",
+                            lambda self, *a, **k: calls.append(1) or original(self, *a, **k))
+        integrate(rhs, initial, t, method="rk4")
+        langevin_form(rhs.model, rhs.grad_u, rhs.e0, initial, t)
+        assert len(calls) == 2
+
+
+class TestHugeInitialState:
+    """An initial state too large to step names itself, not only dt."""
+
+    def test_rk4_first_step(self):
+        rhs, _, t = josephson_run(sourced=False)
+        with pytest.raises(NumericalPreconditionError,
+                           match=r"reduce the initial state \(size 1e\+308\) or dt"):
+            integrate(rhs, ReducedState(phi=[0.0], q=[1e308], q0=0.0), t)
+
+    def test_ladder_initial_energy(self):
+        model, topo, params = lc_model()
+        line = lc_line(params)
+        t = np.linspace(0.0, params.t_r, 51)
+        with pytest.raises(NumericalPreconditionError,
+                           match="reduce the initial state: its energy is not finite"):
+            ladder_oracle(line, 100, 1.12 * line.v_p * params.t_r / 2, topo,
+                          ReducedState(phi=[1e300], q=[0.0], q0=0.0), t)
+
+
 class TestPropagateAffine:
     """The doubling scan against the per-sample loop it replaced; the sample
     counts cover one and two passes and both sides of a power of two."""
