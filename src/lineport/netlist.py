@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import e as _e_charge, hbar as _hbar
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import NetlistParseError, ValidationError
+from .errors import NetlistParseError, NumericalPreconditionError, ValidationError
 
+# SI-2019 elementary charge [C] and reduced Planck constant h/2pi [J s]
+_e_charge, _hbar = 1.602176634e-19, 1.0545718176461565e-34
 #: default junction flux scale, the reduced flux quantum hbar/2e in weber
 PHI0_JOSEPHSON = _hbar / (2.0 * _e_charge)
 
@@ -188,6 +188,9 @@ def reduce_ground(full_matrix, ground_index) -> np.ndarray:
     m = full_matrix.shape[0]
     if full_matrix.shape != (m, m):
         raise ValidationError("capacitance matrix must be square")
+    if not np.isfinite(full_matrix).all():
+        raise NumericalPreconditionError(
+            "capacitance matrix is not finite: the capacitances overflow; rescale the units")
     if not np.allclose(full_matrix, full_matrix.T, rtol=1e-12, atol=0.0):
         raise ValidationError("capacitance matrix must be symmetric")
     if not (1 <= ground_index <= m):
@@ -195,7 +198,7 @@ def reduce_ground(full_matrix, ground_index) -> np.ndarray:
     keep = [k for k in range(m) if k != ground_index - 1]
     cb = full_matrix[np.ix_(keep, keep)]
     try:
-        cho_factor(cb)
+        np.linalg.cholesky(cb)
     except np.linalg.LinAlgError:
         raise ValidationError(
             "grounded capacitance matrix is singular: inactive node / floating island")
@@ -211,9 +214,8 @@ def derive_reduced_model(topology: CircuitTopology, z_c: float,
     topology.validate_active()
     full = build_capacitance_matrix(topology)
     cb = reduce_ground(full, topology.ground)
-    factor = cho_factor(cb)
-    cb_inv = cho_solve(factor, np.eye(len(cb)))
-    cb_inv = 0.5 * (cb_inv + cb_inv.T)
+    l_inv = np.linalg.inv(np.linalg.cholesky(cb))
+    cb_inv = l_inv.T @ l_inv  # Cb = L L^T; the product is exactly symmetric
     warnings = []
     cond = np.linalg.cond(cb)
     if cond > condition_threshold:
@@ -247,6 +249,12 @@ def invariant_report(model: ReducedModel) -> dict:
     }
 
 
+def _flux_overflow(phi) -> NumericalPreconditionError:
+    return NumericalPreconditionError(
+        f"a junction flux difference overflows at flux size {np.abs(phi).max():.3g}; "
+        "reduce the initial state or dt")
+
+
 def potential_gradient(topology: CircuitTopology, phi) -> np.ndarray:
     """Gradient of the inductive potential energy with respect to node fluxes.
 
@@ -260,37 +268,33 @@ def potential_gradient(topology: CircuitTopology, phi) -> np.ndarray:
     if not np.all(np.isfinite(phi)):
         raise ValidationError("flux vector must be finite")
 
-    def node_flux(k):
-        return phi[k - 1] if k <= n else 0.0
-
-    grad = np.zeros(n)
+    flux = [*phi.tolist(), 0.0]  # ground carries zero flux
+    grad = [0.0] * (n + 1)
     for i, j, l in topology.inductors:
-        force = (node_flux(i) - node_flux(j)) / l
-        if i <= n:
-            grad[i - 1] += force
-        if j <= n:
-            grad[j - 1] -= force
+        force = (flux[i - 1] - flux[j - 1]) / l
+        grad[i - 1] += force
+        grad[j - 1] -= force
     for i, j, ej, phi0 in topology.junctions:
-        force = (ej / phi0) * math.sin((node_flux(i) - node_flux(j)) / phi0)
-        if i <= n:
-            grad[i - 1] += force
-        if j <= n:
-            grad[j - 1] -= force
-    return grad
+        try:
+            force = (ej / phi0) * math.sin((flux[i - 1] - flux[j - 1]) / phi0)
+        except ValueError:  # math.sin of a flux difference that overflowed to inf
+            raise _flux_overflow(phi) from None
+        grad[i - 1] += force
+        grad[j - 1] -= force
+    return np.array(grad[:n])
 
 
 def potential_energy(topology: CircuitTopology, phi) -> float:
     phi = np.asarray(phi, dtype=float)
-    n = topology.node_count
-
-    def node_flux(k):
-        return phi[k - 1] if k <= n else 0.0
-
+    flux = [*phi, 0.0]  # numpy scalars: an overflowing square is inf, not OverflowError
     u = 0.0
     for i, j, l in topology.inductors:
-        u += 0.5 * (node_flux(i) - node_flux(j)) ** 2 / l
+        u += 0.5 * (flux[i - 1] - flux[j - 1]) ** 2 / l
     for i, j, ej, phi0 in topology.junctions:
-        u -= ej * math.cos((node_flux(i) - node_flux(j)) / phi0)
+        try:
+            u -= ej * math.cos((flux[i - 1] - flux[j - 1]) / phi0)
+        except ValueError:  # math.cos of a flux difference that overflowed to inf
+            raise _flux_overflow(phi) from None
     return u
 
 

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ValidationError
 from .netlist import ReducedModel
@@ -47,13 +46,6 @@ class Propagator:
     kind: str
     dt: float | None = None
 
-    @property
-    def n_pairs(self) -> int:
-        dim = self.matrix.shape[0]
-        if dim % 2:
-            raise ValidationError("propagator dimension must be even")
-        return dim // 2
-
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
@@ -80,6 +72,7 @@ def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
     Nonlinear (Josephson) systems are rejected: the propagator, and with it
     the commutator check, only exists for linear dynamics.
     """
+    from scipy.linalg import expm  # loaded at first use, off the import path
     if isinstance(system, LadderSystem):
         if not system.topology.is_linear:
             raise ValidationError("commutator checks require linear dynamics "

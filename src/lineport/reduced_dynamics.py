@@ -26,11 +26,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, expm
 
 from .errors import NumericalPreconditionError, ValidationError
-from .netlist import (CircuitTopology, ReducedModel, potential_energy,
-                      potential_gradient, stiffness_matrix)
+from .netlist import (CircuitTopology, ReducedModel, build_capacitance_matrix,
+                      potential_energy, potential_gradient, reduce_ground,
+                      stiffness_matrix)
 from .signals import Signal, Trajectory, uniform_grid
 from .tline import LineInitialState, LineParams
 
@@ -125,6 +125,7 @@ def assemble_rhs(model: ReducedModel, grad_u, e0: Signal | None = None) -> Reduc
 def _lti_step_operators(m, dt):
     """Exact step operators for u' = M u + b(t) with piecewise-linear b:
     u1 = E u0 + F b0 + G (b1 - b0)."""
+    from scipy.linalg import expm  # loaded at first use, off the import path
     d = m.shape[0]
     w = np.zeros((3 * d, 3 * d))
     w[:d, :d] = m * dt
@@ -298,7 +299,6 @@ class LadderSystem:
         self.dx = self.length / self.n_sections
         self.n_circ = topology.node_count
 
-        from .netlist import build_capacitance_matrix, reduce_ground
         cb = reduce_ground(build_capacitance_matrix(topology), topology.ground)
         self.cb = cb
         c_c = topology.coupling_capacitance
@@ -314,6 +314,7 @@ class LadderSystem:
         head[n, 0] -= c_c
         head[n, n] = c_c + cells[0]
         self._head = head
+        from scipy.linalg import cho_factor, cho_solve  # loaded at first use
         self._head_inv = cho_solve(cho_factor(head), np.eye(n + 1))
         self._k_line = 1.0 / (line.ell * self.dx)
         self._k_circ = stiffness_matrix(topology) if topology.is_linear else None

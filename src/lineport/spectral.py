@@ -375,8 +375,8 @@ def pole_locus(alpha, g_grid) -> PoleLocus:
         raise ValidationError("locus g grid must be increasing")
     coeffs = char_poly(g_grid, alpha)
     if np.any(coeffs[:, 0] == 0.0):
-        raise ValidationError(f"alpha * g underflows to 0 at alpha = {alpha:g}: "
-                              "the cubic degenerates; use a larger alpha")
+        raise NumericalPreconditionError(f"alpha * g underflows to 0 at alpha = {alpha:g}: "
+                                         "the cubic degenerates; use a larger alpha")
     rows = _poles_of_rows(coeffs)[0].tolist()
     tracked = [rows[0]]
     for remaining in rows[1:]:

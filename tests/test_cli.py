@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -327,12 +330,19 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     pytest.param(["simulate", "{tmp}/jj.net", *SIM_FLAGS, "--samples", "51",
                   "--n-sections", "100", "--q=1e308"],
                  "reduce the initial state (size 1e+308) or dt", id="josephson-q-huge"),
+    pytest.param(["simulate", "{tmp}/jj.net", *SIM_FLAGS, "--samples", "51",
+                  "--n-sections", "100", "--phi=1e308,-1e308"],
+                 "junction flux difference overflows at flux size 1e+308; reduce the "
+                 "initial state", id="josephson-phi-diff-overflow"),
+    pytest.param(["reduce", "{tmp}/cbig.net"], "the capacitances overflow; rescale the units",
+                 id="capacitance-sum-overflow"),
 ])
 def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     """Valid values whose consequences overflow: exit 4, naming the flag or
     the initial state as the cause."""
     net = write_netlist(tmp_path)
     (tmp_path / "jj.net").write_text(JOSEPHSON_NETLIST)
+    (tmp_path / "cbig.net").write_text("C 1 2 1e308\nC 1 2 1e308\nL 1 2 1.0\nCOUPLE 0.5\n")
     argv = [a.format(tmp=tmp_path, net=net) for a in argv]
     with np.errstate(all="ignore"):
         rc = main([*argv, "--out", str(tmp_path / "out")])
@@ -340,6 +350,29 @@ def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     assert rc == 4
     assert "Traceback" not in err
     assert names in err
+
+
+# In a fresh interpreter, because this test process has loaded scipy already.
+SCIPY_FREE_RUN = """\
+import sys
+import lineport, lineport.cli
+net, out = sys.argv[1:]
+for argv in (["reduce", net], ["poles", "--g-step", "0.01"], ["impulse", "--n", "1024"]):
+    assert lineport.cli.main([*argv, "--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_laplace_commands_load_no_scipy(tmp_path):
+    """`reduce`, `poles` and `impulse` run on numpy alone."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(write_netlist(tmp_path)),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # --- fuzzing simulate's initial-state inputs --------------------------------

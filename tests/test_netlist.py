@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lineport import (CircuitTopology, NetlistParseError, ValidationError,
-                      build_capacitance_matrix, derive_reduced_model,
+from lineport import (CircuitTopology, NetlistParseError, NumericalPreconditionError,
+                      ValidationError, build_capacitance_matrix, derive_reduced_model,
                       invariant_report, parse_netlist, potential_energy,
                       potential_gradient, reduce_ground, stiffness_matrix)
 from lineport.netlist import PHI0_JOSEPHSON, ReducedModel
@@ -96,6 +97,15 @@ class TestReduceGround:
                                coupling_capacitance=1.0)
         with pytest.raises(ValidationError, match="floating island"):
             reduce_ground(build_capacitance_matrix(topo), topo.ground)
+
+    def test_overflowing_stamps_refused(self):
+        # each capacitance is finite, their sum on the diagonal is not
+        topo = CircuitTopology(node_count=1, capacitors=((1, 2, 1e308), (1, 2, 1e308)),
+                               inductors=((1, 2, 1.0),), coupling_capacitance=1.0)
+        with np.errstate(over="ignore"):
+            full = build_capacitance_matrix(topo)
+        with pytest.raises(NumericalPreconditionError, match="overflow; rescale the units"):
+            reduce_ground(full, topo.ground)
 
 
 class TestReducedModel:
@@ -242,6 +252,113 @@ class TestPotential:
         topo, _ = lc_topology()
         with pytest.raises(ValidationError, match="finite"):
             potential_gradient(topo, np.array([np.nan]))
+
+    def test_overflowing_junction_flux_difference(self):
+        # both fluxes are finite, their difference is not
+        topo = CircuitTopology(node_count=2, capacitors=((1, 3, 1.0), (2, 3, 1.0)),
+                               inductors=((2, 3, 1.0),), junctions=((1, 2, 0.5, 1.0),),
+                               coupling_capacitance=1.0)
+        for f in (potential_gradient, potential_energy):
+            with np.errstate(over="ignore"), pytest.raises(
+                    NumericalPreconditionError, match="reduce the initial state or dt"):
+                f(topo, np.array([1e308, -1e308]))
+
+    def test_gradient_and_energy_match_former_loop(self, rng):
+        # the former loops over a per-node flux lookup, kept as the reference:
+        # the same accumulation order, so the values agree bit for bit
+        def former(topo, phi):
+            n = topo.node_count
+
+            def node_flux(k):
+                return phi[k - 1] if k <= n else 0.0
+
+            grad, u = np.zeros(n), 0.0
+            for i, j, l in topo.inductors:
+                force = (node_flux(i) - node_flux(j)) / l
+                u += 0.5 * (node_flux(i) - node_flux(j)) ** 2 / l
+                if i <= n:
+                    grad[i - 1] += force
+                if j <= n:
+                    grad[j - 1] -= force
+            for i, j, ej, phi0 in topo.junctions:
+                force = (ej / phi0) * math.sin((node_flux(i) - node_flux(j)) / phi0)
+                u -= ej * math.cos((node_flux(i) - node_flux(j)) / phi0)
+                if i <= n:
+                    grad[i - 1] += force
+                if j <= n:
+                    grad[j - 1] -= force
+            return grad, u
+
+        for _ in range(50):
+            topo = random_topology(rng, n_max=6)
+            # reversed branches, so that ground is also the first node
+            junctions = tuple((j, i, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.2, 2.0)))
+                              for (i, j, _) in topo.inductors[:3])
+            topo = CircuitTopology(node_count=topo.node_count, capacitors=topo.capacitors,
+                                   inductors=topo.inductors[1:], junctions=junctions,
+                                   coupling_capacitance=topo.coupling_capacitance)
+            phi = rng.normal(scale=3.0, size=topo.node_count)
+            grad, u = former(topo, phi)
+            assert np.array_equal(potential_gradient(topo, phi), grad)
+            assert potential_energy(topo, phi) == u
+
+
+SINGULAR_MESSAGE = "grounded capacitance matrix is singular: inactive node / floating island"
+
+
+class TestNumpyNumericsAgainstScipy:
+    """The netlist numerics run on numpy alone; scipy's routines, which they
+    replaced, are the reference here."""
+
+    def test_flux_quantum_matches_scipy_constants(self):
+        from scipy import constants
+        assert PHI0_JOSEPHSON == constants.hbar / (2 * constants.e)
+
+    def test_cb_inverse_matches_cholesky_solve(self):
+        from scipy.linalg import cho_factor, cho_solve
+        rng = np.random.default_rng(2024)
+        sizes = set()
+        for _ in range(200):
+            topo = random_topology(rng, n_max=6)
+            model = derive_reduced_model(topo, 1.0)
+            ref = cho_solve(cho_factor(model.cb), np.eye(model.n_nodes))
+            ref = 0.5 * (ref + ref.T)  # the former route, symmetrized
+            assert np.abs(model.cb_inv - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.array_equal(model.cb_inv, model.cb_inv.T)
+            sizes.add(model.n_nodes)
+        assert sizes == {1, 2, 3, 4, 5, 6}
+
+    @pytest.mark.parametrize("caps, n", [
+        pytest.param(((1, 2, 1.0),), 2, id="floating-pair"),
+        pytest.param(((1, 4, 1.0), (2, 3, 1.0)), 3, id="floating-pair-beside-grounded-node"),
+        pytest.param(((1, 2, 1.0), (2, 3, 2.0), (3, 1, 0.5)), 3, id="floating-triangle"),
+        pytest.param(((1, 3, 1.0),), 2, id="node-without-capacitor"),
+    ])
+    def test_singular_topologies_refused_like_scipy(self, caps, n):
+        from scipy.linalg import cho_factor
+        topo = CircuitTopology(node_count=n, capacitors=caps,
+                               inductors=tuple((k, n + 1, 1.0) for k in range(1, n + 1)),
+                               coupling_capacitance=1.0)
+        full = build_capacitance_matrix(topo)
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(full[:n, :n])
+        with pytest.raises(ValidationError) as info:
+            reduce_ground(full, topo.ground)
+        assert str(info.value) == SINGULAR_MESSAGE
+
+    @pytest.mark.parametrize("full", [
+        pytest.param([[0.0, 0.0], [0.0, 0.0]], id="zero"),
+        pytest.param([[-1.0, 1.0], [1.0, -1.0]], id="negative"),
+        pytest.param([[1.0, -2.0, 1.0], [-2.0, 1.0, 1.0], [1.0, 1.0, -2.0]], id="indefinite"),
+    ])
+    def test_singular_matrices_refused_like_scipy(self, full):
+        from scipy.linalg import cho_factor
+        full = np.array(full)
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(full[:-1, :-1])
+        with pytest.raises(ValidationError) as info:
+            reduce_ground(full, len(full))
+        assert str(info.value) == SINGULAR_MESSAGE
 
 
 LC_NETLIST = """\

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lineport import (ValidationError, char_poly, classify_modes, find_poles,
-                      pole_locus, poly_backward_residual, transfer_eval,
-                      transfer_matrix, weak_coupling)
+from lineport import (NumericalPreconditionError, ValidationError, char_poly,
+                      classify_modes, find_poles, pole_locus, poly_backward_residual,
+                      transfer_eval, transfer_matrix, weak_coupling)
 from lineport.spectral import LcExampleParams
 
 
@@ -290,7 +290,7 @@ class TestPoleLocus:
         for grid in ([], np.array([[0.2, 0.4]])):
             with pytest.raises(ValidationError, match="non-empty 1-D"):
                 pole_locus(1.0, grid)
-        with pytest.raises(ValidationError, match="underflows"):
+        with pytest.raises(NumericalPreconditionError, match="underflows"):
             pole_locus(5e-324, np.array([0.5]))
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 2.0, 20.0, *np.exp(
