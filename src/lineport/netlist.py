@@ -202,6 +202,16 @@ def reduce_ground(full_matrix, ground_index) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise ValidationError(
             "grounded capacitance matrix is singular: inactive node / floating island")
+    # rounding can leave the last pivot of a singular Cb positive: every node
+    # must also reach ground along the capacitors (nonzero off-diagonals)
+    linked = full_matrix != 0
+    reached = np.arange(m) == ground_index - 1
+    for _ in range(m):
+        reached = reached | linked[reached].any(axis=0)
+    if not reached.all():
+        nodes = ", ".join(str(k + 1) for k in np.flatnonzero(~reached))
+        raise ValidationError("grounded capacitance matrix is singular: floating island "
+                              f"of nodes {nodes} with no capacitive path to ground")
     return cb
 
 
@@ -227,6 +237,10 @@ def derive_reduced_model(topology: CircuitTopology, z_c: float,
     c_p = 1.0 / (1.0 / c_c + p[0])
     b = c_p * np.outer(p, p)
     a = cb_inv - b
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericalPreconditionError(
+            "the reduced model overflows: the capacitances are too small for "
+            "Cb^-1 and C_p p p^T; rescale the capacitance units")
     return ReducedModel(cb=cb, cb_inv=cb_inv, p=p, c_p=c_p, a=a, b=b,
                         tau=z_c * c_p, z_c=z_c, coupling_capacitance=c_c,
                         warnings=tuple(warnings))

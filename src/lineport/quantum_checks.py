@@ -112,8 +112,15 @@ def commutator_residual(prop) -> float:
     s = prop.matrix if isinstance(prop, Propagator) else np.asarray(prop, dtype=float)
     if s.shape[0] != s.shape[1] or s.shape[0] % 2:
         raise ValidationError("propagator must be square with even dimension")
-    j = canonical_j(s.shape[0] // 2)
-    return float(np.abs(s.T @ j @ s - j).max())
+    # with S = [S_q; S_p] split by rows, S^T J S = X - X^T for X = S_q^T S_p;
+    # J is subtracted on its two unit diagonals, so no dense J is built
+    d = s.shape[0] // 2
+    x = s[:d].T @ s[d:]
+    x = x - x.T
+    i = np.arange(d)
+    x[i, i + d] -= 1.0
+    x[i + d, i] += 1.0
+    return float(np.abs(x).max())
 
 
 def residual_report(prop: Propagator) -> dict:

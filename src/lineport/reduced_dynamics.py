@@ -323,29 +323,30 @@ class LadderSystem:
     # -- Hamiltonian structure ------------------------------------------------
     # grad_potential, velocities and leapfrog_step also act on (dim, B) stacks
 
-    def grad_potential(self, q):
-        """Potential gradient dU/dq."""
+    def grad_potential(self, q, out=None):
+        """Potential gradient dU/dq, written into ``out`` when given; line
+        node j gets k_line (d_{j-1} - d_j), d_j = phi_{j+1} - phi_j."""
         n = self.n_circ
-        out = np.empty_like(q)
-        phi_circ = q[:n]
-        line = q[n:]
+        out = np.empty_like(q) if out is None else out
         if self._k_circ is not None:
-            out[:n] = self._k_circ @ phi_circ
+            np.matmul(self._k_circ, q[:n], out=out[:n])
         else:
-            out[:n] = potential_gradient(self.topology, phi_circ)
-        d = np.diff(line, axis=0)
-        out[n] = -self._k_line * d[0]
-        out[n + 1:-1] = self._k_line * (d[:-1] - d[1:])
-        out[-1] = self._k_line * d[-1]
+            out[:n] = potential_gradient(self.topology, q[:n])
+        line = out[n:]
+        np.subtract(q[n + 1:], q[n:-1], out=line[1:])
+        np.negative(line[1:2], out=line[:1])
+        np.subtract(line[1:-1], line[2:], out=line[1:-1])
+        line *= self._k_line
         return out
 
-    def velocities(self, p):
-        """Inverse mass action M^-1 p: the precomputed head inverse on the
-        circuit nodes and line node 0, one cell division per line node."""
+    def velocities(self, p, out=None):
+        """Inverse mass action M^-1 p, written into ``out`` when given: the
+        precomputed head inverse on the circuit nodes and line node 0, one
+        cell division per line node."""
         n = self.n_circ
-        out = np.empty_like(p)
-        out[:n + 1] = self._head_inv @ p[:n + 1]
-        out[n + 1:] = (p[n + 1:].T / self.cells[1:]).T
+        out = np.empty_like(p) if out is None else out
+        np.matmul(self._head_inv, p[:n + 1], out=out[:n + 1])
+        np.divide(p[n + 1:].T, self.cells[1:], out=out[n + 1:].T)
         return out
 
     def potential(self, q):
@@ -356,13 +357,22 @@ class LadderSystem:
     def hamiltonian(self, q, p):
         return 0.5 * float(p @ self.velocities(p)) + self.potential(q)
 
-    def leapfrog_step(self, q, p, grad, dt):
-        """One kick-drift-kick step; ``grad`` is grad_potential(q), and the
-        new gradient comes back with the new state for the next step."""
-        p_half = p - 0.5 * dt * grad
-        q = q + dt * self.velocities(p_half)
-        grad = self.grad_potential(q)
-        return q, p_half - 0.5 * dt * grad, grad
+    def leapfrog_step(self, q, p, grad, dt, steps=1):
+        """``steps`` kick-drift-kick steps from (q, p), ``grad`` being
+        grad_potential(q), with the half-kicks between steps merged into full
+        kicks. Returns the new (q, p, grad); the arguments are copied once,
+        never modified, and the copies are updated in place."""
+        if steps < 1:
+            raise ValidationError(f"leapfrog needs steps >= 1, got {steps}")
+        q, p = q.copy(), p.copy()
+        work = np.multiply(grad, 0.5 * dt)
+        grad = np.empty_like(work)
+        p -= work
+        for step in range(steps):
+            q += np.multiply(self.velocities(p, out=work), dt, out=work)
+            self.grad_potential(q, out=grad)
+            p -= np.multiply(grad, dt if step < steps - 1 else 0.5 * dt, out=work)
+        return q, p, grad
 
     def one_step_matrix(self, dt: float) -> np.ndarray:
         """Linear map of one leapfrog step on the stacked state [q, p]: the
@@ -410,8 +420,7 @@ class LadderSystem:
 
     def circuit_observables(self, q_pos, p):
         n = self.n_circ
-        vel = self.velocities(p)
-        v0 = vel[n]
+        v0 = (self._head_inv @ p[:n + 1])[n]
         q0 = p[n] - self.cells[0] * v0
         return q_pos[:n].copy(), p[:n].copy(), q0, v0
 
@@ -454,12 +463,10 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
 
     grad = system.grad_potential(q_pos)
     for k in range(n_out):
+        if k:
+            q_pos, p, grad = system.leapfrog_step(q_pos, p, grad, dt, n_sub)
         phi_out[k], q_out[k], q0_out[k], v0_out[k] = system.circuit_observables(q_pos, p)
         energy[k] = system.hamiltonian(q_pos, p)
-        if k == n_out - 1:
-            break
-        for _ in range(n_sub):
-            q_pos, p, grad = system.leapfrog_step(q_pos, p, grad, dt)
     if not np.all(np.isfinite(energy)):
         fix = "dt" if np.isfinite(energy[0]) else "the initial state: its energy is not finite"
         raise NumericalPreconditionError(f"ladder integration diverged; reduce {fix}")

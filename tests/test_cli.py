@@ -61,6 +61,24 @@ class TestReduce:
         assert rc == 3
         assert "inactive node" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c23, names", [
+        pytest.param(0.5, "floating island of nodes 2, 3 with no capacitive path to ground",
+                     id="c23-0.5"),
+        pytest.param(1.0, "inactive node / floating island", id="c23-1.0-zero-pivot"),
+        pytest.param(2.0, "floating island of nodes 2, 3 with no capacitive path to ground",
+                     id="c23-2.0"),
+    ])
+    def test_floating_island_exit_3(self, tmp_path, capsys, c23, names):
+        # nodes 2 and 3 share a capacitor that no capacitor links to ground;
+        # at 0.5 and 2.0 rounding leaves the last Cholesky pivot positive
+        net = tmp_path / "island.net"
+        net.write_text(f"C 1 4 1.0\nC 2 3 {c23}\nL 1 4 1.0\nL 2 4 1.0\nL 3 4 1.0\n"
+                       "COUPLE 1.0\n")
+        rc = main(["reduce", str(net), "--out", str(tmp_path)])
+        assert rc == 3
+        assert names in capsys.readouterr().err
+        assert not (tmp_path / "reduced_model.json").exists()
+
     def test_deterministic_output(self, tmp_path, capsys):
         net = write_netlist(tmp_path)
         out1 = tmp_path / "a"
@@ -336,6 +354,10 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
                  "initial state", id="josephson-phi-diff-overflow"),
     pytest.param(["reduce", "{tmp}/cbig.net"], "the capacitances overflow; rescale the units",
                  id="capacitance-sum-overflow"),
+    pytest.param(["reduce", "{tmp}/ctiny.net"], "rescale the capacitance units",
+                 id="capacitance-inverse-overflow"),
+    pytest.param(["reduce", "{tmp}/csmall.net"], "rescale the capacitance units",
+                 id="coupling-product-overflow"),
 ])
 def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     """Valid values whose consequences overflow: exit 4, naming the flag or
@@ -343,6 +365,8 @@ def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     net = write_netlist(tmp_path)
     (tmp_path / "jj.net").write_text(JOSEPHSON_NETLIST)
     (tmp_path / "cbig.net").write_text("C 1 2 1e308\nC 1 2 1e308\nL 1 2 1.0\nCOUPLE 0.5\n")
+    (tmp_path / "ctiny.net").write_text("C 1 2 1e-320\nL 1 2 1.0\nCOUPLE 1.0\n")
+    (tmp_path / "csmall.net").write_text("C 1 2 1e-200\nL 1 2 1.0\nCOUPLE 1.0\n")
     argv = [a.format(tmp=tmp_path, net=net) for a in argv]
     with np.errstate(all="ignore"):
         rc = main([*argv, "--out", str(tmp_path / "out")])
@@ -350,6 +374,22 @@ def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     assert rc == 4
     assert "Traceback" not in err
     assert names in err
+    assert not (tmp_path / "out" / "reduced_model.json").exists()
+
+
+def test_default_sidecars_are_finite_json(tmp_path, capsys):
+    """The JSON sidecars of the default runs hold no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    net = write_netlist(tmp_path)
+    for argv in (["reduce", str(net)], ["poles"], ["impulse"],
+                 ["simulate", str(net), *SIM_FLAGS]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 0
+        sidecars = sorted(out.glob("*.json"))
+        assert sidecars, argv
+        for path in sidecars:
+            json.loads(path.read_text(), parse_constant=refuse)
 
 
 # In a fresh interpreter, because this test process has loaded scipy already.

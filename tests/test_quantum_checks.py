@@ -85,6 +85,15 @@ class TestCommutatorResidual:
     def test_identity_preserves_commutators(self):
         assert commutator_residual(np.eye(8)) == 0.0
 
+    def test_half_product_form_matches_dense_j(self):
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 5, 30):
+            for _ in range(5):
+                s = rng.normal(size=(2 * d, 2 * d))
+                j = canonical_j(d)
+                want = float(np.abs(s.T @ j @ s - j).max())
+                assert commutator_residual(s) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValidationError, match="even"):
             commutator_residual(np.eye(5))

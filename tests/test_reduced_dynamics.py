@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lineport import (LineInitialState, NumericalPreconditionError, ReducedState,
-                      ValidationError, assemble_rhs, integrate, ladder_oracle,
-                      langevin_form, line_params, peak_envelope, stiffness_matrix,
-                      thevenin_source)
+from lineport import (LadderSystem, LineInitialState, NumericalPreconditionError,
+                      ReducedState, ValidationError, assemble_rhs, integrate,
+                      ladder_oracle, langevin_form, line_params, parse_netlist,
+                      peak_envelope, stiffness_matrix, thevenin_source)
 from lineport.reduced_dynamics import _lti_step_operators, _propagate_affine
 from lineport.signals import Signal
 
@@ -405,6 +405,120 @@ class TestLadderOracle:
                              ReducedState(phi=[1.0], q=[0.0], q0=0.0), t,
                              dt=params.t_r / 5000.0)
         assert traj.meta["energy_drift"] <= 1e-6
+
+
+def former_leapfrog(system, q, p, grad, dt):
+    """The former stepper: one kick-drift-kick step, new arrays each step."""
+    p_half = p - 0.5 * dt * grad
+    q = q + dt * system.velocities(p_half)
+    grad = system.grad_potential(q)
+    return q, p_half - 0.5 * dt * grad, grad
+
+
+def former_ladder_columns(system, initial, t, dt):
+    """ladder_oracle's [phi, q, q0, v0] columns on ``t`` by the former
+    stepper, ``dt`` being the substep that ladder_oracle reports."""
+    n_sub = round((t[1] - t[0]) / dt)
+    n = system.n_circ
+    q, p = system.initial_state(initial)
+    grad = system.grad_potential(q)
+    rows = []
+    for k in range(len(t)):
+        if k:
+            for _ in range(n_sub):
+                q, p, grad = former_leapfrog(system, q, p, grad, dt)
+        v0 = system.velocities(p)[n]
+        rows.append([*q[:n], *p[:n], p[n] - system.cells[0] * v0, v0])
+    return np.array(rows)
+
+
+LADDER_JOSEPHSON_NETLIST = """\
+C 1 3 1.0
+J 1 2 0.5 1.0
+C 2 3 1.0
+L 2 3 1.0
+COUPLE 0.4
+"""
+
+
+class TestLeapfrogKernel:
+    """The in-place stepper with merged half-kicks against the former
+    allocate-per-step kick-drift-kick."""
+
+    @staticmethod
+    def lc_system(n_sections=200):
+        _, topo, params = lc_model(g=0.3, alpha=2.0)
+        return LadderSystem(topo, lc_line(params), n_sections, 10.0)
+
+    @pytest.mark.parametrize("topo, initial, n_sections", [
+        pytest.param(lc_model(g=0.3, alpha=2.0)[1],
+                     ReducedState(phi=[1.0], q=[0.2], q0=-0.1), 150, id="lc-150"),
+        pytest.param(lc_model(g=0.3, alpha=2.0)[1],
+                     ReducedState(phi=[1.0], q=[0.2], q0=-0.1), 1000, id="lc-1000"),
+        pytest.param(parse_netlist(LADDER_JOSEPHSON_NETLIST),
+                     ReducedState(phi=[0.8, -0.3], q=[0.1, 0.0], q0=0.05), 150,
+                     id="josephson-2-node"),
+    ])
+    def test_oracle_matches_former_stepper(self, topo, initial, n_sections):
+        line = line_params(2.0, 0.5)  # Z_c = 2, v_p = 1
+        t = np.linspace(0.0, 2 * np.pi, 101)
+        length = 1.12 * line.v_p * t[-1] / 2
+        traj = ladder_oracle(line, n_sections, length, topo, initial, t)
+        system = LadderSystem(topo, line, n_sections, length)
+        want = former_ladder_columns(system, initial, t, traj.meta["dt"])
+        got = np.column_stack([traj.phi, traj.q, traj.q0, traj.v0])
+        peak = np.abs(want).max(axis=0)
+        assert (np.abs(got - want).max(axis=0) <= 1e-13 * peak).all()
+
+    def test_arguments_unchanged(self):
+        system = self.lc_system()
+        rng = np.random.default_rng(5)
+        q, p = rng.normal(size=(2, system.dim))
+        grad = system.grad_potential(q)
+        before = [a.copy() for a in (q, p, grad)]
+        out = system.leapfrog_step(q, p, grad, 0.5 * system.cfl_dt(), steps=7)
+        for arg, kept in zip((q, p, grad), before):
+            assert np.array_equal(arg, kept)
+        assert not any(np.shares_memory(o, a) for o in out for a in (q, p, grad))
+
+    def test_stack_equals_column_calls(self):
+        system = self.lc_system()
+        rng = np.random.default_rng(6)
+        q, p = rng.normal(size=(2, system.dim, 3))
+        dt = 0.5 * system.cfl_dt()
+        stacked = system.leapfrog_step(q, p, system.grad_potential(q), dt, steps=5)
+        for j in range(3):
+            qj, pj = q[:, j].copy(), p[:, j].copy()
+            column = system.leapfrog_step(qj, pj, system.grad_potential(qj), dt, steps=5)
+            for got, want in zip(stacked, column):
+                assert np.abs(got[:, j] - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_steps_equal_repeated_single_steps(self):
+        system = self.lc_system()
+        rng = np.random.default_rng(7)
+        q, p = rng.normal(size=(2, system.dim))
+        grad = system.grad_potential(q)
+        dt = 0.5 * system.cfl_dt()
+        merged = system.leapfrog_step(q, p, grad, dt, steps=40)
+        single = (q, p, grad)
+        for _ in range(40):
+            single = system.leapfrog_step(*single, dt)
+        for got, want in zip(merged, single):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_operators_write_into_out(self):
+        system = self.lc_system()
+        x = np.random.default_rng(8).normal(size=system.dim)
+        for op in (system.grad_potential, system.velocities):
+            buf = np.empty_like(x)
+            assert op(x, out=buf) is buf
+            assert np.array_equal(buf, op(x))
+
+    def test_needs_a_step(self):
+        system = self.lc_system()
+        q = np.zeros(system.dim)
+        with pytest.raises(ValidationError, match="steps >= 1"):
+            system.leapfrog_step(q, q, q, 0.1, steps=0)
 
 
 class TestTimeGridChecked:
