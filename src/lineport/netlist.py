@@ -224,25 +224,32 @@ def derive_reduced_model(topology: CircuitTopology, z_c: float,
     topology.validate_active()
     full = build_capacitance_matrix(topology)
     cb = reduce_ground(full, topology.ground)
-    l_inv = np.linalg.inv(np.linalg.cholesky(cb))
-    cb_inv = l_inv.T @ l_inv  # Cb = L L^T; the product is exactly symmetric
     warnings = []
     cond = np.linalg.cond(cb)
     if cond > condition_threshold:
         warnings.append(
             f"grounded capacitance matrix condition number {cond:.3g} exceeds "
             f"{condition_threshold:.3g}; reduced matrices may lose accuracy")
-    p = cb_inv[0].copy()
     c_c = topology.coupling_capacitance
-    c_p = 1.0 / (1.0 / c_c + p[0])
-    b = c_p * np.outer(p, p)
-    a = cb_inv - b
+    # an overflow here is refused just below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        l_inv = np.linalg.inv(np.linalg.cholesky(cb))
+        cb_inv = l_inv.T @ l_inv  # Cb = L L^T; the product is exactly symmetric
+        p = cb_inv[0].copy()
+        c_p = 1.0 / (1.0 / c_c + p[0])
+        b = c_p * np.outer(p, p)
+        a = cb_inv - b
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NumericalPreconditionError(
             "the reduced model overflows: the capacitances are too small for "
             "Cb^-1 and C_p p p^T; rescale the capacitance units")
+    tau = z_c * c_p
+    if not (np.isfinite(tau) and tau > 0):
+        raise NumericalPreconditionError(
+            f"tau = Z_c C_p = {tau:g} at Z_c = {z_c:g}, C_p = {c_p:g} is not a "
+            "positive finite time; change the line impedance (--z-c)")
     return ReducedModel(cb=cb, cb_inv=cb_inv, p=p, c_p=c_p, a=a, b=b,
-                        tau=z_c * c_p, z_c=z_c, coupling_capacitance=c_c,
+                        tau=tau, z_c=z_c, coupling_capacitance=c_c,
                         warnings=tuple(warnings))
 
 

@@ -67,23 +67,30 @@ class OpenReducedSystem:
 def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
     """State-transition matrix of a linear system at time t.
 
-    Ladder systems compose the leapfrog one-step matrix round(t/dt) times;
-    closed and open lumped systems use the exact matrix exponential.
-    Nonlinear (Josephson) systems are rejected: the propagator, and with it
-    the commutator check, only exists for linear dynamics.
+    Ladder systems take the leapfrog map of round(t/dt) steps of size dt in
+    closed Chebyshev form (``LadderSystem.leapfrog_power``), the backward
+    map for a negative t; closed and open lumped systems use the exact
+    matrix exponential. Nonlinear (Josephson) systems are rejected: the
+    propagator, and with it the commutator check, only exists for linear
+    dynamics.
     """
     from scipy.linalg import expm  # loaded at first use, off the import path
+    if not np.isfinite(t):
+        raise ValidationError(f"propagator time must be finite, got t={t:g}")
+    if dt is not None and not (np.isfinite(dt) and dt > 0):
+        raise ValidationError(f"leapfrog dt must be positive and finite, got dt={dt:g}")
     if isinstance(system, LadderSystem):
         if not system.topology.is_linear:
             raise ValidationError("commutator checks require linear dynamics "
                                   "(Josephson junctions present)")
         if dt is None:
             raise ValidationError("ladder propagator needs the leapfrog dt")
+        if not np.isfinite(t / dt):
+            raise ValidationError(f"t={t:g} is too many steps of dt={dt:g}")
         steps = int(round(t / dt))
-        if abs(steps * dt - t) > 1e-9 * max(t, dt):
+        if abs(steps * dt - t) > 1e-9 * max(abs(t), dt):
             raise ValidationError(f"t={t:g} is not a multiple of dt={dt:g}")
-        step = system.one_step_matrix(dt)
-        return Propagator(matrix=np.linalg.matrix_power(step, steps), t=t,
+        return Propagator(matrix=system.leapfrog_power(dt, steps), t=t,
                           kind="ladder-leapfrog", dt=dt)
     if isinstance(system, HamiltonianSystem):
         m_inv = np.linalg.inv(system.mass)

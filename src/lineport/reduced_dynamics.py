@@ -321,7 +321,8 @@ class LadderSystem:
         self.dim = n + 1 + self.n_sections
 
     # -- Hamiltonian structure ------------------------------------------------
-    # grad_potential, velocities and leapfrog_step also act on (dim, B) stacks
+    # grad_potential, velocities, momenta and leapfrog_step also act on
+    # (dim, B) stacks
 
     def grad_potential(self, q, out=None):
         """Potential gradient dU/dq, written into ``out`` when given; line
@@ -347,6 +348,15 @@ class LadderSystem:
         out = np.empty_like(p) if out is None else out
         np.matmul(self._head_inv, p[:n + 1], out=out[:n + 1])
         np.divide(p[n + 1:].T, self.cells[1:], out=out[n + 1:].T)
+        return out
+
+    def momenta(self, v, out=None):
+        """Mass action M v, written into ``out`` when given: the head block on
+        the circuit nodes and line node 0, one cell multiply per line node."""
+        n = self.n_circ
+        out = np.empty_like(v) if out is None else out
+        np.matmul(self._head, v[:n + 1], out=out[:n + 1])
+        np.multiply(v[n + 1:].T, self.cells[1:], out=out[n + 1:].T)
         return out
 
     def potential(self, q):
@@ -384,6 +394,75 @@ class LadderSystem:
         s[:self.dim], s[self.dim:], _ = self.leapfrog_step(q, p, self.grad_potential(q), dt)
         return s
 
+    def leapfrog_power(self, dt: float, steps: int) -> np.ndarray:
+        """``one_step_matrix(dt)`` to the power ``steps`` on the stacked state
+        [q, p]; a negative ``steps`` gives the backward map, the leapfrog
+        with -dt, and 0 the exact identity.
+
+        The fluxes obey q_{k+1} = 2B q_k - q_{k-1} with B = I + E and
+        E = -(dt^2/2) M^-1 K, so with D = T_N(B) - I, U = U_{N-1}(B)
+        (Chebyshev polynomials of the first and second kind) and EU = E U,
+            S^N = [[I + D, dt U M^-1], [M (2 EU + E EU) / dt, (I + D)^T]].
+        D, U and EU are doubled together, one dim x 3dim product per bit of
+        N, and advanced by one step with E alone on each set bit. D, not T,
+        is carried because B = I + O((omega dt)^2) on the slow modes, and EU
+        with the mass applied, not K U, so U's rounding is not scaled by |K|.
+        """
+        if self._k_circ is None:
+            raise ValidationError("leapfrog power requires a linear circuit")
+        dim = self.dim
+        s = np.eye(2 * dim)
+        if steps == 0:
+            return s
+        if steps < 0:
+            dt, steps = -dt, -steps
+        c = 0.5 * dt * dt
+        work = np.empty((dim, dim))
+
+        def apply_e(x, out):
+            self.velocities(self.grad_potential(x, out=work), out=out)
+            out *= -c
+            return out
+
+        stack = np.empty((dim, 3 * dim))
+        d, u, eu = stack[:, :dim], stack[:, dim:2 * dim], stack[:, 2 * dim:]
+        prod = np.empty_like(stack)
+        e = apply_e(s[:dim, :dim], np.empty((dim, dim)))
+        e_d, e_eu = np.empty((dim, dim)), np.empty((dim, dim))
+        d[...] = e
+        u[...] = s[:dim, :dim]
+        eu[...] = e
+        diag = np.arange(dim)
+        for bit in bin(steps)[3:]:
+            # N -> 2N: T_2N = 2 T_N^2 - I and U_2N-1 = 2 T_N U_N-1
+            np.matmul(d, stack, out=prod)
+            prod += stack
+            prod[:, :dim] += d
+            np.multiply(prod, 2.0, out=stack)
+            if bit == "1":
+                # N -> N+1: U_N = B U_N-1 + T_N and T_N+1 = B T_N - (I - B^2) U_N-1
+                apply_e(d, e_d)
+                apply_e(eu, e_eu)
+                u += eu
+                u += d
+                u[diag, diag] += 1.0
+                d += e
+                d += e_d
+                d += 2.0 * eu
+                d += e_eu
+                eu += e_eu
+                eu += e
+                eu += e_d
+        s[:dim, :dim] += d
+        s[dim:, dim:] += d.T
+        self.velocities(u.T, out=s[:dim, dim:].T)  # U M^-1 = (M^-1 U^T)^T
+        s[:dim, dim:] *= dt
+        apply_e(eu, e_eu)
+        e_eu += 2.0 * eu
+        self.momenta(e_eu, out=s[dim:, :dim])
+        s[dim:, :dim] /= dt
+        return s
+
     def cfl_dt(self) -> float:
         """Leapfrog stability bound of the interior ladder modes."""
         return self.dx / self.line.v_p
@@ -413,10 +492,7 @@ class LadderSystem:
         vel[n] = dphi[0] + initial.q0 / self.topology.coupling_capacitance
         if line_initial is not None:
             vel[n + 1:] = line_initial.q_at(x_nodes[1:]) / self.line.c_per_len
-        p = np.empty(self.dim)
-        p[:n + 1] = self._head @ vel[:n + 1]
-        p[n + 1:] = self.cells[1:] * vel[n + 1:]
-        return q_pos, p
+        return q_pos, self.momenta(vel)
 
     def circuit_observables(self, q_pos, p):
         n = self.n_circ

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,11 @@ L 1 2 1.0
 COUPLE {couple}
 GROUND auto
 """
+
+
+# capacitances whose inverse, and whose C_p p p^T, overflow
+CTINY_NETLIST = "C 1 2 1e-320\nL 1 2 1.0\nCOUPLE 1.0\n"
+CSMALL_NETLIST = "C 1 2 1e-200\nL 1 2 1.0\nCOUPLE 1.0\n"
 
 
 def write_netlist(tmp_path, couple=0.42857142857142855, name="lc.net"):
@@ -358,6 +364,7 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
                  id="capacitance-inverse-overflow"),
     pytest.param(["reduce", "{tmp}/csmall.net"], "rescale the capacitance units",
                  id="coupling-product-overflow"),
+    pytest.param(["reduce", "{net}", "--z-c", "5e-324"], "--z-c", id="z-c-tau-underflow"),
 ])
 def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     """Valid values whose consequences overflow: exit 4, naming the flag or
@@ -365,8 +372,8 @@ def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     net = write_netlist(tmp_path)
     (tmp_path / "jj.net").write_text(JOSEPHSON_NETLIST)
     (tmp_path / "cbig.net").write_text("C 1 2 1e308\nC 1 2 1e308\nL 1 2 1.0\nCOUPLE 0.5\n")
-    (tmp_path / "ctiny.net").write_text("C 1 2 1e-320\nL 1 2 1.0\nCOUPLE 1.0\n")
-    (tmp_path / "csmall.net").write_text("C 1 2 1e-200\nL 1 2 1.0\nCOUPLE 1.0\n")
+    (tmp_path / "ctiny.net").write_text(CTINY_NETLIST)
+    (tmp_path / "csmall.net").write_text(CSMALL_NETLIST)
     argv = [a.format(tmp=tmp_path, net=net) for a in argv]
     with np.errstate(all="ignore"):
         rc = main([*argv, "--out", str(tmp_path / "out")])
@@ -375,6 +382,22 @@ def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     assert "Traceback" not in err
     assert names in err
     assert not (tmp_path / "out" / "reduced_model.json").exists()
+
+
+@pytest.mark.parametrize("netlist", [CTINY_NETLIST, CSMALL_NETLIST],
+                         ids=["capacitance-inverse-overflow", "coupling-product-overflow"])
+def test_overflow_refusal_raises_no_runtime_warning(tmp_path, capsys, netlist):
+    """The exit-4 refusal of an overflowing reduced model is its message
+    alone: the checked arithmetic lets no numpy RuntimeWarning escape."""
+    path = tmp_path / "c.net"
+    path.write_text(netlist)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["reduce", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "Warning" not in err
+    assert "rescale the capacitance units" in err
 
 
 def test_default_sidecars_are_finite_json(tmp_path, capsys):

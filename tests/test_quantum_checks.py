@@ -81,6 +81,88 @@ class TestPropagator:
         assert np.abs(step @ state - stepped).max() <= 1e-14 * np.abs(stepped).max()
 
 
+    @pytest.mark.parametrize("t, dt", [
+        (np.inf, 0.01), (np.nan, 0.01), (1.0, 0.0), (1.0, -0.01),
+        (1.0, np.inf), (1.0, np.nan), (1e300, 1e-300)])
+    def test_ladder_refuses_unusable_t_or_dt(self, t, dt):
+        system, _ = lc_ladder(n_sections=150, length=8.0)
+        with pytest.raises(ValidationError, match="dt|t="):
+            propagator_of(system, t, dt=dt)
+
+    def test_negative_time_is_the_backward_map(self):
+        system, params = lc_ladder(n_sections=150, length=8.0)
+        dt = params.t_r / 1000.0
+        forward = propagator_of(system, 0.3 * params.t_r, dt=dt).matrix
+        backward = propagator_of(system, -0.3 * params.t_r, dt=dt).matrix
+        assert np.abs(forward @ backward - np.eye(2 * system.dim)).max() <= 1e-12
+
+
+def long_double_leapfrog_power(system, dt, steps):
+    """S^steps by repeated squaring in long double, from the one-step
+    matrix [[B, dt M^-1], [-(dt/2) K (I + B), B^T]] with B = I - (dt^2/2) M^-1 K
+    assembled from the dense mass and stiffness of the float64 operators."""
+    ld = np.longdouble
+    dim, n = system.dim, system.n_circ
+    eye = np.eye(dim, dtype=ld)
+    k = system.grad_potential(np.eye(dim)).astype(ld)
+    m_inv = np.zeros((dim, dim), dtype=ld)
+    m_inv[:n + 1, :n + 1] = system.velocities(np.eye(dim))[:n + 1, :n + 1]
+    m_inv[n + 1:, n + 1:] = np.diag(1 / system.cells[1:].astype(ld))
+    h = ld(dt)
+    b = eye - h * h / 2 * (m_inv @ k)
+    base = np.block([[b, h * m_inv], [-(h / 2) * (k @ (eye + b)), b.T]])
+    power = np.eye(2 * dim, dtype=ld)
+    while steps:
+        if steps & 1:
+            power = power @ base
+        steps >>= 1
+        if steps:
+            base = base @ base
+    return power
+
+
+class TestLeapfrogPower:
+    """The Chebyshev-doubled leapfrog map against powers of the one-step
+    matrix, the former route of the ladder propagator."""
+
+    @pytest.mark.parametrize("steps", [-3, 0, 1, 2, 3, 7, 64, 65, 1000])
+    def test_matches_one_step_matrix_power(self, steps):
+        system, params = lc_ladder(n_sections=150, length=8.0)
+        dt = params.t_r / 1000.0
+        want = np.linalg.matrix_power(system.one_step_matrix(dt), steps)
+        got = system.leapfrog_power(dt, steps)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    def test_zero_steps_is_the_exact_identity(self):
+        system, params = lc_ladder(n_sections=150, length=8.0)
+        assert np.array_equal(system.leapfrog_power(params.t_r / 1000.0, 0),
+                              np.eye(2 * system.dim))
+
+    def test_no_less_accurate_than_matrix_power(self):
+        system, params = lc_ladder(n_sections=100, length=8.0)
+        dt, steps = params.t_r / 1000.0, 1000
+        exact = long_double_leapfrog_power(system, dt, steps)
+        cheb = system.leapfrog_power(dt, steps)
+        squared = np.linalg.matrix_power(system.one_step_matrix(dt), steps)
+        assert np.abs(cheb - exact).max() <= np.abs(squared - exact).max()
+
+    def test_nonlinear_circuit_rejected(self):
+        from lineport import CircuitTopology
+        topo = CircuitTopology(node_count=1, capacitors=((1, 2, 1.0),),
+                               junctions=((1, 2, 1.0, 1.0),),
+                               coupling_capacitance=0.5)
+        system = LadderSystem(topo, line_params(1.0, 1.0), 150, 10.0)
+        with pytest.raises(ValidationError, match="linear"):
+            system.leapfrog_power(0.01, 5)
+
+    def test_momenta_invert_velocities(self):
+        system, _ = lc_ladder(n_sections=150, length=8.0)
+        p = np.random.default_rng(5).normal(size=(system.dim, 4))
+        assert np.abs(system.momenta(system.velocities(p)) - p).max() <= 1e-13
+        columns = np.column_stack([system.momenta(p[:, j]) for j in range(4)])
+        assert np.abs(system.momenta(p) - columns).max() <= 1e-15 * np.abs(columns).max()
+
+
 class TestCommutatorResidual:
     def test_identity_preserves_commutators(self):
         assert commutator_residual(np.eye(8)) == 0.0
