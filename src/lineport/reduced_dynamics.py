@@ -159,16 +159,17 @@ def _rk4(f, b, y0, t_grid):
     b_mid = 0.5 * (b[:, :-1] + b[:, 1:])
     out = np.empty((len(y0), len(t_grid)))
     out[:, 0] = y = y0
-    for k in range(len(t_grid) - 1):
-        k1 = f(y) + b[:, k]
-        k2 = f(y + 0.5 * dt * k1) + b_mid[:, k]
-        k3 = f(y + 0.5 * dt * k2) + b_mid[:, k]
-        k4 = f(y + dt * k3) + b[:, k + 1]
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            out[:, k + 1:] = np.nan
-            break
-        out[:, k + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):  # each step is checked
+        for k in range(len(t_grid) - 1):
+            k1 = f(y) + b[:, k]
+            k2 = f(y + 0.5 * dt * k1) + b_mid[:, k]
+            k3 = f(y + 0.5 * dt * k2) + b_mid[:, k]
+            k4 = f(y + dt * k3) + b[:, k + 1]
+            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                out[:, k + 1:] = np.nan
+                break
+            out[:, k + 1] = y
     return out
 
 
@@ -321,8 +322,8 @@ class LadderSystem:
         self.dim = n + 1 + self.n_sections
 
     # -- Hamiltonian structure ------------------------------------------------
-    # grad_potential, velocities, momenta and leapfrog_step also act on
-    # (dim, B) stacks
+    # grad_potential, velocities, momenta, drift_kick and leapfrog_step also
+    # act on (dim, B) stacks
 
     def grad_potential(self, q, out=None):
         """Potential gradient dU/dq, written into ``out`` when given; line
@@ -367,22 +368,64 @@ class LadderSystem:
     def hamiltonian(self, q, p):
         return 0.5 * float(p @ self.velocities(p)) + self.potential(q)
 
+    def drift_kick(self, q, u, dt, steps, acc):
+        """``steps`` leapfrog substeps in displacement form, in place: the
+        drift q += u, then the kick u -= acc with acc = dt^2 M^-1 grad U(q),
+        u being the step displacement dt M^-1 p at the half step. ``acc`` is
+        left holding the last kick.
+
+        acc is formed inline from d = diff(q_line): line node j gets
+        dt^2 k_line / cell_j (d_{j-1} - d_j), with d_ns = 0 past the far node,
+        and the head block dt^2 head_inv @ [circuit gradient; -k_line d_0].
+        """
+        n = self.n_circ
+        dt2 = dt * dt
+        w = np.empty((n + self.n_sections + 1,) + q.shape[1:])
+        grad_circ, head_in, d, d_next = w[:n], w[:n + 1], w[n:-1], w[n + 1:]
+        w[-1] = 0.0
+        head = dt2 * self._head_inv
+        head[:, n] *= -self._k_line
+        line_inv = (dt2 * self._k_line / self.cells[1:]).reshape((-1,) + (1,) * (q.ndim - 1))
+        q_circ, q_line, q_next = q[:n], q[n:-1], q[n + 1:]
+        acc_head, acc_line = acc[:n + 1], acc[n + 1:]
+        k_circ = self._k_circ
+        for _ in range(steps):
+            q += u
+            if k_circ is not None:
+                np.matmul(k_circ, q_circ, out=grad_circ)
+            else:
+                grad_circ[...] = potential_gradient(self.topology, q_circ)
+            np.subtract(q_next, q_line, out=d)
+            np.subtract(d, d_next, out=acc_line)
+            acc_line *= line_inv
+            np.matmul(head, head_in, out=acc_head)
+            u -= acc
+
+    def _to_displacement(self, p, grad, dt):
+        """The opening half-kick: u = dt M^-1 (p - (dt/2) grad)."""
+        u = self.velocities(p - (0.5 * dt) * grad)
+        u *= dt
+        return u
+
+    def _to_momenta(self, u, acc, dt):
+        """Momenta p = M (u + acc/2) / dt at the step where ``drift_kick``
+        left (u, acc): the last kick undone by half."""
+        p = self.momenta(u + 0.5 * acc)
+        p /= dt
+        return p
+
     def leapfrog_step(self, q, p, grad, dt, steps=1):
         """``steps`` kick-drift-kick steps from (q, p), ``grad`` being
-        grad_potential(q), with the half-kicks between steps merged into full
-        kicks. Returns the new (q, p, grad); the arguments are copied once,
-        never modified, and the copies are updated in place."""
+        grad_potential(q), by ``drift_kick`` with the half-kicks between
+        steps merged into full kicks. Returns the new (q, p, grad); the
+        arguments are copied once and never modified."""
         if steps < 1:
             raise ValidationError(f"leapfrog needs steps >= 1, got {steps}")
-        q, p = q.copy(), p.copy()
-        work = np.multiply(grad, 0.5 * dt)
-        grad = np.empty_like(work)
-        p -= work
-        for step in range(steps):
-            q += np.multiply(self.velocities(p, out=work), dt, out=work)
-            self.grad_potential(q, out=grad)
-            p -= np.multiply(grad, dt if step < steps - 1 else 0.5 * dt, out=work)
-        return q, p, grad
+        q = q.copy()
+        u = self._to_displacement(p, grad, dt)
+        acc = np.empty_like(u)
+        self.drift_kick(q, u, dt, steps, acc)
+        return q, self._to_momenta(u, acc, dt), self.grad_potential(q)
 
     def one_step_matrix(self, dt: float) -> np.ndarray:
         """Linear map of one leapfrog step on the stacked state [q, p]: the
@@ -537,15 +580,23 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
     v0_out = np.empty(n_out)
     energy = np.empty(n_out)
 
-    grad = system.grad_potential(q_pos)
-    for k in range(n_out):
-        if k:
-            q_pos, p, grad = system.leapfrog_step(q_pos, p, grad, dt, n_sub)
-        phi_out[k], q_out[k], q0_out[k], v0_out[k] = system.circuit_observables(q_pos, p)
-        energy[k] = system.hamiltonian(q_pos, p)
+    # every state the loop makes is checked through its energy below
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy[0] = system.hamiltonian(q_pos, p)
+        if not np.isfinite(energy[0]):
+            raise NumericalPreconditionError(
+                "ladder integration diverged; reduce the initial state: "
+                "its energy is not finite")
+        u = system._to_displacement(p, system.grad_potential(q_pos), dt)
+        acc = np.empty_like(u)
+        for k in range(n_out):
+            if k:
+                system.drift_kick(q_pos, u, dt, n_sub, acc)
+                p = system._to_momenta(u, acc, dt)
+                energy[k] = system.hamiltonian(q_pos, p)
+            phi_out[k], q_out[k], q0_out[k], v0_out[k] = system.circuit_observables(q_pos, p)
     if not np.all(np.isfinite(energy)):
-        fix = "dt" if np.isfinite(energy[0]) else "the initial state: its energy is not finite"
-        raise NumericalPreconditionError(f"ladder integration diverged; reduce {fix}")
+        raise NumericalPreconditionError("ladder integration diverged; reduce dt")
     scale = max(abs(energy[0]), abs(energy).max() * 1e-12, 1e-300)
     drift = float(np.abs(energy - energy[0]).max() / scale)
     if drift > energy_drift_tol:
@@ -553,5 +604,6 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
             f"ladder energy drift {drift:.3g} exceeds {energy_drift_tol:.3g}; reduce dt")
     return Trajectory(t_grid=t_grid, phi=phi_out, q=q_out, q0=q0_out, v0=v0_out,
                       meta={"integrator": "leapfrog", "dt": float(dt),
+                            "substeps": n_sub * (n_out - 1),
                             "n_sections": n_sections, "dx": system.dx,
                             "energy_drift": drift, "energy0": float(energy[0])})

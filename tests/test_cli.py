@@ -400,6 +400,28 @@ def test_overflow_refusal_raises_no_runtime_warning(tmp_path, capsys, netlist):
     assert "rescale the capacitance units" in err
 
 
+@pytest.mark.parametrize("name, netlist, state, message", [
+    pytest.param("lc.net", LC_NETLIST.format(couple=0.42857142857142855), "--phi=1e300",
+                 "reduce the initial state: its energy is not finite", id="lc-phi-huge"),
+    pytest.param("jj.net", JOSEPHSON_NETLIST, "--q=1e308,0",
+                 "reduce the initial state (size 1e+308) or dt", id="josephson-q-huge"),
+])
+def test_simulate_refusal_raises_no_runtime_warning(tmp_path, capsys, name, netlist,
+                                                    state, message):
+    """A huge initial state is refused with the exit-4 message alone: the
+    checked energy and RK4 arithmetic lets no numpy RuntimeWarning escape."""
+    path = tmp_path / name
+    path.write_text(netlist)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["simulate", str(path), *SIM_FLAGS, "--samples", "51",
+                   "--n-sections", "100", state, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "Warning" not in err
+    assert message in err
+
+
 def test_default_sidecars_are_finite_json(tmp_path, capsys):
     """The JSON sidecars of the default runs hold no NaN or Infinity."""
     def refuse(constant):

@@ -213,6 +213,12 @@ class TestHugeInitialState:
             ladder_oracle(line, 100, 1.12 * line.v_p * params.t_r / 2, topo,
                           ReducedState(phi=[1e300], q=[0.0], q0=0.0), t)
 
+    def test_ladder_refused_before_stepping(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("ladder stepped from a non-finite energy")
+        monkeypatch.setattr(LadderSystem, "drift_kick", fail)
+        self.test_ladder_initial_energy()
+
 
 class TestPropagateAffine:
     """The doubling scan against the per-sample loop it replaced; the sample
@@ -415,12 +421,12 @@ def former_leapfrog(system, q, p, grad, dt):
     return q, p_half - 0.5 * dt * grad, grad
 
 
-def former_ladder_columns(system, initial, t, dt):
+def former_ladder_columns(system, initial, t, dt, line_initial=None):
     """ladder_oracle's [phi, q, q0, v0] columns on ``t`` by the former
     stepper, ``dt`` being the substep that ladder_oracle reports."""
     n_sub = round((t[1] - t[0]) / dt)
     n = system.n_circ
-    q, p = system.initial_state(initial)
+    q, p = system.initial_state(initial, line_initial)
     grad = system.grad_potential(q)
     rows = []
     for k in range(len(t)):
@@ -441,6 +447,13 @@ COUPLE 0.4
 """
 
 
+def gaussian_profile(x0, width, x_max):
+    """A flux pulse on the line and no charge, sampled like a --phi0-csv file."""
+    return LineInitialState.from_functions(
+        lambda x: 0.5 * np.exp(-((x - x0) / width) ** 2), np.zeros_like,
+        x_max=x_max, dx=width / 100.0, extend="zero")
+
+
 class TestLeapfrogKernel:
     """The in-place stepper with merged half-kicks against the former
     allocate-per-step kick-drift-kick."""
@@ -450,25 +463,75 @@ class TestLeapfrogKernel:
         _, topo, params = lc_model(g=0.3, alpha=2.0)
         return LadderSystem(topo, lc_line(params), n_sections, 10.0)
 
-    @pytest.mark.parametrize("topo, initial, n_sections", [
+    @pytest.mark.parametrize("topo, initial, n_sections, samples, profile, n_sub", [
         pytest.param(lc_model(g=0.3, alpha=2.0)[1],
-                     ReducedState(phi=[1.0], q=[0.2], q0=-0.1), 150, id="lc-150"),
+                     ReducedState(phi=[1.0], q=[0.2], q0=-0.1), 150, 101, None, 6,
+                     id="lc-150"),
         pytest.param(lc_model(g=0.3, alpha=2.0)[1],
-                     ReducedState(phi=[1.0], q=[0.2], q0=-0.1), 1000, id="lc-1000"),
+                     ReducedState(phi=[1.0], q=[0.2], q0=-0.1), 1000, 101, None, 36,
+                     id="lc-1000"),
         pytest.param(parse_netlist(LADDER_JOSEPHSON_NETLIST),
-                     ReducedState(phi=[0.8, -0.3], q=[0.1, 0.0], q0=0.05), 150,
-                     id="josephson-2-node"),
+                     ReducedState(phi=[0.8, -0.3], q=[0.1, 0.0], q0=0.05), 150, 101, None,
+                     6, id="josephson-2-node"),
+        # the shape of the driven benchmark: a junction circuit hit by a line
+        # pulse, two substeps per output sample
+        pytest.param(parse_netlist(LADDER_JOSEPHSON_NETLIST),
+                     ReducedState(phi=[1.0, 0.5], q=[0.0, 0.0], q0=0.0), 150, 301,
+                     (1.5, 0.4), 2, id="josephson-pulse"),
+        # the substep ratio of the 4000-section ladder benchmark on a short run
+        pytest.param(lc_model(g=0.3, alpha=2.0)[1],
+                     ReducedState(phi=[1.0], q=[0.2], q0=-0.1), 400, 101, None, 15,
+                     id="lc-15-substeps"),
     ])
-    def test_oracle_matches_former_stepper(self, topo, initial, n_sections):
+    def test_oracle_matches_former_stepper(self, topo, initial, n_sections, samples,
+                                           profile, n_sub):
         line = line_params(2.0, 0.5)  # Z_c = 2, v_p = 1
-        t = np.linspace(0.0, 2 * np.pi, 101)
+        t = np.linspace(0.0, 2 * np.pi, samples)
         length = 1.12 * line.v_p * t[-1] / 2
-        traj = ladder_oracle(line, n_sections, length, topo, initial, t)
+        line_initial = None
+        if profile is not None:
+            x0, width = profile
+            length += 0.56 * (x0 + 4 * width)  # the pulse's echo stays out of the window
+            line_initial = gaussian_profile(x0, width, 2 * length)
+        traj = ladder_oracle(line, n_sections, length, topo, initial, t,
+                             line_initial=line_initial)
+        assert traj.meta["substeps"] == n_sub * (samples - 1)
         system = LadderSystem(topo, line, n_sections, length)
-        want = former_ladder_columns(system, initial, t, traj.meta["dt"])
+        want = former_ladder_columns(system, initial, t, traj.meta["dt"], line_initial)
         got = np.column_stack([traj.phi, traj.q, traj.q0, traj.v0])
         peak = np.abs(want).max(axis=0)
         assert (np.abs(got - want).max(axis=0) <= 1e-13 * peak).all()
+
+    def test_kernel_stack_equals_column_calls(self):
+        system = self.lc_system()
+        rng = np.random.default_rng(9)
+        q0, u0 = rng.normal(size=(2, system.dim, 3))
+        u0 *= 1e-3
+        dt = 0.5 * system.cfl_dt()
+        q, u, acc = q0.copy(), u0.copy(), np.empty_like(q0)
+        system.drift_kick(q, u, dt, 5, acc)
+        for j in range(3):
+            qj, uj, accj = q0[:, j].copy(), u0[:, j].copy(), np.empty(system.dim)
+            system.drift_kick(qj, uj, dt, 5, accj)
+            for got, want in ((q[:, j], qj), (u[:, j], uj), (acc[:, j], accj)):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("topo", [
+        pytest.param(lc_model(g=0.3, alpha=2.0)[1], id="lc"),
+        pytest.param(parse_netlist(LADDER_JOSEPHSON_NETLIST), id="josephson")])
+    def test_kernel_leaves_last_kick(self, topo):
+        system = LadderSystem(topo, line_params(2.0, 0.5), 150, 10.0)
+        rng = np.random.default_rng(10)
+        q, u = rng.normal(size=(2, system.dim))
+        u *= 1e-3
+        dt = 0.5 * system.cfl_dt()
+        acc = np.empty_like(q)
+        system.drift_kick(q, u, dt, 6, acc)
+        u_before = u.copy()
+        system.drift_kick(q, u, dt, 1, acc)
+        want = dt * dt * system.velocities(system.grad_potential(q))
+        assert np.abs(acc - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(u, u_before - acc)
 
     def test_arguments_unchanged(self):
         system = self.lc_system()
