@@ -21,8 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import InputError, LineportError, NumericalPreconditionError, ValidationError
 from .inversion import MAX_IFFT_SAMPLES, MIN_IFFT_SAMPLES, impulse_response_table, residues
-from .netlist import (derive_reduced_model, invariant_report, parse_netlist_file,
-                      potential_gradient, stiffness_matrix)
+from .netlist import derive_reduced_model, invariant_report, parse_netlist_file
 from .reduced_dynamics import (MIN_LADDER_SECTIONS, ReducedState, assemble_rhs,
                                integrate, ladder_oracle)
 from .signals import write_csv
@@ -196,21 +195,19 @@ def cmd_simulate(args):
     length = (args.length if args.length is not None
               else 1.12 * line.v_p * t_max / 2.0 + 0.56 * x_max)
 
-    if topology.is_linear:
-        grad_u = stiffness_matrix(topology)
-    else:
-        def grad_u(p):
-            return potential_gradient(topology, p)
-    rhs = assemble_rhs(model, grad_u, e0=e0)
+    rhs = assemble_rhs(model, topology, e0=e0)
     reduced = integrate(rhs, initial, t_grid)
     ladder = ladder_oracle(line, args.n_sections, length, topology, initial,
                            t_grid, line_initial=line_initial)
     out = _out_dir(args)
     _write(os.path.join(out, "trajectory_reduced.csv"), reduced.to_csv)
     _write(os.path.join(out, "trajectory_ladder.csv"), ladder.to_csv)
-    scale = np.linalg.norm(reduced.phi[:, 0])
-    l2 = float(np.linalg.norm(ladder.phi[:, 0] - reduced.phi[:, 0]) / scale) \
-        if scale > 0 else float(np.linalg.norm(ladder.phi[:, 0]))
+    # phi1 scaled exactly by a power of two to a peak in [0.5, 1): no overflow
+    exp = np.frexp(max(np.abs(ladder.phi[:, 0]).max(), np.abs(reduced.phi[:, 0]).max()))[1]
+    got, want = np.ldexp(ladder.phi[:, 0], -exp), np.ldexp(reduced.phi[:, 0], -exp)
+    scale = np.linalg.norm(want)
+    l2 = float(np.linalg.norm(got - want) / scale if scale > 0
+               else np.ldexp(np.linalg.norm(got), exp))
     sidecar = {
         "model": model.to_json_dict(),
         "line": {"ell": line.ell, "c_per_len": line.c_per_len,

@@ -295,6 +295,15 @@ def potential_gradient(topology: CircuitTopology, phi) -> np.ndarray:
         force = (flux[i - 1] - flux[j - 1]) / l
         grad[i - 1] += force
         grad[j - 1] -= force
+    return junction_forces(topology, phi, grad)
+
+
+def junction_forces(topology: CircuitTopology, phi: np.ndarray, grad=None) -> np.ndarray:
+    """Junction part of grad U at the flux vector ``phi`` (shape (N,)), added
+    to ``grad``, a list over the nodes and ground, when given; the rest of
+    grad U is K phi, K the stiffness matrix of the circuit without junctions."""
+    flux = [*phi.tolist(), 0.0]  # ground carries zero flux
+    grad = [0.0] * len(flux) if grad is None else grad
     for i, j, ej, phi0 in topology.junctions:
         try:
             force = (ej / phi0) * math.sin((flux[i - 1] - flux[j - 1]) / phi0)
@@ -302,7 +311,7 @@ def potential_gradient(topology: CircuitTopology, phi) -> np.ndarray:
             raise _flux_overflow(phi) from None
         grad[i - 1] += force
         grad[j - 1] -= force
-    return np.array(grad[:n])
+    return np.array(grad[:-1])
 
 
 def potential_energy(topology: CircuitTopology, phi) -> float:

@@ -15,21 +15,26 @@ Three independent formulations of the same physics live here:
   realizing the exponential-memory convolution exactly through one auxiliary
   state per node instead of quadrature.
 
+  Both right-hand sides are one flow matrix, holding the linear-inductor
+  stiffness, times the state, less the junction forces where -dU/dPhi enters.
+
 * ``ladder_oracle`` discretizes the line into n LC sections and integrates
   the closed Hamiltonian system with symplectic leapfrog; with the far end
   open and the no-echo time window it is an independent oracle for the
-  reduced model.
+  reduced model. Each output sample, its energy included, is read off the
+  leapfrog kernel's own state.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import NumericalPreconditionError, ValidationError
 from .netlist import (CircuitTopology, ReducedModel, build_capacitance_matrix,
-                      potential_energy, potential_gradient, reduce_ground,
+                      junction_forces, potential_energy, reduce_ground,
                       stiffness_matrix)
 from .signals import Signal, Trajectory, uniform_grid
 from .tline import LineInitialState, LineParams
@@ -62,44 +67,50 @@ class ReducedState:
 
 
 def _as_gradient(grad_u, n):
-    """Accept a stiffness matrix (linear circuit) or a gradient callable."""
-    if callable(grad_u):
-        return None, grad_u
-    k = np.asarray(grad_u, dtype=float)
+    """grad U as (linear stiffness K, junction forces or None); see ReducedRhs."""
+    forces = None
+    if isinstance(grad_u, CircuitTopology):
+        k = stiffness_matrix(replace(grad_u, junctions=()))  # the linear inductors
+        forces = None if grad_u.is_linear else partial(junction_forces, grad_u)
+    elif callable(grad_u):
+        k, forces = np.zeros((n, n)), grad_u
+    else:
+        k = np.asarray(grad_u, dtype=float)
     if k.shape != (n, n):
         raise ValidationError(f"stiffness matrix must be {n}x{n}")
-    return k, lambda phi: k @ phi
+    return k, forces
 
 
 @dataclass
 class ReducedRhs:
-    """Autonomous part f(y) of the reduced equations on the packed state
-    y = [phi, q, q0], whose q0 row takes the input e0/Z_c. ``flow_matrix`` is
-    set for linear circuits and enables the exact exponential stepper."""
+    """Autonomous part f(y) = flow_matrix @ y - forces(phi) on the q rows of
+    the reduced equations on the packed state y = [phi, q, q0], whose q0 row
+    takes the input e0/Z_c; ``assemble_rhs`` is its constructor. ``grad_u``
+    is a ``CircuitTopology`` (inductor stiffness K in the flow, junction
+    forces), a stiffness matrix K (no forces), or a callable phi -> grad U
+    (the forces, K = 0). Without forces the exact expm stepper applies."""
 
     model: ReducedModel
     grad_u: object
     e0: Signal | None = None
-    stiffness: np.ndarray | None = field(init=False)
-    flow_matrix: np.ndarray | None = field(init=False)
+    stiffness: np.ndarray = field(init=False)
+    forces: object = field(init=False)
+    flow_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.stiffness, self._grad = _as_gradient(self.grad_u, self.model.n_nodes)
-        self.flow_matrix = (None if self.stiffness is None
-                            else _reduced_flow_matrix(self.model, self.stiffness))
+        self.stiffness, self.forces = _as_gradient(self.grad_u, self.model.n_nodes)
+        self.flow_matrix = _reduced_flow_matrix(self.model, self.stiffness)
 
     @property
     def is_linear(self) -> bool:
-        return self.flow_matrix is not None
+        return self.forces is None
 
     def __call__(self, y):
-        m = self.model
-        n = m.n_nodes
-        phi, q, q0 = y[:n], y[n:2 * n], y[2 * n]
-        dphi = m.cb_inv @ q + m.p * q0
-        dq = -self._grad(phi)
-        dq0 = -q0 / m.tau - (m.p @ q) / m.z_c
-        return np.concatenate([dphi, dq, [dq0]])
+        out = self.flow_matrix @ y
+        if self.forces is not None:
+            n = self.model.n_nodes
+            out[n:2 * n] -= self.forces(y[:n])
+        return out
 
 
 def _reduced_flow_matrix(model: ReducedModel, k: np.ndarray) -> np.ndarray:
@@ -113,13 +124,7 @@ def _reduced_flow_matrix(model: ReducedModel, k: np.ndarray) -> np.ndarray:
     return m
 
 
-def assemble_rhs(model: ReducedModel, grad_u, e0: Signal | None = None) -> ReducedRhs:
-    """Build the reduced right-hand side.
-
-    ``grad_u`` is either the inductive stiffness matrix K (grad U = K phi,
-    linear circuit) or a callable phi -> grad U (junction circuits).
-    """
-    return ReducedRhs(model=model, grad_u=grad_u, e0=e0)
+assemble_rhs = ReducedRhs
 
 
 def _lti_step_operators(m, dt):
@@ -159,43 +164,40 @@ def _rk4(f, b, y0, t_grid):
     b_mid = 0.5 * (b[:, :-1] + b[:, 1:])
     out = np.empty((len(y0), len(t_grid)))
     out[:, 0] = y = y0
-    with np.errstate(over="ignore", invalid="ignore"):  # each step is checked
-        for k in range(len(t_grid) - 1):
-            k1 = f(y) + b[:, k]
-            k2 = f(y + 0.5 * dt * k1) + b_mid[:, k]
-            k3 = f(y + 0.5 * dt * k2) + b_mid[:, k]
-            k4 = f(y + dt * k3) + b[:, k + 1]
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                out[:, k + 1:] = np.nan
-                break
-            out[:, k + 1] = y
+    for k in range(len(t_grid) - 1):
+        k1 = f(y) + b[:, k]
+        k2 = f(y + 0.5 * dt * k1) + b_mid[:, k]
+        k3 = f(y + 0.5 * dt * k2) + b_mid[:, k]
+        k4 = f(y + dt * k3) + b[:, k + 1]
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.isfinite(y).all():
+            out[:, k + 1:] = np.nan
+            break
+        out[:, k + 1] = y
     return out
 
 
-def _evolve(model: ReducedModel, stiffness, flow, f, b, y0, t_grid, method):
+def _evolve(model: ReducedModel, stiffness, flow, f, linear, b, y0, t_grid, method):
     """Integrate y' = f(y) + b(t) on ``t_grid``, b sampled in its columns, by
-    'expm' on the linear ``flow`` (None if nonlinear) or 'rk4' on f; 'auto'
-    takes 'expm' when it can. Returns the state columns and the method."""
+    'expm' on ``flow`` when f is ``linear`` (f(y) = flow @ y) or 'rk4' on f;
+    'auto' takes 'expm' when it can. Returns the state columns and the method."""
     dt = t_grid[1] - t_grid[0]
     if method == "auto":
-        method = "rk4" if flow is None else "expm"
+        method = "expm" if linear else "rk4"
     # warn where accuracy depends on dt: all but the exact homogeneous stepper
-    if stiffness is not None and (method != "expm" or b.any()):
+    if linear and (method != "expm" or b.any()):
         omega_max = np.sqrt(np.linalg.norm(model.cb_inv, 2)
                             * max(np.linalg.norm(stiffness, 2), 1e-300))
         limit = min(model.tau, 1.0 / omega_max) / DT_SAFETY_FACTOR
         if dt > limit:
             warnings.warn(f"dt={dt:.3g} does not resolve the fastest scale; "
                           f"recommended dt <= {limit:.3g}", stacklevel=3)
-    if method == "expm":
-        if flow is None:
-            raise ValidationError("matrix-exponential stepper requires a linear circuit")
-        ys = _propagate_affine(flow, b, y0, dt)
-    elif method == "rk4":
-        ys = _rk4(f, b, y0, t_grid)
-    else:
+    if method not in ("expm", "rk4"):
         raise ValidationError(f"unknown integration method {method!r}")
+    if method == "expm" and not linear:
+        raise ValidationError("matrix-exponential stepper requires a linear circuit")
+    with np.errstate(over="ignore", invalid="ignore"):  # every column is checked below
+        ys = _propagate_affine(flow, b, y0, dt) if method == "expm" else _rk4(f, b, y0, t_grid)
     bad = ~np.isfinite(ys).all(axis=0)
     if bad.any():
         k = int(np.argmax(bad))
@@ -219,7 +221,7 @@ def integrate(rhs: ReducedRhs, initial: ReducedState, t_grid,
     b = np.zeros((2 * n + 1, len(t_grid)))
     if rhs.e0 is not None:
         b[2 * n] = rhs.e0(t_grid) / model.z_c
-    ys, method = _evolve(model, rhs.stiffness, rhs.flow_matrix, rhs, b,
+    ys, method = _evolve(model, rhs.stiffness, rhs.flow_matrix, rhs, rhs.is_linear, b,
                          initial.packed(), t_grid, method)
     phi = ys[:n].T
     q = ys[n:2 * n].T
@@ -240,34 +242,32 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
     """
     t_grid, dt = uniform_grid(t_grid)
     n = model.n_nodes
-    stiffness, grad = _as_gradient(grad_u, n)
+    stiffness, forces = _as_gradient(grad_u, n)
     v0_init = initial.v0(model)
     y0 = np.concatenate([initial.phi, initial.q, np.zeros(n), [v0_init]])
     cpp = model.c_p * model.p
 
-    flow = None
-    if stiffness is not None:
-        flow = np.zeros((3 * n + 1, 3 * n + 1))
-        flow[:n, n:2 * n] = model.a
-        flow[:n, 2 * n:3 * n] = np.outer(cpp, model.p)
-        flow[:n, 3 * n] = cpp
-        flow[n:2 * n, :n] = -stiffness
-        flow[2 * n:3 * n, :n] = -stiffness
-        flow[2 * n:3 * n, 2 * n:3 * n] = -np.eye(n) / model.tau
-        flow[3 * n, 3 * n] = -1.0 / model.tau
+    flow = np.zeros((3 * n + 1, 3 * n + 1))
+    flow[:n, n:2 * n] = model.a
+    flow[:n, 2 * n:3 * n] = np.outer(cpp, model.p)
+    flow[:n, 3 * n] = cpp
+    flow[n:2 * n, :n] = -stiffness
+    flow[2 * n:3 * n, :n] = -stiffness
+    flow[2 * n:3 * n, 2 * n:3 * n] = -np.eye(n) / model.tau
+    flow[3 * n, 3 * n] = -1.0 / model.tau
 
     def rhs(y):
-        phi, q, mem, yv = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n]
-        dq = -grad(phi)
-        v0 = model.p @ mem + yv
-        dphi = model.a @ q + cpp * v0
-        dmem = dq - mem / model.tau
-        return np.concatenate([dphi, dq, dmem, [-yv / model.tau]])
+        out = flow @ y
+        if forces is not None:
+            force = forces(y[:n])
+            out[n:2 * n] -= force
+            out[2 * n:3 * n] -= force
+        return out
 
     b = np.zeros((3 * n + 1, len(t_grid)))
     if e0 is not None:
         b[3 * n] = e0(t_grid) / model.tau
-    ys, method = _evolve(model, stiffness, flow, rhs, b, y0, t_grid, method)
+    ys, method = _evolve(model, stiffness, flow, rhs, forces is None, b, y0, t_grid, method)
     phi = ys[:n].T
     q = ys[n:2 * n].T
     v0 = ys[2 * n:3 * n].T @ model.p + ys[3 * n]
@@ -318,7 +318,8 @@ class LadderSystem:
         from scipy.linalg import cho_factor, cho_solve  # loaded at first use
         self._head_inv = cho_solve(cho_factor(head), np.eye(n + 1))
         self._k_line = 1.0 / (line.ell * self.dx)
-        self._k_circ = stiffness_matrix(topology) if topology.is_linear else None
+        self._k_circ, self._forces = _as_gradient(topology, n)
+        self._kick_dt = None
         self.dim = n + 1 + self.n_sections
 
     # -- Hamiltonian structure ------------------------------------------------
@@ -330,10 +331,9 @@ class LadderSystem:
         node j gets k_line (d_{j-1} - d_j), d_j = phi_{j+1} - phi_j."""
         n = self.n_circ
         out = np.empty_like(q) if out is None else out
-        if self._k_circ is not None:
-            np.matmul(self._k_circ, q[:n], out=out[:n])
-        else:
-            out[:n] = potential_gradient(self.topology, q[:n])
+        np.matmul(self._k_circ, q[:n], out=out[:n])
+        if self._forces is not None:
+            out[:n] += self._forces(q[:n])
         line = out[n:]
         np.subtract(q[n + 1:], q[n:-1], out=line[1:])
         np.negative(line[1:2], out=line[:1])
@@ -376,43 +376,33 @@ class LadderSystem:
 
         acc is formed inline from d = diff(q_line): line node j gets
         dt^2 k_line / cell_j (d_{j-1} - d_j), with d_ns = 0 past the far node,
-        and the head block dt^2 head_inv @ [circuit gradient; -k_line d_0].
+        and the head block dt^2 head_inv @ [circuit gradient; -k_line d_0],
+        the circuit gradient being K q plus any junction forces. The scaled
+        head_inv and line factors are built once per dt.
         """
         n = self.n_circ
-        dt2 = dt * dt
         w = np.empty((n + self.n_sections + 1,) + q.shape[1:])
         grad_circ, head_in, d, d_next = w[:n], w[:n + 1], w[n:-1], w[n + 1:]
         w[-1] = 0.0
-        head = dt2 * self._head_inv
-        head[:, n] *= -self._k_line
-        line_inv = (dt2 * self._k_line / self.cells[1:]).reshape((-1,) + (1,) * (q.ndim - 1))
+        if dt != self._kick_dt:
+            head = dt * dt * self._head_inv
+            head[:, n] *= -self._k_line
+            self._kick_dt, self._kick = dt, (head, dt * dt * self._k_line / self.cells[1:])
+        head, line_inv = self._kick
+        line_inv = line_inv.reshape((-1,) + (1,) * (q.ndim - 1))
         q_circ, q_line, q_next = q[:n], q[n:-1], q[n + 1:]
         acc_head, acc_line = acc[:n + 1], acc[n + 1:]
-        k_circ = self._k_circ
+        k_circ, forces = self._k_circ, self._forces
         for _ in range(steps):
             q += u
-            if k_circ is not None:
-                np.matmul(k_circ, q_circ, out=grad_circ)
-            else:
-                grad_circ[...] = potential_gradient(self.topology, q_circ)
+            np.matmul(k_circ, q_circ, out=grad_circ)
+            if forces is not None:
+                grad_circ += forces(q_circ)
             np.subtract(q_next, q_line, out=d)
             np.subtract(d, d_next, out=acc_line)
             acc_line *= line_inv
             np.matmul(head, head_in, out=acc_head)
             u -= acc
-
-    def _to_displacement(self, p, grad, dt):
-        """The opening half-kick: u = dt M^-1 (p - (dt/2) grad)."""
-        u = self.velocities(p - (0.5 * dt) * grad)
-        u *= dt
-        return u
-
-    def _to_momenta(self, u, acc, dt):
-        """Momenta p = M (u + acc/2) / dt at the step where ``drift_kick``
-        left (u, acc): the last kick undone by half."""
-        p = self.momenta(u + 0.5 * acc)
-        p /= dt
-        return p
 
     def leapfrog_step(self, q, p, grad, dt, steps=1):
         """``steps`` kick-drift-kick steps from (q, p), ``grad`` being
@@ -422,15 +412,17 @@ class LadderSystem:
         if steps < 1:
             raise ValidationError(f"leapfrog needs steps >= 1, got {steps}")
         q = q.copy()
-        u = self._to_displacement(p, grad, dt)
+        u = dt * self.velocities(p - (0.5 * dt) * grad)  # the opening half-kick
         acc = np.empty_like(u)
         self.drift_kick(q, u, dt, steps, acc)
-        return q, self._to_momenta(u, acc, dt), self.grad_potential(q)
+        p = self.momenta(u + 0.5 * acc)  # the last kick undone by half
+        p /= dt
+        return q, p, self.grad_potential(q)
 
     def one_step_matrix(self, dt: float) -> np.ndarray:
         """Linear map of one leapfrog step on the stacked state [q, p]: the
         step applied to the identity columns."""
-        if self._k_circ is None:
+        if self._forces is not None:
             raise ValidationError("one-step matrix requires a linear circuit")
         s = np.eye(2 * self.dim)
         q, p = s[:self.dim], s[self.dim:]
@@ -451,7 +443,7 @@ class LadderSystem:
         is carried because B = I + O((omega dt)^2) on the slow modes, and EU
         with the mass applied, not K U, so U's rounding is not scaled by |K|.
         """
-        if self._k_circ is None:
+        if self._forces is not None:
             raise ValidationError("leapfrog power requires a linear circuit")
         dim = self.dim
         s = np.eye(2 * dim)
@@ -537,12 +529,6 @@ class LadderSystem:
             vel[n + 1:] = line_initial.q_at(x_nodes[1:]) / self.line.c_per_len
         return q_pos, self.momenta(vel)
 
-    def circuit_observables(self, q_pos, p):
-        n = self.n_circ
-        v0 = (self._head_inv @ p[:n + 1])[n]
-        q0 = p[n] - self.cells[0] * v0
-        return q_pos[:n].copy(), p[:n].copy(), q0, v0
-
 
 def ladder_oracle(line: LineParams, n_sections: int, length: float,
                   topology: CircuitTopology, initial: ReducedState, t_grid,
@@ -579,6 +565,7 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
     q0_out = np.empty(n_out)
     v0_out = np.empty(n_out)
     energy = np.empty(n_out)
+    head, head_inv, cells = system._head, system._head_inv, system.cells
 
     # every state the loop makes is checked through its energy below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -587,14 +574,21 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
             raise NumericalPreconditionError(
                 "ladder integration diverged; reduce the initial state: "
                 "its energy is not finite")
-        u = system._to_displacement(p, system.grad_potential(q_pos), dt)
+        u = dt * system.velocities(p - (0.5 * dt) * system.grad_potential(q_pos))
         acc = np.empty_like(u)
+        p_head = p[:n + 1]
         for k in range(n_out):
             if k:
                 system.drift_kick(q_pos, u, dt, n_sub, acc)
-                p = system._to_momenta(u, acc, dt)
-                energy[k] = system.hamiltonian(q_pos, p)
-            phi_out[k], q_out[k], q0_out[k], v0_out[k] = system.circuit_observables(q_pos, p)
+                w = u + 0.5 * acc  # dt M^-1 p: the last kick undone by half
+                w_head, w_line = w[:n + 1], w[n + 1:]
+                p_head = head @ w_head
+                p_head /= dt
+                energy[k] = system.potential(q_pos) + 0.5 * (
+                    p_head @ w_head / dt + cells[1:] @ (w_line * w_line) / (dt * dt))
+            v0 = (head_inv @ p_head)[n]
+            phi_out[k], q_out[k] = q_pos[:n], p_head[:n]
+            q0_out[k], v0_out[k] = p_head[n] - cells[0] * v0, v0
     if not np.all(np.isfinite(energy)):
         raise NumericalPreconditionError("ladder integration diverged; reduce dt")
     scale = max(abs(energy[0]), abs(energy).max() * 1e-12, 1e-300)

@@ -405,6 +405,10 @@ def test_overflow_refusal_raises_no_runtime_warning(tmp_path, capsys, netlist):
                  "reduce the initial state: its energy is not finite", id="lc-phi-huge"),
     pytest.param("jj.net", JOSEPHSON_NETLIST, "--q=1e308,0",
                  "reduce the initial state (size 1e+308) or dt", id="josephson-q-huge"),
+    # the exact stepper's doubling scan overflows part way through the run
+    pytest.param("lc.net", LC_NETLIST.format(couple=0.42857142857142855),
+                 "--phi=1.6659798201792035e+308", "integration diverged at t=1.7",
+                 id="lc-phi-expm-overflow"),
 ])
 def test_simulate_refusal_raises_no_runtime_warning(tmp_path, capsys, name, netlist,
                                                     state, message):
@@ -420,6 +424,34 @@ def test_simulate_refusal_raises_no_runtime_warning(tmp_path, capsys, name, netl
     assert rc == 4
     assert "Warning" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("name, netlist, state", [
+    pytest.param("jj.net", JOSEPHSON_NETLIST, "--phi=5.6144407542332695e+270,199.0",
+                 id="josephson-squares-overflow"),
+    pytest.param("lc.net", LC_NETLIST.format(couple=0.42857142857142855),
+                 "--phi=2.225073858507e-311", id="lc-subnormal-peak"),
+])
+def test_simulate_l2_figure_of_extreme_flux(tmp_path, capsys, name, netlist, state):
+    """A flux whose column squares overflow or underflow: the run raises no
+    RuntimeWarning and either refuses or reports the finite L2 figure that
+    the two trajectory files give."""
+    path = tmp_path / name
+    path.write_text(netlist)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["simulate", str(path), *SIM_FLAGS, "--samples", "51", "--n-sections", "100",
+                   state, "--out", str(out)])
+    assert rc in (0, 4), capsys.readouterr().err
+    if rc == 0:
+        l2 = json.loads((out / "simulate_summary.json").read_text())["phi1_l2_discrepancy"]
+        reduced, ladder = (np.loadtxt(out / f"trajectory_{kind}.csv", delimiter=",",
+                                      skiprows=1)[:, 1] for kind in ("reduced", "ladder"))
+        peak = np.abs(reduced).max()
+        want = np.linalg.norm((ladder - reduced) / peak) / np.linalg.norm(reduced / peak)
+        assert np.isfinite(l2)
+        assert l2 == pytest.approx(want, rel=1e-12)
 
 
 def test_default_sidecars_are_finite_json(tmp_path, capsys):
@@ -523,6 +555,7 @@ def simulate_inputs(draw):
     return name, files, argv, defective
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(simulate_inputs())
 def test_fuzz_simulate_initial_state(case):

@@ -220,6 +220,98 @@ class TestHugeInitialState:
         self.test_ladder_initial_energy()
 
 
+SPLIT_NETLIST = """\
+C 1 4 1.0
+C 2 4 0.7
+C 3 4 1.3
+C 1 2 0.2
+L 1 2 0.9
+J 2 4 0.6 1.0
+J 2 3 0.8 0.5
+COUPLE 0.4
+"""
+
+
+class TestSplitRhs:
+    """The one right-hand side form, flow @ y plus the junction forces,
+    against the former hand-written bodies on a circuit with a linear
+    inductor, a junction to ground and a junction between two nodes."""
+
+    SEEDS = range(5)
+
+    @staticmethod
+    def circuit():
+        from lineport import derive_reduced_model
+        topo = parse_netlist(SPLIT_NETLIST)
+        return topo, derive_reduced_model(topo, 1.5)
+
+    @staticmethod
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("split", [True, False], ids=["topology", "callable"])
+    def test_reduced_rhs_equals_former_body(self, split):
+        from lineport import potential_gradient
+        topo, m = self.circuit()
+        rhs = assemble_rhs(m, topo if split else (lambda phi: potential_gradient(topo, phi)))
+        assert not rhs.is_linear
+        for seed in self.SEEDS:
+            y = np.random.default_rng(seed).normal(size=7)
+            phi, q, q0 = y[:3], y[3:6], y[6]
+            want = np.concatenate([m.cb_inv @ q + m.p * q0, -potential_gradient(topo, phi),
+                                   [-q0 / m.tau - (m.p @ q) / m.z_c]])
+            assert self.close(rhs(y), want)
+
+    def test_langevin_rhs_equals_former_closure(self, monkeypatch):
+        import lineport.reduced_dynamics as rd
+        from lineport import potential_gradient
+        topo, m = self.circuit()
+        captured = {}
+
+        def capture(model, stiffness, flow, f, linear, *args):
+            captured["f"], captured["linear"] = f, linear
+            raise AssertionError("captured")
+        monkeypatch.setattr(rd, "_evolve", capture)
+        with pytest.raises(AssertionError, match="captured"):
+            langevin_form(m, topo, None, ReducedState(phi=np.zeros(3), q=np.zeros(3), q0=0.0),
+                          np.linspace(0.0, 1.0, 11))
+        assert not captured["linear"]
+        cpp = m.c_p * m.p
+        for seed in self.SEEDS:
+            y = np.random.default_rng(seed).normal(size=10)
+            phi, q, mem, yv = y[:3], y[3:6], y[6:9], y[9]
+            dq = -potential_gradient(topo, phi)
+            want = np.concatenate([m.a @ q + cpp * (m.p @ mem + yv), dq, dq - mem / m.tau,
+                                   [-yv / m.tau]])
+            assert self.close(captured["f"](y), want)
+
+    def test_ladder_gradient_equals_potential_gradient(self):
+        from lineport import potential_gradient
+        topo, _ = self.circuit()
+        system = LadderSystem(topo, line_params(2.0, 0.5), 100, 10.0)
+        for seed in self.SEEDS:
+            q = np.random.default_rng(seed).normal(size=system.dim)
+            assert self.close(system.grad_potential(q)[:3], potential_gradient(topo, q[:3]))
+
+    def test_rk4_stage_refuses_flux_overflow(self):
+        topo, m = self.circuit()
+        with pytest.raises(NumericalPreconditionError,
+                           match="junction flux difference overflows at flux size 1e"):
+            integrate(assemble_rhs(m, topo),
+                      ReducedState(phi=[0.0, 1e308, -1e308], q=np.zeros(3), q0=0.0),
+                      np.linspace(0.0, 1.0, 11))
+
+    def test_ladder_kernel_refuses_flux_overflow(self):
+        topo, _ = self.circuit()
+        system = LadderSystem(topo, line_params(2.0, 0.5), 100, 10.0)
+        q, u, acc = np.zeros((3, system.dim))
+        q[:3] = [0.0, 1e308, -1e308]
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericalPreconditionError,
+                match="junction flux difference overflows at flux size 1e"):
+            system.drift_kick(q, u, 0.5 * system.cfl_dt(), 1, acc)
+
+
 class TestPropagateAffine:
     """The doubling scan against the per-sample loop it replaced; the sample
     counts cover one and two passes and both sides of a power of two."""
@@ -533,6 +625,21 @@ class TestLeapfrogKernel:
         assert np.abs(acc - want).max() <= 1e-14 * np.abs(want).max()
         assert np.array_equal(u, u_before - acc)
 
+    def test_kick_operators_follow_dt(self):
+        """The dt-scaled kick operators are kept between calls: a second dt
+        on the same system steps as on a fresh one."""
+        rng = np.random.default_rng(11)
+        q0, u0 = rng.normal(size=(2, self.lc_system().dim))
+        dt = 0.5 * self.lc_system().cfl_dt()
+        used = self.lc_system()
+        used.drift_kick(q0.copy(), u0.copy(), dt, 3, np.empty_like(q0))
+        got = [q0.copy(), u0.copy(), np.empty_like(q0)]
+        used.drift_kick(*got[:2], 0.5 * dt, 3, got[2])
+        want = [q0.copy(), u0.copy(), np.empty_like(q0)]
+        self.lc_system().drift_kick(*want[:2], 0.5 * dt, 3, want[2])
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
     def test_arguments_unchanged(self):
         system = self.lc_system()
         rng = np.random.default_rng(5)
@@ -582,6 +689,61 @@ class TestLeapfrogKernel:
         q = np.zeros(system.dim)
         with pytest.raises(ValidationError, match="steps >= 1"):
             system.leapfrog_step(q, q, q, 0.1, steps=0)
+
+
+class TestLadderSamples:
+    """Each output sample is read off the kernel's own state (u, acc): the
+    energies against M (u + acc/2) / dt through ``momenta`` and
+    ``hamiltonian``, and no per-sample calls of either."""
+
+    CASES = [
+        pytest.param(lc_model(g=0.3, alpha=2.0)[1], ReducedState(phi=[1.0], q=[0.2], q0=-0.1),
+                     id="lc"),
+        pytest.param(parse_netlist(LADDER_JOSEPHSON_NETLIST),
+                     ReducedState(phi=[0.8, -0.3], q=[0.1, 0.0], q0=0.05), id="josephson"),
+    ]
+    LINE = line_params(2.0, 0.5)  # Z_c = 2, v_p = 1
+
+    def run(self, topo, initial, samples):
+        t = np.linspace(0.0, 2 * np.pi, samples)
+        length = 1.12 * self.LINE.v_p * t[-1] / 2
+        return ladder_oracle(self.LINE, 150, length, topo, initial, t), length
+
+    @pytest.mark.parametrize("topo, initial", CASES)
+    def test_energy_matches_hamiltonian(self, topo, initial):
+        traj, length = self.run(topo, initial, 101)
+        system = LadderSystem(topo, self.LINE, 150, length)
+        dt = traj.meta["dt"]
+        n_sub = traj.meta["substeps"] // 100
+        q, p = system.initial_state(initial)
+        energy = [system.hamiltonian(q, p)]
+        u = dt * system.velocities(p - 0.5 * dt * system.grad_potential(q))
+        acc = np.empty_like(u)
+        for _ in range(100):
+            system.drift_kick(q, u, dt, n_sub, acc)
+            energy.append(system.hamiltonian(q, system.momenta(u + 0.5 * acc) / dt))
+        energy = np.array(energy)
+        drift = np.abs(energy - energy[0]).max() / abs(energy[0])
+        assert traj.meta["energy0"] == energy[0]
+        assert traj.meta["energy_drift"] == pytest.approx(drift, rel=1e-12)
+
+    @pytest.mark.parametrize("topo, initial", CASES)
+    def test_no_per_sample_operator_calls(self, topo, initial, monkeypatch):
+        calls = {}
+        for name in ("hamiltonian", "velocities", "momenta"):
+            original = getattr(LadderSystem, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(LadderSystem, name, counted)
+        counts = []
+        for samples in (51, 201):
+            calls.clear()
+            self.run(topo, initial, samples)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert all(c <= 2 for c in counts[0].values()), counts[0]
 
 
 class TestTimeGridChecked:
