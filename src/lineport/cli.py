@@ -25,7 +25,7 @@ from .netlist import derive_reduced_model, invariant_report, parse_netlist_file
 from .reduced_dynamics import (MIN_LADDER_SECTIONS, ReducedState, assemble_rhs,
                                integrate, ladder_oracle)
 from .signals import write_csv
-from .spectral import ENTRY_NAMES, find_poles, pole_locus, transfer_matrix
+from .spectral import ENTRY_NAMES, pole_locus, transfer_matrix
 from .tline import LineInitialState, line_params, thevenin_source
 
 OUT_DIR_ENV = "LINEPORT_OUT"
@@ -120,8 +120,7 @@ def cmd_impulse(args):
     out = _out_dir(args)
     for g in gs:
         spec = transfer_matrix(g, args.alpha, omega_r)
-        ps = find_poles(spec.den, omega_r)
-        t_ref, table, discrepancy = impulse_response_table(spec, t_max, n, ps)
+        t_ref, table, discrepancy = impulse_response_table(spec, t_max, n)
         stem = f"impulse_g{g:g}_alpha{args.alpha:g}"
         for suffix, col in (("", 0), ("_pf", 1)):
             _write(os.path.join(out, f"{stem}{suffix}.csv"), write_csv,
@@ -133,9 +132,9 @@ def cmd_impulse(args):
             "sigma": table["h11"][0].meta["sigma"],
             "alias_bound": max(table[e][0].meta["alias_bound"] for e in table),
             "max_ifft_vs_partial_fractions": discrepancy,
-            "poles": [[s.real, s.imag] for s in ps.poles],
-            "pole_flags": list(ps.flags),
-            "residues": {e: [[r.real, r.imag] for r in residues(spec, e, ps)[1]]
+            "poles": [[s.real, s.imag] for s in spec.poles.poles],
+            "pole_flags": list(spec.poles.flags),
+            "residues": {e: [[r.real, r.imag] for r in residues(spec, e)[1]]
                          for e in table},
         }
         _write(os.path.join(out, f"{stem}.json"), _write_json, sidecar)

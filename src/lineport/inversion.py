@@ -11,7 +11,8 @@ the first three terms of the large-s expansion are therefore subtracted as
 c_m/(s+mu)^m on the contour and added back in closed form, which leaves a
 C^2 remainder and restores fast convergence without windowing. Aliasing is
 controlled by the period choice T >= 20 / (slowest pole decay) and reported
-as an estimated bound.
+as an estimated bound. The poles come from the caller: every entry of a
+transfer matrix shares ``TransferMatrixSpec.poles``, found once per matrix.
 
 ``invert_partial_fractions`` is the independent oracle: residue calculus on
 simple poles, exact up to root-finding precision.
@@ -32,20 +33,10 @@ import numpy as np
 
 from .errors import NumericalPreconditionError, ValidationError
 from .signals import Signal, uniform_grid
-from .spectral import ENTRY_NAMES, PoleSet, TransferMatrixSpec, find_poles
+from .spectral import ENTRY_NAMES, TransferMatrixSpec
 
 MIN_IFFT_SAMPLES = 1024
 MAX_IFFT_SAMPLES = 2 ** 20
-
-
-def _pole_decays(den):
-    den = np.trim_zeros(np.asarray(den, dtype=float), "f")
-    with np.errstate(over="ignore"):
-        if not np.isfinite(den[1:] / den[0]).all():
-            raise NumericalPreconditionError(
-                f"denominator {den.tolist()} puts a pole beyond the float range")
-    poles = np.roots(den)
-    return poles, -poles.real.max(), -poles.real.min()
 
 
 def _markov_parameters(num, den, count=3):
@@ -71,14 +62,15 @@ def _markov_parameters(num, den, count=3):
     return h
 
 
-def bromwich_ifft(num, den, t_max, n_samples=16384, sigma=None,
-                  period=None, mu=None) -> Signal:
-    """Numerically invert the strictly proper rational num/den on [0, t_max].
+def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None) -> Signal:
+    """Numerically invert the strictly proper rational num/den, whose
+    denominator has the roots ``poles``, on [0, t_max].
 
-    sigma defaults to 0.1 * (slowest pole decay) + 1/t_max; the FFT period to
-    max(4 t_max, 20 / slowest decay). Returns the samples on the FFT grid
-    restricted to [0, t_max], with quality metrics (imaginary residue, alias
-    bound, contour parameters) in ``signal.meta``.
+    sigma defaults to 0.1 * (slowest pole decay) + 1/t_max; the FFT period is
+    max(4 t_max, 20 / slowest decay), and the subtracted terms sit at the
+    fastest decay (1/t_max if no pole decays). Returns the samples on the FFT
+    grid restricted to [0, t_max], with quality metrics (imaginary residue,
+    alias bound, contour parameters) in ``signal.meta``.
     """
     if t_max <= 0:
         raise ValidationError("t_max must be positive")
@@ -86,17 +78,16 @@ def bromwich_ifft(num, den, t_max, n_samples=16384, sigma=None,
     if n_samples < MIN_IFFT_SAMPLES or (n_samples & (n_samples - 1)) != 0:
         raise ValidationError(
             f"n_samples must be a power of two >= {MIN_IFFT_SAMPLES}, got {n_samples}")
-    poles, min_decay, max_decay = _pole_decays(den)
+    poles = np.asarray(poles)
+    min_decay, max_decay = -poles.real.max(), -poles.real.min()
     if sigma is None:
         sigma = 0.1 * min_decay + 1.0 / t_max
     if sigma <= poles.real.max():
         raise NumericalPreconditionError(
             f"contour crosses pole: sigma={sigma:g} <= max Re(pole)={poles.real.max():g}")
-    if period is None:
-        period = max(4.0 * t_max, 20.0 / max(min_decay, 1e-300))
+    period = max(4.0 * t_max, 20.0 / max(min_decay, 1e-300))
     dt = period / n_samples
-    if mu is None:
-        mu = max_decay if max_decay > 0 else 1.0 / t_max
+    mu = max_decay if max_decay > 0 else 1.0 / t_max
 
     h1, h2, h3 = _markov_parameters(num, den, 3)
     c1 = h1
@@ -124,36 +115,28 @@ def bromwich_ifft(num, den, t_max, n_samples=16384, sigma=None,
                         "alias_bound": alias_bound})
 
 
-def invert_ifft(spec: TransferMatrixSpec, entry, t_max, n_samples=16384,
-                sigma=None) -> Signal:
+def invert_ifft(spec: TransferMatrixSpec, entry, t_max, n_samples=16384) -> Signal:
     """IFFT inversion of one transfer-matrix entry (see ``bromwich_ifft``)."""
     num, den = spec.entry_rational(entry)
     if spec.relative_degree(entry) <= 0:
         raise ValidationError(
             f"{entry} is not strictly proper at g={spec.g:g}: its impulse "
             "response is distributional (delta(t)); numeric inversion refused")
-    sig = bromwich_ifft(num, den, t_max, n_samples=n_samples, sigma=sigma)
+    sig = bromwich_ifft(num, den, spec.poles.poles, t_max, n_samples=n_samples)
     sig.meta["entry"] = entry
     return sig
 
 
-def residues(spec: TransferMatrixSpec, entry, poles: PoleSet | None = None):
-    """Poles and residues of one entry in physical units: h(t) = sum R exp(s t).
-
-    ``poles`` is ``find_poles(spec.den, spec.omega_r)`` when already at hand;
-    the entries of one transfer matrix share it.
-    """
+def residues(spec: TransferMatrixSpec, entry):
+    """Poles and residues of one entry in physical units: h(t) = sum R exp(s t)."""
     num, den = spec.entry_rational(entry)
-    ps = poles if poles is not None else find_poles(spec.den, spec.omega_r)
-    s = ps.poles
+    s = spec.poles.poles
     r = np.polyval(num, s) / np.polyval(np.polyder(den), s)
-    return s, r, ps
+    return s, r
 
 
-def invert_partial_fractions(spec: TransferMatrixSpec, entry, t_grid,
-                             poles: PoleSet | None = None) -> Signal:
-    """Analytic inversion by residue calculus (simple poles); ``poles`` as in
-    ``residues``.
+def invert_partial_fractions(spec: TransferMatrixSpec, entry, t_grid) -> Signal:
+    """Analytic inversion by residue calculus (simple poles).
 
     A near-double root makes the residue representation ill-conditioned; in
     that case the result falls back to the IFFT inversion with a warning.
@@ -162,8 +145,8 @@ def invert_partial_fractions(spec: TransferMatrixSpec, entry, t_grid,
         raise ValidationError(
             f"{entry} is improper: split off the polynomial part before inversion")
     t_grid = np.asarray(t_grid, dtype=float)
-    s, r, ps = residues(spec, entry, poles)
-    if "near-double-root" in ps.flags:
+    s, r = residues(spec, entry)
+    if "near-double-root" in spec.poles.flags:
         warnings.warn("near-double pole: partial fractions ill-conditioned, "
                       "falling back to IFFT inversion", stacklevel=2)
         sig = invert_ifft(spec, entry, float(t_grid[-1]),
@@ -238,11 +221,10 @@ def respond(spec: TransferMatrixSpec, f1: SourceSpec, f2: SourceSpec,
                         f"delta-dot source in {name} is inadmissible: {entry} has "
                         f"relative degree {spec.relative_degree(entry)} < 2")
     acc = {"h11": None, "h12": None, "h21": None, "h22": None}
-    poles = find_poles(spec.den, spec.omega_r)
     for name, src in sources.items():
         has_regular = src.regular is not None and src.regular.samples.any()
         for entry in columns[name]:
-            s, r, _ = residues(spec, entry, poles)
+            s, r = residues(spec, entry)
             if src.delta_coef != 0.0 or has_regular:
                 h_vals = _impulse_from_residues(s, r, t_grid)
             total = np.zeros(len(t_grid))
@@ -273,19 +255,15 @@ def normalize_max_abs(sig: Signal) -> Signal:
     return out
 
 
-def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=16384,
-                           poles: PoleSet | None = None):
+def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=16384):
     """All four entries by IFFT and by partial fractions on the IFFT grid,
-    with the maximum pairwise discrepancy (used by the CLI); ``poles`` as in
-    ``residues``."""
-    if poles is None:
-        poles = find_poles(spec.den, spec.omega_r)
+    with the maximum pairwise discrepancy (used by the CLI)."""
     table = {}
     discrepancy = 0.0
     t_ref = None
     for entry in ENTRY_NAMES:
         via_ifft = invert_ifft(spec, entry, t_max, n_samples=n_samples)
-        via_pf = invert_partial_fractions(spec, entry, via_ifft.t_grid, poles)
+        via_pf = invert_partial_fractions(spec, entry, via_ifft.t_grid)
         table[entry] = (via_ifft, via_pf)
         discrepancy = max(discrepancy,
                           float(np.abs(via_ifft.samples - via_pf.samples).max()))

@@ -215,9 +215,7 @@ def reduce_ground(full_matrix, ground_index) -> np.ndarray:
     return cb
 
 
-def derive_reduced_model(topology: CircuitTopology, z_c: float,
-                         condition_threshold: float = CONDITION_WARNING_THRESHOLD,
-                         ) -> ReducedModel:
+def derive_reduced_model(topology: CircuitTopology, z_c: float) -> ReducedModel:
     """Assemble the reduced one-port model for a line of impedance ``z_c``."""
     if not (z_c > 0):
         raise ValidationError("characteristic impedance must be positive")
@@ -226,10 +224,10 @@ def derive_reduced_model(topology: CircuitTopology, z_c: float,
     cb = reduce_ground(full, topology.ground)
     warnings = []
     cond = np.linalg.cond(cb)
-    if cond > condition_threshold:
+    if cond > CONDITION_WARNING_THRESHOLD:
         warnings.append(
             f"grounded capacitance matrix condition number {cond:.3g} exceeds "
-            f"{condition_threshold:.3g}; reduced matrices may lose accuracy")
+            f"{CONDITION_WARNING_THRESHOLD:.3g}; reduced matrices may lose accuracy")
     c_c = topology.coupling_capacitance
     # an overflow here is refused just below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):

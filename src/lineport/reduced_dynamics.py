@@ -41,6 +41,10 @@ from .tline import LineInitialState, LineParams
 
 DT_SAFETY_FACTOR = 20.0
 MIN_LADDER_SECTIONS = 100
+#: the ladder's leapfrog step as a fraction of its CFL bound
+LADDER_COURANT = 0.5
+#: largest relative energy drift a ladder run may show
+LADDER_ENERGY_DRIFT_TOL = 0.01
 
 
 @dataclass
@@ -201,7 +205,9 @@ def _evolve(model: ReducedModel, stiffness, flow, f, linear, b, y0, t_grid, meth
     bad = ~np.isfinite(ys).all(axis=0)
     if bad.any():
         k = int(np.argmax(bad))
-        fix = f"the initial state (size {np.abs(y0).max():.3g}) or dt" if k <= 1 else "dt"
+        fix = f"the initial state (size {np.abs(y0).max():.3g})"
+        if method == "rk4":  # the exact expm scan has no step error to blame
+            fix = f"{fix} or dt" if k <= 1 else "dt"
         raise NumericalPreconditionError(
             f"integration diverged at t={t_grid[k]:.6g}: non-finite state; reduce {fix}")
     return ys, method
@@ -533,8 +539,7 @@ class LadderSystem:
 def ladder_oracle(line: LineParams, n_sections: int, length: float,
                   topology: CircuitTopology, initial: ReducedState, t_grid,
                   line_initial: LineInitialState | None = None,
-                  dt: float | None = None, courant: float = 0.5,
-                  energy_drift_tol: float = 0.01) -> Trajectory:
+                  dt: float | None = None) -> Trajectory:
     """Leapfrog the closed ladder+circuit system; return circuit observables.
 
     The requested window must satisfy the no-echo condition
@@ -549,7 +554,7 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
             f"(have {length:g})")
     system = LadderSystem(topology, line, n_sections, length)
     if dt is None:
-        dt = courant * system.cfl_dt()
+        dt = LADDER_COURANT * system.cfl_dt()
     n_sub = max(1, int(np.ceil(dt_out / dt - 1e-12)))
     dt = dt_out / n_sub
     if dt > system.cfl_dt():
@@ -593,9 +598,9 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
         raise NumericalPreconditionError("ladder integration diverged; reduce dt")
     scale = max(abs(energy[0]), abs(energy).max() * 1e-12, 1e-300)
     drift = float(np.abs(energy - energy[0]).max() / scale)
-    if drift > energy_drift_tol:
+    if drift > LADDER_ENERGY_DRIFT_TOL:
         raise NumericalPreconditionError(
-            f"ladder energy drift {drift:.3g} exceeds {energy_drift_tol:.3g}; reduce dt")
+            f"ladder energy drift {drift:.3g} exceeds {LADDER_ENERGY_DRIFT_TOL:.3g}; reduce dt")
     return Trajectory(t_grid=t_grid, phi=phi_out, q=q_out, q0=q0_out, v0=v0_out,
                       meta={"integrator": "leapfrog", "dt": float(dt),
                             "substeps": n_sub * (n_out - 1),

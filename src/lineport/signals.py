@@ -160,19 +160,6 @@ class Trajectory:
     def n_nodes(self) -> int:
         return self.phi.shape[1]
 
-    def signal(self, which="phi", node=0) -> Signal:
-        if which == "phi":
-            samples = self.phi[:, node]
-        elif which == "q":
-            samples = self.q[:, node]
-        elif which == "q0":
-            samples = self.q0
-        elif which == "v0":
-            samples = self.v0
-        else:
-            raise ValidationError(f"unknown trajectory column {which!r}")
-        return Signal.from_samples(self.t_grid, samples)
-
     def to_csv(self, path):
         n = self.n_nodes
         cols = ["t"] + [f"phi{i+1}" for i in range(n)] + [f"q{i+1}" for i in range(n)]

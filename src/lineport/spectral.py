@@ -23,9 +23,9 @@ Newton step; a whole g grid takes one stacked ``eigvals`` call. For every
 """
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -189,7 +189,8 @@ def _poles_of_rows(work, omega_r=1.0, zero_roots=0):
 
     All m companion matrices go to one stacked ``eigvals`` call. As in
     ``np.roots``, the last ``zero_roots`` coefficients (zero in every row)
-    are deflated into exact zero roots. The Newton step runs in the dtype
+    are deflated into exact zero roots; any degree n >= 1 works, down to an
+    empty companion when every root is zero. The Newton step runs in the dtype
     ``eigvals`` returns, as in ``np.roots``; only an all-real row in a batch
     that also holds complex roots is polished in complex arithmetic, whose
     quotient can round one ulp of the step apart from the real one. That is
@@ -198,21 +199,22 @@ def _poles_of_rows(work, omega_r=1.0, zero_roots=0):
     """
     m, n = work.shape[0], work.shape[1] - 1
     k = n - zero_roots
-    companion = np.zeros((m, k, k))
     with np.errstate(over="ignore"):
-        companion[:, 0, :] = -work[:, 1:k + 1] / work[:, :1]
-        bound = (1.0 + np.abs(companion[:, 0, :]).max(axis=1)) * omega_r  # Cauchy
+        top = -work[:, 1:k + 1] / work[:, :1]
+        bound = (1.0 + np.abs(top).max(axis=1, initial=0.0)) * omega_r  # Cauchy
     if not np.all(bound < np.inf):
         lead = work[np.argmin(bound < np.inf), 0]
         raise NumericalPreconditionError(
             f"leading coefficient {lead:g} puts a pole beyond the float range")
-    companion[:, 1:, :-1] = np.eye(k - 1)
+    companion = np.zeros((m, k, k))
+    companion[:, :1, :] = top[:, None]
+    companion[:, 1:, :-1] = np.eye(max(k - 1, 0))
     roots = np.linalg.eigvals(companion)
     if zero_roots:
         roots = np.concatenate((roots, np.zeros((m, zero_roots), roots.dtype)), axis=1)
     polished = _newton_step(work, roots).astype(complex)
-    i, j = zip(*itertools.combinations(range(n), 2))
-    sep = np.abs(polished[:, i] - polished[:, j]).min(axis=1)
+    i, j = np.triu_indices(n, 1)  # every pair of roots; none below degree two
+    sep = np.abs(polished[:, i] - polished[:, j]).min(axis=1, initial=np.inf)
     near_double = sep <= 1e-5 * np.maximum(1.0, np.abs(polished).max(axis=1))
     ordered, all_real = _order_rows(polished)
     return ordered * omega_r, near_double, all_real
@@ -254,7 +256,8 @@ def classify_modes(ps: PoleSet) -> list[str]:
 class TransferMatrixSpec:
     """The four rational entries of H(s) as numerator coefficients in
     x = s/omega_r over the shared denominator p(x), with one physical scale
-    factor per entry: H_e(s) = scale_e * N_e(x) / p(x)."""
+    factor per entry: H_e(s) = scale_e * N_e(x) / p(x). The entries share one
+    pole set, ``poles``, found on first use."""
 
     g: float
     alpha: float
@@ -262,6 +265,10 @@ class TransferMatrixSpec:
     den: np.ndarray
     numerators: dict = field(default_factory=dict)
     scales: dict = field(default_factory=dict)
+
+    @cached_property
+    def poles(self) -> PoleSet:
+        return find_poles(self.den, self.omega_r)
 
     def entry_rational(self, entry) -> tuple[np.ndarray, np.ndarray]:
         """Numerator/denominator coefficients in physical s (descending)."""
@@ -310,7 +317,7 @@ def transfer_eval(spec: TransferMatrixSpec, s) -> np.ndarray:
     x = complex(s) / spec.omega_r
     p = np.polyval(spec.den, x)
     if poly_backward_residual(spec.den, x) <= 1e-12:
-        poles = find_poles(spec.den, spec.omega_r).poles
+        poles = spec.poles.poles
         nearest = poles[np.argmin(np.abs(poles - complex(s)))]
         raise ValidationError(f"evaluation at a pole of H: s={complex(s):g} "
                               f"matches pole {nearest:g}")

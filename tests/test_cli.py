@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import lineport.spectral
 from lineport.cli import MAX_G_POINTS, main
 from lineport.inversion import MAX_IFFT_SAMPLES
 
@@ -182,6 +183,25 @@ class TestImpulse:
         rc = main(["impulse", "--g", "0.3", "--n", "1024"])
         assert rc == 0
         assert (tmp_path / "envout" / "impulse_g0.3_alpha2.csv").exists()
+
+    def test_finds_each_pole_set_once(self, tmp_path, monkeypatch):
+        """All four entries of H share one pole set: impulse finds it once per
+        g, on ``find_poles`` alone."""
+        find_poles = lineport.spectral.find_poles
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return find_poles(*args)
+
+        def refused(*_):
+            raise AssertionError("np.roots called")
+
+        monkeypatch.setattr(lineport.spectral, "find_poles", counted)
+        monkeypatch.setattr(np, "roots", refused)
+        rc = main(["impulse", "--g", "0.3", "--g", "0.8", "--n", "1024", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 2
 
 
 class TestSimulate:
@@ -405,15 +425,18 @@ def test_overflow_refusal_raises_no_runtime_warning(tmp_path, capsys, netlist):
                  "reduce the initial state: its energy is not finite", id="lc-phi-huge"),
     pytest.param("jj.net", JOSEPHSON_NETLIST, "--q=1e308,0",
                  "reduce the initial state (size 1e+308) or dt", id="josephson-q-huge"),
-    # the exact stepper's doubling scan overflows part way through the run
+    # the exact stepper's doubling scan overflows part way through the run;
+    # it has no step error, so the initial state alone is to blame
     pytest.param("lc.net", LC_NETLIST.format(couple=0.42857142857142855),
-                 "--phi=1.6659798201792035e+308", "integration diverged at t=1.7",
-                 id="lc-phi-expm-overflow"),
+                 "--phi=1.6659798201792035e+308",
+                 "integration diverged at t=1.7: non-finite state; "
+                 "reduce the initial state (size 1.67e+308)", id="lc-phi-expm-overflow"),
 ])
 def test_simulate_refusal_raises_no_runtime_warning(tmp_path, capsys, name, netlist,
                                                     state, message):
-    """A huge initial state is refused with the exit-4 message alone: the
-    checked energy and RK4 arithmetic lets no numpy RuntimeWarning escape."""
+    """A huge initial state is refused with the exit-4 message alone, which
+    names the state, not dt alone: the checked energy and RK4 arithmetic lets
+    no numpy RuntimeWarning escape."""
     path = tmp_path / name
     path.write_text(netlist)
     with warnings.catch_warnings():
@@ -424,6 +447,7 @@ def test_simulate_refusal_raises_no_runtime_warning(tmp_path, capsys, name, netl
     assert rc == 4
     assert "Warning" not in err
     assert message in err
+    assert "reduce dt" not in err
 
 
 @pytest.mark.parametrize("name, netlist, state", [

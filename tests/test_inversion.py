@@ -18,22 +18,22 @@ class TestBromwichIfft:
         # 1/(s + 1/tau) <-> exp(-t/tau), the port memory kernel
         tau = 0.6
         sig = bromwich_ifft(np.array([1.0]), np.array([1.0, 1.0 / tau]),
-                            t_max=5.0, n_samples=8192)
+                            np.array([-1.0 / tau]), t_max=5.0, n_samples=8192)
         exact = np.exp(-sig.t_grid / tau)
         assert np.abs(sig.samples - exact).max() <= 1e-6
         assert sig.meta["imag_residual"] <= 1e-8
 
     def test_contour_must_clear_poles(self):
         with pytest.raises(NumericalPreconditionError, match="contour crosses pole"):
-            bromwich_ifft(np.array([1.0]), np.array([1.0, 2.0]), t_max=5.0,
-                          sigma=-3.0)
+            bromwich_ifft(np.array([1.0]), np.array([1.0, 2.0]), np.array([-2.0]),
+                          t_max=5.0, sigma=-3.0)
 
     def test_sample_count_validation(self):
         num, den = np.array([1.0]), np.array([1.0, 1.0])
         with pytest.raises(ValidationError, match="power of two"):
-            bromwich_ifft(num, den, 1.0, n_samples=3000)
+            bromwich_ifft(num, den, np.array([-1.0]), 1.0, n_samples=3000)
         with pytest.raises(ValidationError, match="power of two"):
-            bromwich_ifft(num, den, 1.0, n_samples=512)
+            bromwich_ifft(num, den, np.array([-1.0]), 1.0, n_samples=512)
 
     def test_improper_entry_refused(self):
         # at g=0, h22 = 1: a pure delta(t), not a function
@@ -68,7 +68,7 @@ class TestPartialFractions:
         for entry in ENTRY_NAMES:
             spec = transfer_matrix(0.3, 2.0, omega_r=1.3)
             num_s, den_s = spec.entry_rational(entry)
-            s, r, _ = residues(spec, entry)
+            s, r = residues(spec, entry)
             recon = np.zeros(len(den_s) - 1, dtype=complex)
             for si, ri in zip(s, r):
                 quotient, _ = np.polydiv(den_s.astype(complex), np.array([1.0, -si]))
@@ -81,7 +81,7 @@ class TestPartialFractions:
     def test_conjugate_pairing_keeps_signal_real(self):
         spec = transfer_matrix(0.3, 2.0)
         t = np.linspace(0.0, 10 * TR, 512)
-        s, r, _ = residues(spec, "h11")
+        s, r = residues(spec, "h11")
         complex_sum = np.exp(np.outer(t, s)) @ r
         assert np.abs(complex_sum.imag).max() <= 1e-14 * np.abs(complex_sum.real).max()
 

@@ -79,6 +79,15 @@ class TestFindPoles:
         ps = find_poles(char_poly(g_c, alpha))
         assert "near-double-root" in ps.flags
 
+    @pytest.mark.parametrize("coeffs", [[1.0, 2.0], [2.0, 0.0], [1.0, 3.0, 2.0],
+                                        [1.0, 0.0, 4.0]],
+                             ids=["degree-1", "zero-root", "degree-2-real", "degree-2-pair"])
+    def test_low_degree_against_np_roots(self, coeffs):
+        ps = find_poles(coeffs)
+        want = np.sort(np.roots(coeffs).astype(complex))
+        assert np.sort(ps.poles) == pytest.approx(want, rel=1e-14, abs=1e-300)
+        assert "near-double-root" not in ps.flags
+
 
 class TestClassify:
     def test_mixed(self):
@@ -147,6 +156,11 @@ class TestTransferMatrix:
         ps = find_poles(spec.den)
         with pytest.raises(ValidationError, match="pole"):
             transfer_eval(spec, ps.s1)
+
+    def test_spec_finds_its_poles_once(self):
+        spec = transfer_matrix(0.3, 2.0, omega_r=1.3)
+        assert spec.poles is spec.poles
+        assert np.array_equal(spec.poles.poles, find_poles(spec.den, 1.3).poles)
 
     def test_relative_degrees(self):
         spec = transfer_matrix(0.3, 2.0)
