@@ -67,14 +67,13 @@ class OpenReducedSystem:
 def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
     """State-transition matrix of a linear system at time t.
 
-    Ladder systems take the leapfrog map of round(t/dt) steps of size dt in
-    closed Chebyshev form (``LadderSystem.leapfrog_power``), the backward
-    map for a negative t; closed and open lumped systems use the exact
-    matrix exponential. Nonlinear (Josephson) systems are rejected: the
-    propagator, and with it the commutator check, only exists for linear
-    dynamics.
+    Ladder systems take the leapfrog map of round(t/dt) steps of size dt
+    from one eigendecomposition of the ladder's modes
+    (``LadderSystem.leapfrog_power``), the backward map for a negative t;
+    closed and open lumped systems use the exact matrix exponential.
+    Nonlinear (Josephson) systems are rejected: the propagator, and with it
+    the commutator check, only exists for linear dynamics.
     """
-    from scipy.linalg import expm  # loaded at first use, off the import path
     if not np.isfinite(t):
         raise ValidationError(f"propagator time must be finite, got t={t:g}")
     if dt is not None and not (np.isfinite(dt) and dt > 0):
@@ -92,6 +91,7 @@ def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
             raise ValidationError(f"t={t:g} is not a multiple of dt={dt:g}")
         return Propagator(matrix=system.leapfrog_power(dt, steps), t=t,
                           kind="ladder-leapfrog", dt=dt)
+    from scipy.linalg import expm  # loaded at first use, off the import path
     if isinstance(system, HamiltonianSystem):
         m_inv = np.linalg.inv(system.mass)
         d = len(system.mass)

@@ -8,7 +8,8 @@ Three independent formulations of the same physics live here:
       dQ0/dt  = -Q0/tau - (p.Q)/Z_c + e0(t)/Z_c
   with an exact matrix-exponential stepper for linear circuits (default)
   or classic RK4 when Josephson junctions make the potential nonlinear.
-  Both steppers hold the source e0 linear between grid samples.
+  Both steppers hold the source e0 linear between grid samples and warn
+  when dt does not resolve the fastest scale, junctions' E_J/phi0^2 included.
 
 * ``langevin_form`` evolves the convolution formulation
       dPhi/dt = A Q + B (g * dQ/dt) + w(t),   g(t) = exp(-t/tau),
@@ -22,7 +23,9 @@ Three independent formulations of the same physics live here:
   the closed Hamiltonian system with symplectic leapfrog; with the far end
   open and the no-echo time window it is an independent oracle for the
   reduced model. Each output sample, its energy included, is read off the
-  leapfrog kernel's own state.
+  leapfrog kernel's own buffers, and the kernel allocates nothing after its
+  first call. The N-step map that the commutator check certifies comes from
+  one symmetric eigendecomposition (``LadderSystem.leapfrog_power``).
 """
 from __future__ import annotations
 
@@ -33,9 +36,9 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericalPreconditionError, ValidationError
-from .netlist import (CircuitTopology, ReducedModel, build_capacitance_matrix,
-                      junction_forces, potential_energy, reduce_ground,
-                      stiffness_matrix)
+from .netlist import (CircuitTopology, ReducedModel, _stamp_branches,
+                      build_capacitance_matrix, junction_forces, potential_energy,
+                      reduce_ground, stiffness_matrix)
 from .signals import Signal, Trajectory, uniform_grid
 from .tline import LineInitialState, LineParams
 
@@ -181,15 +184,26 @@ def _rk4(f, b, y0, t_grid):
     return out
 
 
+def _bound_stiffness(grad_u, k):
+    """Stiffness behind the dt warning: K plus each junction's small-signal
+    E_J/phi0^2; None for a callable gradient, whose stiffness is unknown."""
+    if isinstance(grad_u, CircuitTopology):
+        n = grad_u.node_count
+        return k + _stamp_branches(n + 1, [(i, j, e_j / phi0 ** 2) for i, j, e_j, phi0
+                                           in grad_u.junctions])[:n, :n]
+    return None if callable(grad_u) else k
+
+
 def _evolve(model: ReducedModel, stiffness, flow, f, linear, b, y0, t_grid, method):
     """Integrate y' = f(y) + b(t) on ``t_grid``, b sampled in its columns, by
     'expm' on ``flow`` when f is ``linear`` (f(y) = flow @ y) or 'rk4' on f;
-    'auto' takes 'expm' when it can. Returns the state columns and the method."""
+    'auto' takes 'expm' when it can; ``stiffness`` (``_bound_stiffness``,
+    None if unknown) bounds dt in a warning. Returns the columns and method."""
     dt = t_grid[1] - t_grid[0]
     if method == "auto":
         method = "expm" if linear else "rk4"
     # warn where accuracy depends on dt: all but the exact homogeneous stepper
-    if linear and (method != "expm" or b.any()):
+    if stiffness is not None and (method != "expm" or b.any()):
         omega_max = np.sqrt(np.linalg.norm(model.cb_inv, 2)
                             * max(np.linalg.norm(stiffness, 2), 1e-300))
         limit = min(model.tau, 1.0 / omega_max) / DT_SAFETY_FACTOR
@@ -227,8 +241,8 @@ def integrate(rhs: ReducedRhs, initial: ReducedState, t_grid,
     b = np.zeros((2 * n + 1, len(t_grid)))
     if rhs.e0 is not None:
         b[2 * n] = rhs.e0(t_grid) / model.z_c
-    ys, method = _evolve(model, rhs.stiffness, rhs.flow_matrix, rhs, rhs.is_linear, b,
-                         initial.packed(), t_grid, method)
+    ys, method = _evolve(model, _bound_stiffness(rhs.grad_u, rhs.stiffness), rhs.flow_matrix,
+                         rhs, rhs.is_linear, b, initial.packed(), t_grid, method)
     phi = ys[:n].T
     q = ys[n:2 * n].T
     q0 = ys[2 * n]
@@ -273,7 +287,8 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
     b = np.zeros((3 * n + 1, len(t_grid)))
     if e0 is not None:
         b[3 * n] = e0(t_grid) / model.tau
-    ys, method = _evolve(model, stiffness, flow, rhs, forces is None, b, y0, t_grid, method)
+    ys, method = _evolve(model, _bound_stiffness(grad_u, stiffness), flow, rhs, forces is None,
+                         b, y0, t_grid, method)
     phi = ys[:n].T
     q = ys[n:2 * n].T
     v0 = ys[2 * n:3 * n].T @ model.p + ys[3 * n]
@@ -314,18 +329,15 @@ class LadderSystem:
         cells[0] *= 0.5
         cells[-1] *= 0.5
         self.cells = cells
-        head = np.zeros((n + 1, n + 1))
-        head[:n, :n] = cb
-        head[0, 0] += c_c
-        head[0, n] -= c_c
-        head[n, 0] -= c_c
-        head[n, n] = c_c + cells[0]
+        head = _stamp_branches(n + 1, [(1, n + 1, c_c)])  # C_c: node 1 to line node 0
+        head[:n, :n] += cb
+        head[n, n] += cells[0]
         self._head = head
-        from scipy.linalg import cho_factor, cho_solve  # loaded at first use
-        self._head_inv = cho_solve(cho_factor(head), np.eye(n + 1))
+        self._head_l_inv = np.linalg.inv(np.linalg.cholesky(head))  # head = L L^T
+        self._head_inv = self._head_l_inv.T @ self._head_l_inv
         self._k_line = 1.0 / (line.ell * self.dx)
         self._k_circ, self._forces = _as_gradient(topology, n)
-        self._kick_dt = None
+        self._kick_dt = self._diff = None
         self.dim = n + 1 + self.n_sections
 
     # -- Hamiltonian structure ------------------------------------------------
@@ -378,37 +390,42 @@ class LadderSystem:
         """``steps`` leapfrog substeps in displacement form, in place: the
         drift q += u, then the kick u -= acc with acc = dt^2 M^-1 grad U(q),
         u being the step displacement dt M^-1 p at the half step. ``acc`` is
-        left holding the last kick.
+        left holding the last kick. Returns d = diff(q_line) at the final q,
+        the system's buffer, which the next call overwrites.
 
-        acc is formed inline from d = diff(q_line): line node j gets
-        dt^2 k_line / cell_j (d_{j-1} - d_j), with d_ns = 0 past the far node,
-        and the head block dt^2 head_inv @ [circuit gradient; -k_line d_0],
-        the circuit gradient being K q plus any junction forces. The scaled
-        head_inv and line factors are built once per dt.
+        Line node j gets dt^2 k_line / cell_j (d_{j-1} - d_j), d_ns = 0 past
+        the far node; the head block dt^2 head_inv @ [K q_circ + forces;
+        -k_line d_0] is A @ q[:n+2] with K folded into A, plus the junction
+        forces, if any, through A's head_inv part. A and the line factors are
+        built once per dt, d once per state shape.
         """
         n = self.n_circ
-        w = np.empty((n + self.n_sections + 1,) + q.shape[1:])
-        grad_circ, head_in, d, d_next = w[:n], w[:n + 1], w[n:-1], w[n + 1:]
-        w[-1] = 0.0
         if dt != self._kick_dt:
             head = dt * dt * self._head_inv
             head[:, n] *= -self._k_line
-            self._kick_dt, self._kick = dt, (head, dt * dt * self._k_line / self.cells[1:])
-        head, line_inv = self._kick
+            fold = np.empty((n + 1, n + 2))
+            np.matmul(head[:, :n], self._k_circ, out=fold[:, :n])
+            fold[:, n], fold[:, n + 1] = -head[:, n], head[:, n]
+            self._kick_dt = dt
+            self._kick = fold, head[:, :n], dt * dt * self._k_line / self.cells[1:]
+        if self._diff is None or self._diff.shape[1:] != q.shape[1:]:
+            self._diff = np.zeros((self.n_sections + 1,) + q.shape[1:])
+        fold, force_head, line_inv = self._kick
         line_inv = line_inv.reshape((-1,) + (1,) * (q.ndim - 1))
-        q_circ, q_line, q_next = q[:n], q[n:-1], q[n + 1:]
+        d, d_next = self._diff[:-1], self._diff[1:]
+        q_circ, q_head, q_line, q_next = q[:n], q[:n + 2], q[n:-1], q[n + 1:]
         acc_head, acc_line = acc[:n + 1], acc[n + 1:]
-        k_circ, forces = self._k_circ, self._forces
+        forces = self._forces
         for _ in range(steps):
             q += u
-            np.matmul(k_circ, q_circ, out=grad_circ)
+            np.matmul(fold, q_head, out=acc_head)
             if forces is not None:
-                grad_circ += forces(q_circ)
+                acc_head += force_head @ forces(q_circ)
             np.subtract(q_next, q_line, out=d)
             np.subtract(d, d_next, out=acc_line)
             acc_line *= line_inv
-            np.matmul(head, head_in, out=acc_head)
             u -= acc
+        return d
 
     def leapfrog_step(self, q, p, grad, dt, steps=1):
         """``steps`` kick-drift-kick steps from (q, p), ``grad`` being
@@ -440,68 +457,42 @@ class LadderSystem:
         [q, p]; a negative ``steps`` gives the backward map, the leapfrog
         with -dt, and 0 the exact identity.
 
-        The fluxes obey q_{k+1} = 2B q_k - q_{k-1} with B = I + E and
-        E = -(dt^2/2) M^-1 K, so with D = T_N(B) - I, U = U_{N-1}(B)
-        (Chebyshev polynomials of the first and second kind) and EU = E U,
-            S^N = [[I + D, dt U M^-1], [M (2 EU + E EU) / dt, (I + D)^T]].
-        D, U and EU are doubled together, one dim x 3dim product per bit of
-        N, and advanced by one step with E alone on each set bit. D, not T,
-        is carried because B = I + O((omega dt)^2) on the slow modes, and EU
-        with the mass applied, not K U, so U's rounding is not scaled by |K|.
+        All from one symmetric eigendecomposition L^-1 K L^-T = Q diag(lam) Q^T,
+        M = L L^T, whose modes V = L^-T Q and W = M V = L Q have V W^T = I.
+        Leapfrog turns mode k by theta_k = 2 arcsin(dt sqrt(lam_k) / 2) a step:
+            S^N = [[I + V C W^T, dt V diag(sin N theta / sin theta) V^T],
+                   [W diag(-sin N theta sin theta / dt) W^T, I + W C V^T]]
+        with C = diag(-2 sin^2(N theta / 2)), cos N theta - 1 without the
+        cancellation. lam is clipped at 0, so the free line-shift mode gets
+        theta = 0 and sin N theta / sin theta its limit N.
         """
         if self._forces is not None:
             raise ValidationError("leapfrog power requires a linear circuit")
-        dim = self.dim
+        dim, n, l_inv = self.dim, self.n_circ, self._head_l_inv
         s = np.eye(2 * dim)
         if steps == 0:
             return s
         if steps < 0:
             dt, steps = -dt, -steps
-        c = 0.5 * dt * dt
-        work = np.empty((dim, dim))
-
-        def apply_e(x, out):
-            self.velocities(self.grad_potential(x, out=work), out=out)
-            out *= -c
-            return out
-
-        stack = np.empty((dim, 3 * dim))
-        d, u, eu = stack[:, :dim], stack[:, dim:2 * dim], stack[:, 2 * dim:]
-        prod = np.empty_like(stack)
-        e = apply_e(s[:dim, :dim], np.empty((dim, dim)))
-        e_d, e_eu = np.empty((dim, dim)), np.empty((dim, dim))
-        d[...] = e
-        u[...] = s[:dim, :dim]
-        eu[...] = e
-        diag = np.arange(dim)
-        for bit in bin(steps)[3:]:
-            # N -> 2N: T_2N = 2 T_N^2 - I and U_2N-1 = 2 T_N U_N-1
-            np.matmul(d, stack, out=prod)
-            prod += stack
-            prod[:, :dim] += d
-            np.multiply(prod, 2.0, out=stack)
-            if bit == "1":
-                # N -> N+1: U_N = B U_N-1 + T_N and T_N+1 = B T_N - (I - B^2) U_N-1
-                apply_e(d, e_d)
-                apply_e(eu, e_eu)
-                u += eu
-                u += d
-                u[diag, diag] += 1.0
-                d += e
-                d += e_d
-                d += 2.0 * eu
-                d += e_eu
-                eu += e_eu
-                eu += e
-                eu += e_d
-        s[:dim, :dim] += d
-        s[dim:, dim:] += d.T
-        self.velocities(u.T, out=s[:dim, dim:].T)  # U M^-1 = (M^-1 U^T)^T
-        s[:dim, dim:] *= dt
-        apply_e(eu, e_eu)
-        e_eu += 2.0 * eu
-        self.momenta(e_eu, out=s[dim:, :dim])
-        s[dim:, :dim] /= dt
+        root = np.sqrt(self.cells[1:])[:, None]
+        a = self.grad_potential(np.eye(dim))  # K, then L^-1 K L^-T
+        a[:n + 1], a[n + 1:] = l_inv @ a[:n + 1], a[n + 1:] / root
+        a[:, :n + 1], a[:, n + 1:] = a[:, :n + 1] @ l_inv.T, a[:, n + 1:] / root.T
+        lam, modes = np.linalg.eigh(a)
+        half = 0.5 * abs(dt) * np.sqrt(np.maximum(lam, 0.0))
+        if not half.max() < 1.0:
+            raise ValidationError(f"leapfrog unstable: dt={abs(dt):g} exceeds the "
+                                  f"stability bound {2.0 / np.sqrt(lam.max()):g}")
+        v = np.vstack([l_inv.T @ modes[:n + 1], modes[n + 1:] / root])
+        w = self.momenta(v)
+        theta = 2.0 * np.arcsin(half)
+        sin_t, sin_nt = np.sin(theta), np.sin(steps * theta)
+        ratio = np.divide(sin_nt, sin_t, out=np.full(dim, float(steps)), where=sin_t != 0.0)
+        cos_m1 = (v * (-2.0 * np.sin(0.5 * steps * theta) ** 2)) @ w.T
+        s[:dim, :dim] += cos_m1
+        s[dim:, dim:] += cos_m1.T
+        np.matmul(v * (dt * ratio), v.T, out=s[:dim, dim:])
+        np.matmul(w * (-sin_nt * sin_t / dt), w.T, out=s[dim:, :dim])
         return s
 
     def cfl_dt(self) -> float:
@@ -580,17 +571,20 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
                 "ladder integration diverged; reduce the initial state: "
                 "its energy is not finite")
         u = dt * system.velocities(p - (0.5 * dt) * system.grad_potential(q_pos))
-        acc = np.empty_like(u)
+        acc, w = np.empty_like(u), np.empty_like(u)
+        w_head, w_line = w[:n + 1], w[n + 1:]
+        cells_w = np.empty_like(w_line)
         p_head = p[:n + 1]
         for k in range(n_out):
             if k:
-                system.drift_kick(q_pos, u, dt, n_sub, acc)
-                w = u + 0.5 * acc  # dt M^-1 p: the last kick undone by half
-                w_head, w_line = w[:n + 1], w[n + 1:]
+                d = system.drift_kick(q_pos, u, dt, n_sub, acc)
+                np.multiply(acc, 0.5, out=w)
+                w += u  # dt M^-1 p: the last kick undone by half
                 p_head = head @ w_head
                 p_head /= dt
-                energy[k] = system.potential(q_pos) + 0.5 * (
-                    p_head @ w_head / dt + cells[1:] @ (w_line * w_line) / (dt * dt))
+                np.multiply(cells[1:], w_line, out=cells_w)
+                energy[k] = potential_energy(topology, q_pos[:n]) + 0.5 * (
+                    system._k_line * (d @ d) + p_head @ w_head / dt + cells_w @ w_line / (dt * dt))
             v0 = (head_inv @ p_head)[n]
             phi_out[k], q_out[k] = q_pos[:n], p_head[:n]
             q0_out[k], v0_out[k] = p_head[n] - cells[0] * v0, v0

@@ -228,13 +228,17 @@ def find_poles(coeffs, omega_r: float = 1.0) -> PoleSet:
     conjugate symmetry enforced exactly. A vanishing leading coefficient
     (g = 0) degrades gracefully to the quadratic with a 'reduced-order'
     flag; a near-double root is reported with a 'near-double-root' flag and
-    three real roots with 'aperiodic-triple'.
+    three real roots with 'aperiodic-triple'. Below degree one (after that
+    strip) it raises ValidationError.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     flags = []
     if coeffs[0] == 0.0:
         coeffs = coeffs[1:]
         flags.append("reduced-order")
+    if len(coeffs) < 2:
+        degree = "0" if coeffs.any() else "undefined (the zero polynomial)"
+        raise ValidationError(f"find_poles needs a polynomial of degree >= 1, got degree {degree}")
     zero_roots = len(coeffs) - 1 - np.flatnonzero(coeffs)[-1]
     poles, near_double, all_real = _poles_of_rows(coeffs[None, :], omega_r, zero_roots)
     if near_double[0]:

@@ -217,6 +217,22 @@ class TestSimulate:
         assert header == ["t", "phi1", "q1", "q0", "v0"]
         assert data[0, 1] == 1.0  # default excitation
 
+    @pytest.mark.parametrize("t_max, samples, warns", [
+        pytest.param("5", "6", True, id="coarse"),
+        pytest.param(repr(100 * 6 * 2 * np.pi / 2000), "101", False, id="driven-step")])
+    def test_josephson_rk4_dt_warning(self, tmp_path, capsys, t_max, samples, warns):
+        """RK4 on a Josephson circuit warns when dt exceeds the bound that
+        the junction stiffness E_J/phi0^2 enters (0.0286 here), and stays
+        silent at the driven benchmark's step 6 T_r / 2000."""
+        (tmp_path / "jj.net").write_text(JOSEPHSON_NETLIST)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["simulate", str(tmp_path / "jj.net"), "--ell", "2.0",
+                       "--c-per-len", "0.5", "--t-max", t_max, "--samples", samples,
+                       "--n-sections", "100", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert any("does not resolve" in str(w.message) for w in caught) == warns
+
     def test_echo_violation_exit_4(self, tmp_path, capsys):
         net = write_netlist(tmp_path)
         rc = main(["simulate", str(net), "--ell", "1.0", "--c-per-len", "1.0",

@@ -122,8 +122,8 @@ def long_double_leapfrog_power(system, dt, steps):
 
 
 class TestLeapfrogPower:
-    """The Chebyshev-doubled leapfrog map against powers of the one-step
-    matrix, the former route of the ladder propagator."""
+    """The leapfrog map from the ladder's modes against powers of the
+    one-step matrix and a long-double reference."""
 
     @pytest.mark.parametrize("steps", [-3, 0, 1, 2, 3, 7, 64, 65, 1000])
     def test_matches_one_step_matrix_power(self, steps):
@@ -145,6 +145,55 @@ class TestLeapfrogPower:
         cheb = system.leapfrog_power(dt, steps)
         squared = np.linalg.matrix_power(system.one_step_matrix(dt), steps)
         assert np.abs(cheb - exact).max() <= np.abs(squared - exact).max()
+
+    def test_long_run_against_long_double(self):
+        system, params = lc_ladder(n_sections=100, length=8.0)
+        dt, steps = params.t_r / 1000.0, 5000
+        exact = long_double_leapfrog_power(system, dt, steps)
+        got = system.leapfrog_power(dt, steps)
+        assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_free_line_shift_drifts_exactly(self):
+        # a uniform line velocity feels no force (K e = 0): theta = 0 on
+        # this mode, sin N theta / sin theta is N, and q moves by N dt e
+        system, params = lc_ladder(n_sections=150, length=8.0)
+        dt, steps, n = params.t_r / 1000.0, 5000, system.n_circ
+        e = np.zeros(system.dim)
+        e[n:] = 1.0
+        p = system.momenta(e)
+        mapped = system.leapfrog_power(dt, steps) @ np.concatenate([np.zeros(system.dim), p])
+        assert np.abs(mapped[:system.dim] - steps * dt * e).max() <= 1e-12 * steps * dt
+        assert np.abs(mapped[system.dim:] - p).max() <= 1e-12 * np.abs(p).max()
+
+    @pytest.mark.parametrize("planted", [0.0, -1e-13], ids=["zero", "small-negative"])
+    def test_eigenvalue_at_or_below_zero_clipped(self, monkeypatch, planted):
+        """The free mode's eigenvalue rounds to either side of 0; planted at
+        exactly 0 or just below it (relative to the largest), the power
+        stays finite and equal to the unplanted one."""
+        system, params = lc_ladder(n_sections=150, length=8.0)
+        dt, steps = params.t_r / 1000.0, 1000
+        want = system.leapfrog_power(dt, steps)
+        eigh = np.linalg.eigh
+
+        def planted_eigh(a):
+            lam, q = eigh(a)
+            lam[np.argmin(np.abs(lam))] = planted * lam.max()
+            return lam, q
+        monkeypatch.setattr(np.linalg, "eigh", planted_eigh)
+        got = system.leapfrog_power(dt, steps)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    def test_benchmark_size_commutator_residual(self):
+        # the benchmark's 300-section, 5000-step propagator: 3.0e-14 from
+        # the modes, ten times under the bound; Chebyshev doubling gave 3.3e-12
+        system, params = lc_ladder(n_sections=300, length=20.0)
+        prop = propagator_of(system, 5 * params.t_r, dt=params.t_r / 1000.0)
+        assert commutator_residual(prop) <= 3e-13
+
+    def test_unstable_dt_refused(self):
+        system, _ = lc_ladder(n_sections=150, length=8.0)
+        with pytest.raises(ValidationError, match="unstable"):
+            system.leapfrog_power(2.0 * system.cfl_dt(), 5)
 
     def test_nonlinear_circuit_rejected(self):
         from lineport import CircuitTopology

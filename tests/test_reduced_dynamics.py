@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,28 @@ class TestIntegrate:
         t = np.linspace(0.0, 10.0, 21)
         with pytest.warns(UserWarning, match="resolve"):
             integrate(rhs, ReducedState(phi=[1.0], q=[0.0], q0=0.0), t, method="rk4")
+
+    @pytest.mark.parametrize("form", [integrate, langevin_form], ids=["direct", "langevin"])
+    def test_junction_stiffness_sets_the_rk4_dt_bound(self, form):
+        """A junction's small-signal stiffness E_J/phi0^2 enters the dt bound
+        as an inductor would: here it, not tau, sets the bound."""
+        from lineport import CircuitTopology, derive_reduced_model
+        from lineport.reduced_dynamics import DT_SAFETY_FACTOR
+        topo = CircuitTopology(node_count=1, capacitors=((1, 2, 1.0),),
+                               junctions=((1, 2, 100.0, 2.0),), coupling_capacitance=0.4)
+        model = derive_reduced_model(topo, 1.5)
+        inv_omega = 1.0 / np.sqrt(model.cb_inv[0, 0] * 100.0 / 2.0 ** 2)
+        assert inv_omega < model.tau
+        limit = inv_omega / DT_SAFETY_FACTOR
+        initial = ReducedState(phi=[0.3], q=[0.0], q0=0.0)
+        for dt, warns in ((0.99 * limit, False), (1.01 * limit, True)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if form is integrate:
+                    integrate(assemble_rhs(model, topo), initial, np.arange(11) * dt)
+                else:
+                    langevin_form(model, topo, None, initial, np.arange(11) * dt)
+            assert any("does not resolve" in str(w.message) for w in caught) == warns
 
     def test_junctions_use_rk4_and_reject_expm(self):
         from lineport import CircuitTopology, derive_reduced_model, potential_gradient
@@ -624,6 +649,30 @@ class TestLeapfrogKernel:
         want = dt * dt * system.velocities(system.grad_potential(q))
         assert np.abs(acc - want).max() <= 1e-14 * np.abs(want).max()
         assert np.array_equal(u, u_before - acc)
+
+    @pytest.mark.parametrize("topo", [
+        pytest.param(lc_model(g=0.3, alpha=2.0)[1], id="lc"),
+        pytest.param(parse_netlist(LADDER_JOSEPHSON_NETLIST), id="josephson")])
+    def test_second_call_allocates_no_state(self, topo):
+        """The kernel's d buffer is kept on the system per state shape: a
+        second call allocates nothing state-sized and returns the same
+        buffer, holding diff(q_line) at the final q."""
+        system = LadderSystem(topo, line_params(2.0, 0.5), 4000, 10.0)
+        rng = np.random.default_rng(12)
+        q, u = rng.normal(size=(2, system.dim))
+        u *= 1e-3
+        dt = 0.5 * system.cfl_dt()
+        acc = np.empty_like(q)
+        first = system.drift_kick(q, u, dt, 2, acc)
+        tracemalloc.start()
+        try:
+            second = system.drift_kick(q, u, dt, 2, acc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < q.nbytes // 4
+        assert second.base is first.base
+        assert np.array_equal(second, np.diff(q[system.n_circ:]))
 
     def test_kick_operators_follow_dt(self):
         """The dt-scaled kick operators are kept between calls: a second dt

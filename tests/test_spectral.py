@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,14 @@ class TestFindPoles:
         want = np.sort(np.roots(coeffs).astype(complex))
         assert np.sort(ps.poles) == pytest.approx(want, rel=1e-14, abs=1e-300)
         assert "near-double-root" not in ps.flags
+
+    @pytest.mark.parametrize("coeffs, degree", [
+        ([3.0], "degree 0"), ([0.0, 1.0], "degree 0"),
+        ([0.0, 0.0], "degree undefined (the zero polynomial)")],
+        ids=["constant", "constant-after-strip", "zero-polynomial"])
+    def test_below_degree_one_refused(self, coeffs, degree):
+        with pytest.raises(ValidationError, match=r"degree >= 1, got " + re.escape(degree)):
+            find_poles(coeffs)
 
 
 class TestClassify:
