@@ -107,7 +107,7 @@ def cmd_impulse(args):
         raise InputError(f"--n must be at least {MIN_IFFT_SAMPLES}, got {n}")
     if n > MAX_IFFT_SAMPLES:
         raise InputError(f"--n must be at most {MAX_IFFT_SAMPLES}, got {n}")
-    omega_r = 1.0 if args.normalized else args.omega_r
+    omega_r = args.omega_r
     if not OMEGA_R_RANGE[0] <= omega_r <= OMEGA_R_RANGE[1]:
         raise NumericalPreconditionError(
             f"--omega-r {omega_r:g} lies outside [{OMEGA_R_RANGE[0]:g}, {OMEGA_R_RANGE[1]:g}], "
@@ -274,8 +274,6 @@ def build_parser():
                    help="repeatable; default 0.3 0.8")
     p.add_argument("--alpha", type=_positive_float, default=2.0)
     p.add_argument("--omega-r", type=_positive_float, default=1.0)
-    p.add_argument("--normalized", action="store_true",
-                   help="force omega_r = 1 normalized units")
     p.add_argument("--t-max", type=_positive_float, default=None,
                    help="default 10 T_r")
     p.add_argument("--n", type=int, default=16384)

@@ -72,6 +72,7 @@ def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None) -> Signal
     grid restricted to [0, t_max], with quality metrics (imaginary residue,
     alias bound, contour parameters) in ``signal.meta``.
     """
+    h1, h2, h3 = _markov_parameters(num, den, 3)  # refuses an improper num/den
     if t_max <= 0:
         raise ValidationError("t_max must be positive")
     n_samples = int(n_samples)
@@ -89,7 +90,6 @@ def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None) -> Signal
     dt = period / n_samples
     mu = max_decay if max_decay > 0 else 1.0 / t_max
 
-    h1, h2, h3 = _markov_parameters(num, den, 3)
     c1 = h1
     c2 = h2 + c1 * mu
     c3 = h3 + 2.0 * c2 * mu - c1 * mu * mu
@@ -116,12 +116,9 @@ def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None) -> Signal
 
 
 def invert_ifft(spec: TransferMatrixSpec, entry, t_max, n_samples=16384) -> Signal:
-    """IFFT inversion of one transfer-matrix entry (see ``bromwich_ifft``)."""
+    """IFFT inversion of one transfer-matrix entry (see ``bromwich_ifft``,
+    which refuses an entry that is not strictly proper)."""
     num, den = spec.entry_rational(entry)
-    if spec.relative_degree(entry) <= 0:
-        raise ValidationError(
-            f"{entry} is not strictly proper at g={spec.g:g}: its impulse "
-            "response is distributional (delta(t)); numeric inversion refused")
     sig = bromwich_ifft(num, den, spec.poles.poles, t_max, n_samples=n_samples)
     sig.meta["entry"] = entry
     return sig
@@ -202,6 +199,28 @@ def _convolve_trapezoid(h, f, dt):
     return dt * full
 
 
+def _entry_response(spec: TransferMatrixSpec, entry, name, src: SourceSpec, t_grid, dt):
+    """Response of one ``entry`` to the source ``name``: its delta and
+    delta-dot terms from the residues, its regular part by a trapezoid
+    convolution."""
+    if src.ddelta_coef != 0.0 and spec.relative_degree(entry) < 2:
+        raise ValidationError(
+            f"delta-dot source in {name} is inadmissible: {entry} has "
+            f"relative degree {spec.relative_degree(entry)} < 2")
+    s, r = residues(spec, entry)
+    has_regular = src.regular is not None and src.regular.samples.any()
+    if src.delta_coef != 0.0 or has_regular:
+        h_vals = _impulse_from_residues(s, r, t_grid)
+    total = np.zeros(len(t_grid))
+    if src.delta_coef != 0.0:
+        total += src.delta_coef * h_vals
+    if src.ddelta_coef != 0.0:
+        total += src.ddelta_coef * _impulse_from_residues(s, r, t_grid, derivative=True)
+    if has_regular:
+        total += _convolve_trapezoid(h_vals, src.regular(t_grid, extend="zero"), dt)
+    return total
+
+
 def respond(spec: TransferMatrixSpec, f1: SourceSpec, f2: SourceSpec,
             t_grid) -> tuple[Signal, Signal]:
     """Responses Phi_1 = h11*f1 + h12*f2 and V_0 = h21*f1 + h22*f2.
@@ -211,35 +230,9 @@ def respond(spec: TransferMatrixSpec, f1: SourceSpec, f2: SourceSpec,
     meets h22 of relative degree one and therefore must not carry one.
     """
     t_grid, dt = uniform_grid(t_grid)
-    sources = {"f1": f1, "f2": f2}
-    columns = {"f1": ("h11", "h21"), "f2": ("h12", "h22")}
-    for name, src in sources.items():
-        if src.ddelta_coef != 0.0:
-            for entry in columns[name]:
-                if spec.relative_degree(entry) < 2:
-                    raise ValidationError(
-                        f"delta-dot source in {name} is inadmissible: {entry} has "
-                        f"relative degree {spec.relative_degree(entry)} < 2")
-    acc = {"h11": None, "h12": None, "h21": None, "h22": None}
-    for name, src in sources.items():
-        has_regular = src.regular is not None and src.regular.samples.any()
-        for entry in columns[name]:
-            s, r = residues(spec, entry)
-            if src.delta_coef != 0.0 or has_regular:
-                h_vals = _impulse_from_residues(s, r, t_grid)
-            total = np.zeros(len(t_grid))
-            if src.delta_coef != 0.0:
-                total += src.delta_coef * h_vals
-            if src.ddelta_coef != 0.0:
-                total += src.ddelta_coef * _impulse_from_residues(s, r, t_grid,
-                                                                  derivative=True)
-            if has_regular:
-                f_vals = src.regular(t_grid, extend="zero")
-                total += _convolve_trapezoid(h_vals, f_vals, dt)
-            acc[entry] = total
-    phi1 = Signal.from_samples(t_grid, acc["h11"] + acc["h12"])
-    v0 = Signal.from_samples(t_grid, acc["h21"] + acc["h22"])
-    return phi1, v0
+    h11, h21 = (_entry_response(spec, entry, "f1", f1, t_grid, dt) for entry in ("h11", "h21"))
+    h12, h22 = (_entry_response(spec, entry, "f2", f2, t_grid, dt) for entry in ("h12", "h22"))
+    return Signal.from_samples(t_grid, h11 + h12), Signal.from_samples(t_grid, h21 + h22)
 
 
 def normalize_max_abs(sig: Signal) -> Signal:

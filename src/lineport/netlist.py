@@ -29,13 +29,21 @@ PHI0_JOSEPHSON = _hbar / (2.0 * _e_charge)
 
 CONDITION_WARNING_THRESHOLD = 1e12
 
+#: netlist letter -> CircuitTopology field, line syntax, value names, and the
+#: defaults of the trailing values a branch may omit (a junction's flux scale)
+ELEMENT_KINDS = {
+    "C": ("capacitors", "i j value", ("capacitance",), ()),
+    "L": ("inductors", "i j value", ("inductance",), ()),
+    "J": ("junctions", "i j E_J [phi0]", ("junction energy", "flux scale"), (PHI0_JOSEPHSON,)),
+}
+
 
 @dataclass(frozen=True)
 class CircuitTopology:
     """Node/branch description of the lumped circuit plus its line coupling.
 
     capacitors/inductors are (i, j, value) with node indices in 1..N+1
-    (N+1 = ground); junctions are (i, j, josephson_energy, flux_scale).
+    (N+1 = ground); junctions are (i, j, josephson_energy[, flux_scale]).
     Node 0 never appears in branch lists: it couples only through
     ``coupling_capacitance``.
     """
@@ -53,27 +61,18 @@ class CircuitTopology:
         if not (0.0 < self.coupling_capacitance < math.inf):
             raise ValidationError("coupling capacitance C_c must be positive and finite, "
                                   f"got {self.coupling_capacitance!r}")
-        object.__setattr__(self, "capacitors", tuple(tuple(c) for c in self.capacitors))
-        object.__setattr__(self, "inductors", tuple(tuple(l) for l in self.inductors))
-        junctions = []
-        for jn in self.junctions:
-            if len(jn) == 3:
-                jn = (*jn, PHI0_JOSEPHSON)
-            junctions.append(tuple(jn))
-        object.__setattr__(self, "junctions", tuple(junctions))
-        for i, j, c in self.capacitors:
-            self._check_branch(i, j, "capacitor")
-            if not (0.0 < c < math.inf):
-                raise ValidationError(f"capacitance must be positive and finite, got {c!r}")
-        for i, j, l in self.inductors:
-            self._check_branch(i, j, "inductor")
-            if not (0.0 < l < math.inf):
-                raise ValidationError(f"inductance must be positive and finite, got {l!r}")
-        for i, j, ej, phi0 in self.junctions:
-            self._check_branch(i, j, "junction")
-            if not (0.0 < ej < math.inf and 0.0 < phi0 < math.inf):
-                raise ValidationError("junction energy and flux scale must be positive "
-                                      f"and finite, got {ej!r} and {phi0!r}")
+        for field_name, _, names, defaults in ELEMENT_KINDS.values():
+            branches = []
+            for i, j, *values in getattr(self, field_name):
+                # the values left out take the trailing defaults
+                values += defaults[len(defaults) + len(values) - len(names):]
+                self._check_branch(i, j, field_name[:-1])  # "capacitors" -> "capacitor"
+                for name, value in zip(names, values, strict=True):
+                    if not (0.0 < value < math.inf):
+                        raise ValidationError(
+                            f"{name} must be positive and finite, got {value!r}")
+                branches.append((i, j, *values))
+            object.__setattr__(self, field_name, tuple(branches))
 
     def _check_branch(self, i, j, kind):
         n = self.node_count
@@ -349,7 +348,7 @@ def parse_netlist(text: str) -> CircuitTopology:
 
     '#' starts a comment; blank lines are ignored.
     """
-    capacitors, inductors, junctions = [], [], []
+    elements = {field_name: [] for field_name, *_ in ELEMENT_KINDS.values()}
     couple = None
     ground_spec = None
     max_node = 0
@@ -376,23 +375,16 @@ def parse_netlist(text: str) -> CircuitTopology:
             continue
         tokens = line.split()
         kind = tokens[0].upper()
-        if kind in ("C", "L"):
-            if len(tokens) != 4:
-                raise NetlistParseError(f"{kind} line needs 'i j value'", line_no)
+        if kind in ELEMENT_KINDS:
+            field_name, syntax, names, defaults = ELEMENT_KINDS[kind]
+            if not len(names) - len(defaults) <= len(tokens) - 3 <= len(names):
+                raise NetlistParseError(f"{kind} line needs '{syntax}'", line_no)
             i = parse_node(tokens[1], line_no)
             j = parse_node(tokens[2], line_no)
-            value = parse_float(tokens[3], line_no, "element value")
-            (capacitors if kind == "C" else inductors).append((i, j, value))
-            max_node = max(max_node, i, j)
-        elif kind == "J":
-            if len(tokens) not in (4, 5):
-                raise NetlistParseError("J line needs 'i j E_J [phi0]'", line_no)
-            i = parse_node(tokens[1], line_no)
-            j = parse_node(tokens[2], line_no)
-            ej = parse_float(tokens[3], line_no, "junction energy")
-            phi0 = (parse_float(tokens[4], line_no, "flux scale")
-                    if len(tokens) == 5 else PHI0_JOSEPHSON)
-            junctions.append((i, j, ej, phi0))
+            # a one-value element's value is the "element value" in messages
+            values = [parse_float(token, line_no, name if len(names) > 1 else "element value")
+                      for token, name in zip(tokens[3:], names)]
+            elements[field_name].append((i, j, *values))
             max_node = max(max_node, i, j)
         elif kind == "COUPLE":
             if len(tokens) != 2:
@@ -414,13 +406,8 @@ def parse_netlist(text: str) -> CircuitTopology:
         if ground != max_node:
             raise NetlistParseError(
                 f"ground must be the highest node index ({max_node})", ground_spec[1])
-    return CircuitTopology(
-        node_count=max_node - 1,
-        capacitors=tuple(capacitors),
-        inductors=tuple(inductors),
-        junctions=tuple(junctions),
-        coupling_capacitance=couple,
-    )
+    return CircuitTopology(node_count=max_node - 1, coupling_capacitance=couple,
+                           **{name: tuple(branches) for name, branches in elements.items()})
 
 
 def parse_netlist_file(path) -> CircuitTopology:

@@ -74,18 +74,22 @@ class ReducedState:
 
 
 def _as_gradient(grad_u, n):
-    """grad U as (linear stiffness K, junction forces or None); see ReducedRhs."""
+    """grad U as (linear stiffness K, junction forces or None, the stiffness
+    that bounds dt: K plus each junction's small-signal E_J/phi0^2 stamped as
+    an inductor, None for a callable, whose stiffness is unknown)."""
     forces = None
     if isinstance(grad_u, CircuitTopology):
         k = stiffness_matrix(replace(grad_u, junctions=()))  # the linear inductors
         forces = None if grad_u.is_linear else partial(junction_forces, grad_u)
+        bound = k + _stamp_branches(len(k) + 1, [(i, j, e_j / phi0 ** 2) for i, j, e_j, phi0
+                                                 in grad_u.junctions])[:-1, :-1]
     elif callable(grad_u):
-        k, forces = np.zeros((n, n)), grad_u
+        k, forces, bound = np.zeros((n, n)), grad_u, None
     else:
-        k = np.asarray(grad_u, dtype=float)
+        k = bound = np.asarray(grad_u, dtype=float)
     if k.shape != (n, n):
         raise ValidationError(f"stiffness matrix must be {n}x{n}")
-    return k, forces
+    return k, forces, bound
 
 
 @dataclass
@@ -102,10 +106,12 @@ class ReducedRhs:
     e0: Signal | None = None
     stiffness: np.ndarray = field(init=False)
     forces: object = field(init=False)
+    bound_stiffness: np.ndarray | None = field(init=False)  # see _as_gradient
     flow_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.stiffness, self.forces = _as_gradient(self.grad_u, self.model.n_nodes)
+        self.stiffness, self.forces, self.bound_stiffness = _as_gradient(
+            self.grad_u, self.model.n_nodes)
         self.flow_matrix = _reduced_flow_matrix(self.model, self.stiffness)
 
     @property
@@ -184,21 +190,11 @@ def _rk4(f, b, y0, t_grid):
     return out
 
 
-def _bound_stiffness(grad_u, k):
-    """Stiffness behind the dt warning: K plus each junction's small-signal
-    E_J/phi0^2; None for a callable gradient, whose stiffness is unknown."""
-    if isinstance(grad_u, CircuitTopology):
-        n = grad_u.node_count
-        return k + _stamp_branches(n + 1, [(i, j, e_j / phi0 ** 2) for i, j, e_j, phi0
-                                           in grad_u.junctions])[:n, :n]
-    return None if callable(grad_u) else k
-
-
 def _evolve(model: ReducedModel, stiffness, flow, f, linear, b, y0, t_grid, method):
     """Integrate y' = f(y) + b(t) on ``t_grid``, b sampled in its columns, by
     'expm' on ``flow`` when f is ``linear`` (f(y) = flow @ y) or 'rk4' on f;
-    'auto' takes 'expm' when it can; ``stiffness`` (``_bound_stiffness``,
-    None if unknown) bounds dt in a warning. Returns the columns and method."""
+    'auto' takes 'expm' when it can; ``stiffness`` (``_as_gradient``'s, None
+    if unknown) bounds dt in a warning. Returns the columns and method."""
     dt = t_grid[1] - t_grid[0]
     if method == "auto":
         method = "expm" if linear else "rk4"
@@ -241,8 +237,8 @@ def integrate(rhs: ReducedRhs, initial: ReducedState, t_grid,
     b = np.zeros((2 * n + 1, len(t_grid)))
     if rhs.e0 is not None:
         b[2 * n] = rhs.e0(t_grid) / model.z_c
-    ys, method = _evolve(model, _bound_stiffness(rhs.grad_u, rhs.stiffness), rhs.flow_matrix,
-                         rhs, rhs.is_linear, b, initial.packed(), t_grid, method)
+    ys, method = _evolve(model, rhs.bound_stiffness, rhs.flow_matrix, rhs, rhs.is_linear, b,
+                         initial.packed(), t_grid, method)
     phi = ys[:n].T
     q = ys[n:2 * n].T
     q0 = ys[2 * n]
@@ -262,7 +258,7 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
     """
     t_grid, dt = uniform_grid(t_grid)
     n = model.n_nodes
-    stiffness, forces = _as_gradient(grad_u, n)
+    stiffness, forces, bound_stiffness = _as_gradient(grad_u, n)
     v0_init = initial.v0(model)
     y0 = np.concatenate([initial.phi, initial.q, np.zeros(n), [v0_init]])
     cpp = model.c_p * model.p
@@ -287,8 +283,8 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
     b = np.zeros((3 * n + 1, len(t_grid)))
     if e0 is not None:
         b[3 * n] = e0(t_grid) / model.tau
-    ys, method = _evolve(model, _bound_stiffness(grad_u, stiffness), flow, rhs, forces is None,
-                         b, y0, t_grid, method)
+    ys, method = _evolve(model, bound_stiffness, flow, rhs, forces is None, b, y0, t_grid,
+                         method)
     phi = ys[:n].T
     q = ys[n:2 * n].T
     v0 = ys[2 * n:3 * n].T @ model.p + ys[3 * n]
@@ -336,7 +332,7 @@ class LadderSystem:
         self._head_l_inv = np.linalg.inv(np.linalg.cholesky(head))  # head = L L^T
         self._head_inv = self._head_l_inv.T @ self._head_l_inv
         self._k_line = 1.0 / (line.ell * self.dx)
-        self._k_circ, self._forces = _as_gradient(topology, n)
+        self._k_circ, self._forces, _ = _as_gradient(topology, n)
         self._kick_dt = self._diff = None
         self.dim = n + 1 + self.n_sections
 

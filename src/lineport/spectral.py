@@ -125,10 +125,6 @@ class PoleSet:
     flags: tuple = ()
 
     @property
-    def normalized(self) -> np.ndarray:
-        return self.poles / self.omega_r
-
-    @property
     def s1(self) -> complex:
         return self.poles[0]
 
@@ -214,8 +210,9 @@ def _poles_of_rows(work, omega_r=1.0, zero_roots=0):
         roots = np.concatenate((roots, np.zeros((m, zero_roots), roots.dtype)), axis=1)
     polished = _newton_step(work, roots).astype(complex)
     i, j = np.triu_indices(n, 1)  # every pair of roots; none below degree two
-    sep = np.abs(polished[:, i] - polished[:, j]).min(axis=1, initial=np.inf)
-    near_double = sep <= 1e-5 * np.maximum(1.0, np.abs(polished).max(axis=1))
+    # each pair's own scale: one far root must not flag the pairs near the origin
+    scale = np.maximum(1.0, np.maximum(np.abs(polished[:, i]), np.abs(polished[:, j])))
+    near_double = (np.abs(polished[:, i] - polished[:, j]) <= 1e-5 * scale).any(axis=1)
     ordered, all_real = _order_rows(polished)
     return ordered * omega_r, near_double, all_real
 
@@ -228,7 +225,9 @@ def find_poles(coeffs, omega_r: float = 1.0) -> PoleSet:
     conjugate symmetry enforced exactly. A vanishing leading coefficient
     (g = 0) degrades gracefully to the quadratic with a 'reduced-order'
     flag; a near-double root is reported with a 'near-double-root' flag and
-    three real roots with 'aperiodic-triple'. Below degree one (after that
+    three real roots with 'aperiodic-triple'; two roots are near-double when
+    their distance is at most 1e-5 of the larger of their magnitudes (floored
+    at 1), so a far root flags no other pair. Below degree one (after that
     strip) it raises ValidationError.
     """
     coeffs = np.asarray(coeffs, dtype=float)

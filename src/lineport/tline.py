@@ -44,7 +44,10 @@ def line_params(ell: float, c_per_len: float) -> LineParams:
 class LineInitialState:
     """Sampled initial profiles phi0(x) [weber] and q0(x) [coulomb/m] on a
     uniform grid x = 0, dx, ..., x_max, with linear interpolation between
-    samples and an explicit out-of-domain policy ('error' or 'zero')."""
+    samples and an explicit out-of-domain policy ('error' or 'zero').
+
+    phi0, q0 and the slope dphi0/dx are held as ``Signal``s in x, which
+    check dx > 0 and finite samples and do the interpolation."""
 
     dx: float
     phi0: np.ndarray
@@ -54,20 +57,14 @@ class LineInitialState:
     def __post_init__(self):
         self.phi0 = np.asarray(self.phi0, dtype=float)
         self.q0 = np.asarray(self.q0, dtype=float)
-        if self.dx <= 0:
-            raise ValidationError("profile spacing dx must be positive")
         if self.phi0.shape != self.q0.shape or self.phi0.ndim != 1 or len(self.phi0) < 3:
             raise ValidationError("profiles must be equal-length 1-D arrays (>= 3 samples)")
-        if not (np.all(np.isfinite(self.phi0)) and np.all(np.isfinite(self.q0))):
-            raise ValidationError("profiles must be finite")
         if self.extend not in ("error", "zero"):
             raise ValidationError(f"unknown extend policy {self.extend!r}")
+        self._phi = Signal(t0=0.0, dt=self.dx, samples=self.phi0)
+        self._q = Signal(t0=0.0, dt=self.dx, samples=self.q0)
         # central differences inside, one-sided at the ends
-        self._phi0_x = np.gradient(self.phi0, self.dx)
-
-    @property
-    def x_grid(self) -> np.ndarray:
-        return self.dx * np.arange(len(self.phi0))
+        self._phi_x = Signal(t0=0.0, dt=self.dx, samples=np.gradient(self.phi0, self.dx))
 
     @property
     def x_max(self) -> float:
@@ -87,7 +84,6 @@ class LineInitialState:
     def from_csv(cls, phi_path=None, q_path=None, extend="error") -> "LineInitialState":
         """Load profiles from two-column CSV files (x, value); either file may
         be omitted, in which case that profile is zero. Grids must agree."""
-        from .signals import Signal
         if phi_path is None and q_path is None:
             raise ValidationError("need at least one profile file")
         phi_sig = Signal.from_csv(phi_path) if phi_path else None
@@ -102,26 +98,22 @@ class LineInitialState:
                    q0=q_sig.samples if q_sig else zeros,
                    extend=extend)
 
-    def _interp(self, values, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= -1e-12 * self.dx) & (x <= self.x_max + 1e-12 * self.dx)
-        if self.extend == "error" and not np.all(inside):
-            bad = float(np.atleast_1d(x)[~np.atleast_1d(inside)][0])
+    def _at(self, profile, x):
+        try:
+            return profile(x, self.extend)
+        except ValidationError as exc:  # worded for a profile in x, not a signal in t
             raise ValidationError(
-                f"position {bad:g} outside sampled profile [0, {self.x_max:g}]; "
-                "supply a longer profile or construct the state with extend='zero'")
-        out = np.interp(x, self.x_grid, values, left=0.0, right=0.0)
-        out = np.where(inside, out, 0.0)
-        return out if out.ndim else float(out)
+                str(exc).replace("time", "position", 1).replace("signal domain", "sampled profile")
+                + "; supply a longer profile or construct the state with extend='zero'") from None
 
     def phi_at(self, x):
-        return self._interp(self.phi0, x)
+        return self._at(self._phi, x)
 
     def q_at(self, x):
-        return self._interp(self.q0, x)
+        return self._at(self._q, x)
 
     def phi_x_at(self, x):
-        return self._interp(self._phi0_x, x)
+        return self._at(self._phi_x, x)
 
 
 def backward_wave(initial: LineInitialState, params: LineParams, t):

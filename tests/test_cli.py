@@ -532,6 +532,32 @@ def test_laplace_commands_load_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+LADDER_SCIPY_FREE_RUN = """\
+import sys
+import numpy as np
+import lineport
+topo = lineport.parse_netlist_file(sys.argv[1])
+line = lineport.line_params(2.0, 0.5)
+system = lineport.LadderSystem(topo, line, 100, 10.0)
+lineport.propagator_of(system, 1.0, dt=0.01)
+initial = lineport.ReducedState(phi=[1.0], q=[0.0], q0=0.0)
+lineport.ladder_oracle(line, 100, 10.0, topo, initial, np.linspace(0.0, 5.0, 51))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_ladder_path_loads_no_scipy(tmp_path):
+    """`LadderSystem`, its leapfrog propagator and `ladder_oracle` run on numpy alone."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LADDER_SCIPY_FREE_RUN,
+                           str(write_netlist(tmp_path))], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # --- fuzzing simulate's initial-state inputs --------------------------------
 # Each draw is (text, defective); a defective input must exit exactly 2. About
 # half the cases draw only well-formed inputs, so the integrators run too.

@@ -41,6 +41,14 @@ class TestBromwichIfft:
         with pytest.raises(ValidationError, match="distributional"):
             invert_ifft(spec, "h22", t_max=10.0)
 
+    @pytest.mark.parametrize("num", [[1.0, 2.0], [1.0, 0.0, 1.0]],
+                             ids=["relative-degree-0", "relative-degree-minus-1"])
+    def test_improper_num_den_refused(self, num):
+        """bromwich_ifft itself refuses an improper num/den: the only such
+        check on the IFFT path."""
+        with pytest.raises(ValidationError, match="distributional"):
+            bromwich_ifft(np.array(num), np.array([1.0, 1.0]), np.array([-1.0]), t_max=5.0)
+
 
 class TestAgainstPartialFractions:
     @pytest.mark.parametrize("g", [0.3, 0.8])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,38 @@ class TestCapacitanceMatrix:
         with pytest.raises(ValidationError, match="node 0"):
             CircuitTopology(node_count=1, capacitors=((0, 1, 1.0),),
                             inductors=((1, 2, 1.0),), coupling_capacitance=1.0)
+
+    @pytest.mark.parametrize("field, kind, values", [
+        ("capacitors", "capacitor", (1.0,)), ("inductors", "inductor", (1.0,)),
+        ("junctions", "junction", (1.0, 1.0))])
+    @pytest.mark.parametrize("nodes, message", [
+        ((2, 2), "{kind} connects node 2 to itself"),
+        ((1, 3), "{kind} node 3 outside 1..2"),
+        ((-1, 2), "{kind} node -1 outside 1..2")], ids=["self-loop", "beyond-ground", "negative"])
+    def test_bad_branch_nodes_refused(self, field, kind, values, nodes, message):
+        kwargs = dict(node_count=1, capacitors=((1, 2, 1.0),),
+                      inductors=((1, 2, 1.0),), coupling_capacitance=1.0)
+        kwargs[field] = ((*nodes, *values),)
+        with pytest.raises(ValidationError, match=f"^{message.format(kind=kind)}$"):
+            CircuitTopology(**kwargs)
+
+    @pytest.mark.parametrize("field, branch, message", [
+        ("capacitors", (1, 2, 0.0), "capacitance must be positive and finite, got 0.0"),
+        ("inductors", (1, 2, -2.0), "inductance must be positive and finite, got -2.0"),
+        ("junctions", (1, 2, -1.0, 1.0), "junction energy must be positive and finite, got -1.0"),
+        ("junctions", (1, 2, 1.0, 0.0), "flux scale must be positive and finite, got 0.0")],
+        ids=["capacitance", "inductance", "junction-energy", "flux-scale"])
+    def test_nonpositive_value_named(self, field, branch, message):
+        kwargs = dict(node_count=1, capacitors=((1, 2, 1.0),),
+                      inductors=((1, 2, 1.0),), coupling_capacitance=1.0)
+        kwargs[field] = (branch,)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            CircuitTopology(**kwargs)
+
+    def test_junction_flux_scale_defaults(self):
+        topo = CircuitTopology(node_count=1, capacitors=((1, 2, 1.0),),
+                               junctions=((1, 2, 3.0),), coupling_capacitance=1.0)
+        assert topo.junctions == ((1, 2, 3.0, PHI0_JOSEPHSON),)
 
 
 class TestReduceGround:
@@ -388,6 +421,18 @@ class TestParser:
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(NetlistParseError, match="line 2"):
             parse_netlist("C 1 2 1.0\nL 1 two 1.0\nCOUPLE 1.0\n")
+
+    @pytest.mark.parametrize("line, syntax", [
+        ("C 1 2", "C line needs 'i j value'"),
+        ("C 1 2 1.0 1.0", "C line needs 'i j value'"),
+        ("L 1 2", "L line needs 'i j value'"),
+        ("L 1 2 1.0 1.0", "L line needs 'i j value'"),
+        ("J 1 2", "J line needs 'i j E_J [phi0]'"),
+        ("J 1 2 1.0 1.0 1.0", "J line needs 'i j E_J [phi0]'")],
+        ids=["C-short", "C-long", "L-short", "L-long", "J-short", "J-long"])
+    def test_wrong_token_count_names_line(self, line, syntax):
+        with pytest.raises(NetlistParseError, match=re.escape(f"line 2: {syntax}")):
+            parse_netlist(f"C 1 2 1.0\n{line}\nL 1 2 1.0\nCOUPLE 1.0\n")
 
     @pytest.mark.parametrize("text, line_no", [
         ("C 1 2 inf\nL 1 2 1.0\nCOUPLE 1.0\n", 1),

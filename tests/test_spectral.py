@@ -81,6 +81,14 @@ class TestFindPoles:
         ps = find_poles(char_poly(g_c, alpha))
         assert "near-double-root" in ps.flags
 
+    @pytest.mark.parametrize("g, alpha", [(1e-100, 2.0), (0.2237, 1e-16), (0.5765, 2.8e-100)])
+    def test_far_root_flags_no_pair(self, g, alpha):
+        """One root far out (-1/(alpha g)) leaves the well-separated pair
+        near the unit circle unflagged: each pair is judged on its own scale."""
+        ps = find_poles(char_poly(g, alpha))
+        assert abs(ps.s1) > 1e15
+        assert "near-double-root" not in ps.flags
+
     @pytest.mark.parametrize("coeffs", [[1.0, 2.0], [2.0, 0.0], [1.0, 3.0, 2.0],
                                         [1.0, 0.0, 4.0]],
                              ids=["degree-1", "zero-root", "degree-2-real", "degree-2-pair"])

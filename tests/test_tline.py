@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,25 @@ class TestBackwardWave:
         strict = LineInitialState(dx=0.01, phi0=state.phi0, q0=state.q0, extend="error")
         with pytest.raises(ValidationError, match="outside sampled profile"):
             backward_wave(strict, lp, 100.0)
+
+
+class TestLineInitialState:
+    @pytest.mark.parametrize("dx, phi0, q0, match", [
+        (0.0, [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], "spacing.* must be positive"),
+        (-0.1, [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], "spacing.* must be positive"),
+        (0.1, [0.0, np.nan, 0.0], [0.0, 0.0, 0.0], "must be finite"),
+        (0.1, [0.0, 1.0, 0.0], [0.0, np.inf, 0.0], "must be finite")],
+        ids=["dx-zero", "dx-negative", "phi0-nan", "q0-inf"])
+    def test_bad_profile_refused(self, dx, phi0, q0, match):
+        with pytest.raises(ValidationError, match=match):
+            LineInitialState(dx=dx, phi0=phi0, q0=q0)
+
+    def test_out_of_domain_message_names_the_position(self):
+        state = LineInitialState(dx=0.5, phi0=[0.0, 1.0, 0.0], q0=[0.0, 0.0, 0.0])
+        with pytest.raises(ValidationError, match=re.escape(
+                "position 1.5 outside sampled profile [0, 1]; supply a longer profile "
+                "or construct the state with extend='zero'")):
+            state.phi_x_at([0.5, 1.5])
 
 
 class TestTheveninSource:
