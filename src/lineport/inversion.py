@@ -70,7 +70,9 @@ def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None) -> Signal
     max(4 t_max, 20 / slowest decay), and the subtracted terms sit at the
     fastest decay (1/t_max if no pole decays). Returns the samples on the FFT
     grid restricted to [0, t_max], with quality metrics (imaginary residue,
-    alias bound, contour parameters) in ``signal.meta``.
+    alias bound, contour parameters) in ``signal.meta``. A period that leaves
+    fewer than two samples on [0, t_max] is refused with
+    ``NumericalPreconditionError``, naming the n_samples that would not.
     """
     h1, h2, h3 = _markov_parameters(num, den, 3)  # refuses an improper num/den
     if t_max <= 0:
@@ -88,6 +90,17 @@ def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None) -> Signal
             f"contour crosses pole: sigma={sigma:g} <= max Re(pole)={poles.real.max():g}")
     period = max(4.0 * t_max, 20.0 / max(min_decay, 1e-300))
     dt = period / n_samples
+    if dt > 2.0 * t_max:  # the second FFT sample already lies beyond t_max
+        need = MIN_IFFT_SAMPLES
+        while need <= MAX_IFFT_SAMPLES and period / need > 2.0 * t_max:
+            need *= 2
+        advice = (f"n_samples (--n) of at least {need} would leave two"
+                  if need <= MAX_IFFT_SAMPLES
+                  else f"no n_samples (--n) up to {MAX_IFFT_SAMPLES} would")
+        raise NumericalPreconditionError(
+            f"slowest pole decay {min_decay:.3g} forces the FFT period 20/decay = "
+            f"{period:.3g}, which leaves fewer than two of {n_samples} samples on "
+            f"[0, t_max = {t_max:.3g}]; {advice}")
     mu = max_decay if max_decay > 0 else 1.0 / t_max
 
     c1 = h1

@@ -61,12 +61,20 @@ class CircuitTopology:
         if not (0.0 < self.coupling_capacitance < math.inf):
             raise ValidationError("coupling capacitance C_c must be positive and finite, "
                                   f"got {self.coupling_capacitance!r}")
-        for field_name, _, names, defaults in ELEMENT_KINDS.values():
+        for field_name, spec, names, defaults in ELEMENT_KINDS.values():
+            kind = field_name[:-1]  # "capacitors" -> "capacitor"
+            least = len(names) - len(defaults)
             branches = []
-            for i, j, *values in getattr(self, field_name):
+            for branch in getattr(self, field_name):
+                if not least + 2 <= len(branch) <= len(names) + 2:
+                    counts = " or ".join(map(str, range(least, len(names) + 1)))
+                    raise ValidationError(
+                        f"{kind} {tuple(branch)!r} needs its two nodes and {counts} "
+                        f"value{'s' * (len(names) > 1)} ({spec})")
+                i, j, *values = branch
                 # the values left out take the trailing defaults
-                values += defaults[len(defaults) + len(values) - len(names):]
-                self._check_branch(i, j, field_name[:-1])  # "capacitors" -> "capacitor"
+                values += defaults[len(values) - least:]
+                self._check_branch(i, j, kind)
                 for name, value in zip(names, values, strict=True):
                     if not (0.0 < value < math.inf):
                         raise ValidationError(

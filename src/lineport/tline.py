@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InputError, ValidationError
 from .signals import Signal
 
 
@@ -83,11 +83,18 @@ class LineInitialState:
     @classmethod
     def from_csv(cls, phi_path=None, q_path=None, extend="error") -> "LineInitialState":
         """Load profiles from two-column CSV files (x, value); either file may
-        be omitted, in which case that profile is zero. Grids must agree."""
+        be omitted, in which case that profile is zero. Grids must agree and
+        start at x = 0 (within 1e-9 dx); a file that starts elsewhere is
+        refused with ``InputError``."""
         if phi_path is None and q_path is None:
             raise ValidationError("need at least one profile file")
         phi_sig = Signal.from_csv(phi_path) if phi_path else None
         q_sig = Signal.from_csv(q_path) if q_path else None
+        for path, sig in ((phi_path, phi_sig), (q_path, q_sig)):
+            if sig is not None and abs(sig.t0) > 1e-9 * sig.dt:
+                raise InputError(
+                    f"profile file {str(path)!r} starts at x = {sig.t0:g}; a profile "
+                    f"starts at the port, x = 0: shift its x column by {-sig.t0:g}")
         ref = phi_sig or q_sig
         if phi_sig and q_sig:
             if len(phi_sig) != len(q_sig) or abs(phi_sig.dt - q_sig.dt) > 1e-12 * ref.dt:

@@ -15,6 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 import lineport.spectral
 from lineport.cli import MAX_G_POINTS, main
 from lineport.inversion import MAX_IFFT_SAMPLES
+from lineport.signals import FLOAT_FMT
 
 LC_NETLIST = """\
 # parallel LC, normalized units
@@ -507,6 +508,49 @@ def test_default_sidecars_are_finite_json(tmp_path, capsys):
         assert sidecars, argv
         for path in sidecars:
             json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_result_files_equal_their_values_rerendered(tmp_path, capsys):
+    """Each CSV of `poles`, `impulse` and `simulate` is byte for byte its
+    parsed values printed again with ``FLOAT_FMT % v``: %.17g round-trips,
+    so this checks the writer's kernel without trusting it."""
+    net = write_netlist(tmp_path)
+    for argv in (["poles"], ["impulse", "--n", "1024"], ["simulate", str(net), *SIM_FLAGS]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    paths = sorted((tmp_path / "out").glob("*.csv"))
+    assert len(paths) == 3 + 4 + 2
+    for path in paths:
+        header, data = read_csv(path)
+        row_fmt = ",".join([FLOAT_FMT] * data.shape[1]) + "\n"
+        rows = "".join(row_fmt % tuple(row) for row in data.tolist())
+        assert path.read_bytes() == f"{','.join(header)}\n{rows}".encode(), path.name
+
+
+def test_shifted_profile_exit_2(tmp_path, capsys):
+    """A profile file whose x column does not start at the port is refused,
+    not read as if it did."""
+    net = write_netlist(tmp_path)
+    profile = tmp_path / "shifted.csv"
+    profile.write_text("x,phi0\n5,0\n6,1\n7,0\n8,0\n")
+    rc = main(["simulate", str(net), *SIM_FLAGS, "--phi0-csv", str(profile),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "shifted.csv' starts at x = 5" in err and "shift its x column by -5" in err
+
+
+@pytest.mark.parametrize("flag", [["--alpha", "1e-9"], ["--g", "0.999999"]],
+                         ids=["alpha-1e-9", "g-0.999999"])
+def test_impulse_period_beyond_t_max_exit_4(tmp_path, capsys, flag):
+    """A pole so slow that the FFT grid leaves one sample on [0, t_max] is
+    refused by its cause, before any numpy RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["impulse", *flag, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "Warning" not in err
+    assert "slowest pole decay" in err and "fewer than two of 16384 samples" in err
 
 
 # In a fresh interpreter, because this test process has loaded scipy already.

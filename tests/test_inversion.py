@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from lineport import (NumericalPreconditionError, ReducedState, Signal,
                       integrate, invert_ifft, invert_partial_fractions,
                       normalize_max_abs, peak_envelope, residues, respond,
                       sources_from_initial, stiffness_matrix, transfer_matrix)
+from lineport.inversion import MAX_IFFT_SAMPLES
 from lineport.spectral import ENTRY_NAMES, LcExampleParams, find_poles
 
 from conftest import lc_model
@@ -48,6 +51,22 @@ class TestBromwichIfft:
         check on the IFFT path."""
         with pytest.raises(ValidationError, match="distributional"):
             bromwich_ifft(np.array(num), np.array([1.0, 1.0]), np.array([-1.0]), t_max=5.0)
+
+    @pytest.mark.parametrize("decay, n, period, advice", [
+        pytest.param(1e-4, 1024, "2e+05", "n_samples (--n) of at least 131072 would leave two",
+                     id="n-1024"),
+        pytest.param(1e-4, 65536, "2e+05", "n_samples (--n) of at least 131072 would leave two",
+                     id="n-65536"),
+        pytest.param(1e-9, 16384, "2e+10", f"no n_samples (--n) up to {MAX_IFFT_SAMPLES} would",
+                     id="beyond-cap")])
+    def test_too_few_samples_refused(self, decay, n, period, advice):
+        """A slow pole stretches the FFT period until [0, t_max] holds one
+        sample; the refusal names the decay, the period and the n needed."""
+        message = (f"slowest pole decay {decay:.3g} forces the FFT period 20/decay = {period}, "
+                   f"which leaves fewer than two of {n} samples on [0, t_max = 1]; {advice}")
+        with pytest.raises(NumericalPreconditionError, match=f"^{re.escape(message)}$"):
+            bromwich_ifft(np.array([1.0]), np.array([1.0, decay]), np.array([-decay]),
+                          t_max=1.0, n_samples=n)
 
 
 class TestAgainstPartialFractions:

@@ -99,6 +99,24 @@ class TestCapacitanceMatrix:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             CircuitTopology(**kwargs)
 
+    @pytest.mark.parametrize("field, branch, message", [
+        ("capacitors", (1, 2), "capacitor (1, 2) needs its two nodes and 1 value (i j value)"),
+        ("inductors", (1, 2, 1.0, 2.0),
+         "inductor (1, 2, 1.0, 2.0) needs its two nodes and 1 value (i j value)"),
+        ("junctions", (1, 2),
+         "junction (1, 2) needs its two nodes and 1 or 2 values (i j E_J [phi0])"),
+        ("junctions", (1, 2, 1.0, 1.0, 1.0),
+         "junction (1, 2, 1.0, 1.0, 1.0) needs its two nodes and 1 or 2 values "
+         "(i j E_J [phi0])"),
+        ("capacitors", (1,), "capacitor (1,) needs its two nodes and 1 value (i j value)")],
+        ids=["capacitor-short", "inductor-long", "junction-short", "junction-long",
+             "one-node"])
+    def test_wrong_value_count_named(self, field, branch, message):
+        kwargs = dict(node_count=1, coupling_capacitance=1.0)
+        kwargs[field] = (branch,)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            CircuitTopology(**kwargs)
+
     def test_junction_flux_scale_defaults(self):
         topo = CircuitTopology(node_count=1, capacitors=((1, 2, 1.0),),
                                junctions=((1, 2, 3.0),), coupling_capacitance=1.0)

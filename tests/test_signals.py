@@ -1,6 +1,7 @@
 import numpy as np
 
-from lineport import PoleLocus, Trajectory, write_csv
+from lineport import PoleLocus, Trajectory, signals, write_csv
+from lineport.signals import FLOAT_FMT
 
 AWKWARD = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, -2.0, 1e22])
 
@@ -40,3 +41,50 @@ def test_writers_share_the_one_format(tmp_path):
     write_csv(tmp_path / "locus_ref.csv", "g,re_s1,im_s1,re_s2,im_s2,re_s3,im_s3",
               (g, *[part for s in branches.T for part in (s.real, s.imag)]))
     assert (tmp_path / "locus.csv").read_bytes() == (tmp_path / "locus_ref.csv").read_bytes()
+
+
+def percent_rows(table):
+    """The rows of ``table`` printed one ``%`` per row: the reference the
+    numpy kernel must match byte for byte."""
+    row_fmt = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    return "".join(row_fmt % tuple(row) for row in table.tolist()).encode()
+
+
+def test_kernel_matches_percent_on_random_bit_patterns():
+    """2**20 raw float64 bit patterns, both signs, every exponent, NaN and
+    infinity included."""
+    rng = np.random.default_rng(16)
+    for _ in range(16):
+        bits = rng.integers(0, 2 ** 64, size=2 ** 16, dtype=np.uint64)
+        table = bits.view(np.float64).reshape(-1, 64)
+        assert signals._format_rows(table) == percent_rows(table)
+
+
+def neighbours(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+EDGES = [
+    0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    2.0 ** 53, 2.0 ** 53 + 2,
+    # decimal exponent X = -5, -4, 16 and 17: the fixed/exponential boundaries
+    1.5e-5, 9.9999999999999991e-05, 1.5e-4, 0.00012345678901234567,
+    1.2345678901234567e16, 99999999999999984.0, 1.5e17, 1.2345678901234567e17,
+    *[u for k in range(-30, 31) for u in neighbours(float(f"1e{k}"))],
+]
+
+
+def test_kernel_matches_percent_on_edge_values():
+    values = np.array(EDGES)
+    table = np.concatenate([values, -values]).reshape(-1, 2)
+    assert signals._format_rows(table) == percent_rows(table)
+
+
+def test_rounding_tie_takes_the_exact_path(tmp_path):
+    """A value whose 17-digit rounding is a true tie is left to ``%``, which
+    rounds half to even."""
+    values = np.array([1234567890123456.75, -1234567890123456.75, 0.1])
+    assert signals._decimal(values)[2].tolist() == [True, True, False]
+    write_csv(tmp_path / "tie.csv", "v", (values,))
+    assert (tmp_path / "tie.csv").read_bytes() == (
+        b"v\n1234567890123456.8\n-1234567890123456.8\n0.10000000000000001\n")

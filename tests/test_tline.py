@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from lineport import (LineInitialState, Signal, ValidationError, backward_wave,
-                      dalembert_eval, forward_wave, line_params, thevenin_source)
+from lineport import (InputError, LineInitialState, Signal, ValidationError,
+                      backward_wave, dalembert_eval, forward_wave, line_params,
+                      thevenin_source)
 
 
 class TestLineParams:
@@ -223,6 +224,15 @@ class TestProfileCsv:
         state = LineInitialState.from_csv(q_path=tmp_path / "q.csv")
         assert not state.phi0.any()
         assert np.all(state.q0 == 1.0)
+
+    @pytest.mark.parametrize("which", ["phi_path", "q_path"])
+    def test_shifted_x_origin_refused(self, tmp_path, which):
+        # read from x = 0, these rows would put the pulse peak at x = 1
+        path = tmp_path / "shifted.csv"
+        path.write_text("x,value\n5,0\n6,1\n7,0\n8,0\n")
+        with pytest.raises(InputError, match=r"'[^']*shifted\.csv' starts at x = 5; "
+                                             r".*shift its x column by -5$"):
+            LineInitialState.from_csv(**{which: path})
 
     def test_mismatched_grids_rejected(self, tmp_path):
         Signal.from_samples(np.linspace(0, 1, 11), np.ones(11)).to_csv(tmp_path / "a.csv")
