@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, LineportError, NumericalPreconditionError, ValidationError
-from .inversion import MAX_IFFT_SAMPLES, MIN_IFFT_SAMPLES, impulse_response_table, residues
+from .inversion import MAX_IFFT_SAMPLES, MIN_IFFT_SAMPLES, impulse_response_table
 from .netlist import derive_reduced_model, invariant_report, parse_netlist_file
 from .reduced_dynamics import (MIN_LADDER_SECTIONS, ReducedState, assemble_rhs,
                                integrate, ladder_oracle)
@@ -117,10 +117,14 @@ def cmd_impulse(args):
         n = 1 << (n - 1).bit_length()
         print(f"warning: n rounded up to the next power of two: {n}", file=sys.stderr)
     t_max = args.t_max if args.t_max is not None else 10.0 * 2.0 * np.pi / omega_r
-    out = _out_dir(args)
+    # every matrix is inverted before the first file is written, so a refused
+    # one leaves no partial output
+    tables = []
     for g in gs:
         spec = transfer_matrix(g, args.alpha, omega_r)
-        t_ref, table, discrepancy = impulse_response_table(spec, t_max, n)
+        tables.append((g, spec, *impulse_response_table(spec, t_max, n)))
+    out = _out_dir(args)
+    for g, spec, t_ref, table, discrepancy in tables:
         stem = f"impulse_g{g:g}_alpha{args.alpha:g}"
         for suffix, col in (("", 0), ("_pf", 1)):
             _write(os.path.join(out, f"{stem}{suffix}.csv"), write_csv,
@@ -134,7 +138,7 @@ def cmd_impulse(args):
             "max_ifft_vs_partial_fractions": discrepancy,
             "poles": [[s.real, s.imag] for s in spec.poles.poles],
             "pole_flags": list(spec.poles.flags),
-            "residues": {e: [[r.real, r.imag] for r in residues(spec, e)[1]]
+            "residues": {e: [[r.real, r.imag] for r in table[e][1].meta["residues"]]
                          for e in table},
         }
         _write(os.path.join(out, f"{stem}.json"), _write_json, sidecar)

@@ -11,11 +11,14 @@ the first three terms of the large-s expansion are therefore subtracted as
 c_m/(s+mu)^m on the contour and added back in closed form, which leaves a
 C^2 remainder and restores fast convergence without windowing. Aliasing is
 controlled by the period choice T >= 20 / (slowest pole decay) and reported
-as an estimated bound. The poles come from the caller: every entry of a
-transfer matrix shares ``TransferMatrixSpec.poles``, found once per matrix.
+as an estimated bound. The unit of work is the transfer matrix: its entries
+share the denominator, poles (``TransferMatrixSpec.poles``, found once per
+matrix), sigma, period and mu, so one contour serves all four (Dubner &
+Abate, J. ACM 15, 1968), while each entry keeps its own arithmetic.
 
 ``invert_partial_fractions`` is the independent oracle: residue calculus on
-simple poles, exact up to root-finding precision.
+simple poles, exact up to root-finding precision, from one exp(s t) table
+per matrix.
 
 ``respond`` assembles (Phi_1, V_0) from the two source terms, each of the
 form  c' * delta_dot(t) + c * delta(t) + regular(t); delta parts contribute
@@ -62,19 +65,36 @@ def _markov_parameters(num, den, count=3):
     return h
 
 
-def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None) -> Signal:
+def _entry_names(entry):
+    """``(names, single)`` for one entry name or a sequence of them."""
+    if isinstance(entry, str):
+        return (entry,), True
+    return tuple(entry), False
+
+
+def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None):
     """Numerically invert the strictly proper rational num/den, whose
     denominator has the roots ``poles``, on [0, t_max].
+
+    ``num`` is one numerator (1-D, one ``Signal`` returned) or a stack of
+    numerators over the shared ``den``, one per row (a list of ``Signal``, one
+    per row). A stack shares one contour: den(s), the (s+mu)^k terms and the
+    exp(sigma t), exp(-mu t) and alias-tail factors are built once, while each
+    row keeps its own subtraction, FFT and products, so every row equals a
+    single-row call bit for bit.
 
     sigma defaults to 0.1 * (slowest pole decay) + 1/t_max; the FFT period is
     max(4 t_max, 20 / slowest decay), and the subtracted terms sit at the
     fastest decay (1/t_max if no pole decays). Returns the samples on the FFT
     grid restricted to [0, t_max], with quality metrics (imaginary residue,
     alias bound, contour parameters) in ``signal.meta``. A period that leaves
-    fewer than two samples on [0, t_max] is refused with
-    ``NumericalPreconditionError``, naming the n_samples that would not.
+    fewer than two samples on [0, t_max], or over which the alias bound is not
+    representable, is refused with ``NumericalPreconditionError``, naming the
+    n_samples or t_max that would not be.
     """
-    h1, h2, h3 = _markov_parameters(num, den, 3)  # refuses an improper num/den
+    nums = np.asarray(num, dtype=float)
+    rows = nums[None] if nums.ndim == 1 else nums
+    markov = [_markov_parameters(row, den, 3) for row in rows]  # refuses an improper num/den
     if t_max <= 0:
         raise ValidationError("t_max must be positive")
     n_samples = int(n_samples)
@@ -103,76 +123,115 @@ def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None) -> Signal
             f"[0, t_max = {t_max:.3g}]; {advice}")
     mu = max_decay if max_decay > 0 else 1.0 / t_max
 
-    c1 = h1
-    c2 = h2 + c1 * mu
-    c3 = h3 + 2.0 * c2 * mu - c1 * mu * mu
-
     omega = 2.0 * np.pi * np.fft.fftfreq(n_samples, d=dt)
     s = sigma + 1j * omega
-    h_on_contour = np.polyval(num, s) / np.polyval(den, s)
-    h_on_contour -= c1 / (s + mu) + c2 / (s + mu) ** 2 + c3 / (s + mu) ** 3
-    g = np.fft.ifft(h_on_contour) / dt
+    den_on_contour = np.polyval(den, s)
+    shifted = s + mu
+    shifted_powers = (shifted, shifted ** 2, shifted ** 3)
     t_all = dt * np.arange(n_samples)
-    keep = t_all <= t_max + 0.5 * dt
-    t = t_all[keep]
-    damp = np.exp(sigma * t)
-    h_vals = damp * g.real[keep] + np.exp(-mu * t) * (c1 + c2 * t + 0.5 * c3 * t * t)
-    imag_residual = float(np.abs(damp * g.imag[keep]).max())
-    tail = np.abs(np.exp(sigma * t_all) * g.real)[int(0.9 * n_samples):]
+    kept = int(np.count_nonzero(t_all <= t_max + 0.5 * dt))  # a prefix of the grid
+    t = t_all[:kept]
+    head_decay = np.exp(-mu * t)
+    tail_start = int(0.9 * n_samples)
+    # exp(sigma t) overflows on the tail first, where it makes the alias
+    # bound non-finite, which is refused before any product is formed
+    with np.errstate(over="ignore"):
+        damp = np.exp(sigma * t)
+        tail_growth = np.exp(sigma * t_all[tail_start:])
     decay_factor = np.exp(-(sigma + min_decay) * period)
-    alias_bound = float(tail.max() * decay_factor / max(1.0 - decay_factor, 1e-16))
-    return Signal(t0=0.0, dt=dt, samples=h_vals,
-                  meta={"sigma": float(sigma), "period": float(period),
-                        "n_samples": n_samples, "mu": float(mu),
-                        "imag_residual": imag_residual,
-                        "alias_bound": alias_bound})
+    signals = []
+    for row, (h1, h2, h3) in zip(rows, markov):
+        c1 = h1
+        c2 = h2 + c1 * mu
+        c3 = h3 + 2.0 * c2 * mu - c1 * mu * mu
+        h_on_contour = np.polyval(row, s)
+        h_on_contour /= den_on_contour
+        h_on_contour -= c1 / shifted_powers[0] + c2 / shifted_powers[1] + c3 / shifted_powers[2]
+        g = np.fft.ifft(h_on_contour)
+        g /= dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = np.abs(tail_growth * g.real[tail_start:])
+            alias_bound = float(tail.max() * decay_factor / max(1.0 - decay_factor, 1e-16))
+        if not np.isfinite(alias_bound):
+            raise _alias_overflow(min_decay, period, sigma, t_max)
+        h_vals = damp * g.real[:kept] + head_decay * (c1 + c2 * t + 0.5 * c3 * t * t)
+        imag_residual = float(np.abs(damp * g.imag[:kept]).max())
+        signals.append(Signal(t0=0.0, dt=dt, samples=h_vals,
+                              meta={"sigma": float(sigma), "period": float(period),
+                                    "n_samples": n_samples, "mu": float(mu),
+                                    "imag_residual": imag_residual,
+                                    "alias_bound": alias_bound}))
+    return signals[0] if nums.ndim == 1 else signals
 
 
-def invert_ifft(spec: TransferMatrixSpec, entry, t_max, n_samples=16384) -> Signal:
-    """IFFT inversion of one transfer-matrix entry (see ``bromwich_ifft``,
-    which refuses an entry that is not strictly proper)."""
-    num, den = spec.entry_rational(entry)
-    sig = bromwich_ifft(num, den, spec.poles.poles, t_max, n_samples=n_samples)
-    sig.meta["entry"] = entry
-    return sig
+def _alias_overflow(min_decay, period, sigma, t_max):
+    """The refusal of a period over which exp(sigma t) leaves the float
+    range. At the default sigma, sigma * period is 2 + 20/(decay t_max) while
+    the decay sets the period and 4 + 0.4 decay t_max once t_max does, so a
+    t_max between the two roots of ``exponent`` keeps the bound finite."""
+    exponent = 700.0  # below log(float max) = 709.78, leaving room for |g|
+    low, high = 20.0 / (min_decay * (exponent - 2.0)), (exponent - 4.0) / (0.4 * min_decay)
+    return NumericalPreconditionError(
+        f"slowest pole decay {min_decay:.3g} and t_max = {t_max:.3g} force the FFT "
+        f"period {period:.3g}, over which the alias-bound factor exp(sigma t), "
+        f"sigma = {sigma:.3g}, overflows; no n_samples (--n) helps, a t_max (--t-max) "
+        f"in [{low:.3g}, {high:.3g}] would keep it finite")
+
+
+def invert_ifft(spec: TransferMatrixSpec, entry, t_max, n_samples=16384):
+    """IFFT inversion of one transfer-matrix entry, or of a sequence of
+    entries on one shared contour, one ``Signal`` per entry (see
+    ``bromwich_ifft``, which refuses an entry that is not strictly proper)."""
+    names, single = _entry_names(entry)
+    rationals = [spec.entry_rational(name) for name in names]
+    width = max(len(num) for num, _ in rationals)
+    nums = np.zeros((len(names), width))  # leading zeros leave polyval's values as they are
+    for row, (num, _) in zip(nums, rationals):
+        row[width - len(num):] = num
+    sigs = bromwich_ifft(nums, rationals[0][1], spec.poles.poles, t_max, n_samples=n_samples)
+    for sig, name in zip(sigs, names):
+        sig.meta["entry"] = name
+    return sigs[0] if single else sigs
 
 
 def residues(spec: TransferMatrixSpec, entry):
-    """Poles and residues of one entry in physical units: h(t) = sum R exp(s t)."""
-    num, den = spec.entry_rational(entry)
+    """Poles and residues in physical units, h(t) = sum R exp(s t): the
+    residues of one entry, or a list of them for a sequence of entries."""
+    names, single = _entry_names(entry)
+    rationals = [spec.entry_rational(name) for name in names]
     s = spec.poles.poles
-    r = np.polyval(num, s) / np.polyval(np.polyder(den), s)
-    return s, r
+    slope = np.polyval(np.polyder(rationals[0][1]), s)
+    r = [np.polyval(num, s) / slope for num, _ in rationals]
+    return s, (r[0] if single else r)
 
 
-def invert_partial_fractions(spec: TransferMatrixSpec, entry, t_grid) -> Signal:
-    """Analytic inversion by residue calculus (simple poles).
+def invert_partial_fractions(spec: TransferMatrixSpec, entry, t_grid):
+    """Analytic inversion by residue calculus (simple poles) of one entry,
+    or of a sequence of entries from one exp(s t) table, one ``Signal`` per
+    entry; each carries its poles and residues in ``meta``.
 
     A near-double root makes the residue representation ill-conditioned; in
     that case the result falls back to the IFFT inversion with a warning.
     """
-    if spec.relative_degree(entry) <= 0:
-        raise ValidationError(
-            f"{entry} is improper: split off the polynomial part before inversion")
+    names, single = _entry_names(entry)
+    for name in names:
+        if spec.relative_degree(name) <= 0:
+            raise ValidationError(
+                f"{name} is improper: split off the polynomial part before inversion")
     t_grid = np.asarray(t_grid, dtype=float)
-    s, r = residues(spec, entry)
+    s, rs = residues(spec, names)
     if "near-double-root" in spec.poles.flags:
         warnings.warn("near-double pole: partial fractions ill-conditioned, "
                       "falling back to IFFT inversion", stacklevel=2)
-        sig = invert_ifft(spec, entry, float(t_grid[-1]),
-                          n_samples=max(16384, MIN_IFFT_SAMPLES))
-        vals = np.interp(t_grid, sig.t_grid, sig.samples)
-        return Signal.from_samples(t_grid, vals)
-    out = Signal.from_samples(t_grid, _impulse_from_residues(s, r, t_grid))
-    out.meta["entry"] = entry
-    out.meta["poles"] = s
-    out.meta["residues"] = r
-    return out
-
-
-def _impulse_from_residues(s, r, t_grid, derivative=False):
-    weights = r * s if derivative else r
-    return np.real(np.exp(np.outer(t_grid, s)) @ weights)
+        sigs = invert_ifft(spec, names, float(t_grid[-1]), n_samples=16384)
+        out = [Signal.from_samples(t_grid, np.interp(t_grid, sig.t_grid, sig.samples))
+               for sig in sigs]
+    else:
+        growth = np.exp(np.outer(t_grid, s))
+        out = [Signal.from_samples(t_grid, np.real(growth @ r)) for r in rs]
+    for sig, name, r in zip(out, names, rs):
+        sig.meta.update(entry=name, poles=s, residues=r)
+    return out[0] if single else out
 
 
 @dataclass
@@ -212,23 +271,24 @@ def _convolve_trapezoid(h, f, dt):
     return dt * full
 
 
-def _entry_response(spec: TransferMatrixSpec, entry, name, src: SourceSpec, t_grid, dt):
-    """Response of one ``entry`` to the source ``name``: its delta and
-    delta-dot terms from the residues, its regular part by a trapezoid
-    convolution."""
+def _entry_response(spec: TransferMatrixSpec, entry, name, src: SourceSpec,
+                    residue, growth, t_grid, dt):
+    """Response of one ``entry``, with residues ``residue`` at the poles
+    whose exp(s t) table on ``t_grid`` is ``growth``, to the source ``name``:
+    its delta and delta-dot terms from the residues, its regular part by a
+    trapezoid convolution."""
     if src.ddelta_coef != 0.0 and spec.relative_degree(entry) < 2:
         raise ValidationError(
             f"delta-dot source in {name} is inadmissible: {entry} has "
             f"relative degree {spec.relative_degree(entry)} < 2")
-    s, r = residues(spec, entry)
     has_regular = src.regular is not None and src.regular.samples.any()
     if src.delta_coef != 0.0 or has_regular:
-        h_vals = _impulse_from_residues(s, r, t_grid)
+        h_vals = np.real(growth @ residue)
     total = np.zeros(len(t_grid))
     if src.delta_coef != 0.0:
         total += src.delta_coef * h_vals
-    if src.ddelta_coef != 0.0:
-        total += src.ddelta_coef * _impulse_from_residues(s, r, t_grid, derivative=True)
+    if src.ddelta_coef != 0.0:  # dh/dt = sum R s exp(s t)
+        total += src.ddelta_coef * np.real(growth @ (residue * spec.poles.poles))
     if has_regular:
         total += _convolve_trapezoid(h_vals, src.regular(t_grid, extend="zero"), dt)
     return total
@@ -236,15 +296,19 @@ def _entry_response(spec: TransferMatrixSpec, entry, name, src: SourceSpec, t_gr
 
 def respond(spec: TransferMatrixSpec, f1: SourceSpec, f2: SourceSpec,
             t_grid) -> tuple[Signal, Signal]:
-    """Responses Phi_1 = h11*f1 + h12*f2 and V_0 = h21*f1 + h22*f2.
+    """Responses Phi_1 = h11*f1 + h12*f2 and V_0 = h21*f1 + h22*f2, from
+    one set of residues and one exp(s t) table for the four entries.
 
     A delta-dot coefficient is admissible only against entries of relative
     degree >= 2 (so that dh/dt exists as a function); the line source f2
     meets h22 of relative degree one and therefore must not carry one.
     """
     t_grid, dt = uniform_grid(t_grid)
-    h11, h21 = (_entry_response(spec, entry, "f1", f1, t_grid, dt) for entry in ("h11", "h21"))
-    h12, h22 = (_entry_response(spec, entry, "f2", f2, t_grid, dt) for entry in ("h12", "h22"))
+    s, rs = residues(spec, ENTRY_NAMES)
+    growth = np.exp(np.outer(t_grid, s))
+    sources = (("f1", f1), ("f2", f2)) * 2  # the columns of h11, h12, h21, h22
+    h11, h12, h21, h22 = (_entry_response(spec, entry, name, src, r, growth, t_grid, dt)
+                          for entry, r, (name, src) in zip(ENTRY_NAMES, rs, sources))
     return Signal.from_samples(t_grid, h11 + h12), Signal.from_samples(t_grid, h21 + h22)
 
 
@@ -262,16 +326,13 @@ def normalize_max_abs(sig: Signal) -> Signal:
 
 
 def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=16384):
-    """All four entries by IFFT and by partial fractions on the IFFT grid,
-    with the maximum pairwise discrepancy (used by the CLI)."""
-    table = {}
-    discrepancy = 0.0
-    t_ref = None
-    for entry in ENTRY_NAMES:
-        via_ifft = invert_ifft(spec, entry, t_max, n_samples=n_samples)
-        via_pf = invert_partial_fractions(spec, entry, via_ifft.t_grid)
-        table[entry] = (via_ifft, via_pf)
-        discrepancy = max(discrepancy,
-                          float(np.abs(via_ifft.samples - via_pf.samples).max()))
-        t_ref = via_ifft.t_grid
+    """All four entries by IFFT, on one contour, and by partial fractions on
+    the IFFT grid, from one exp(s t) table, with the maximum pairwise
+    discrepancy (used by the CLI)."""
+    via_ifft = invert_ifft(spec, ENTRY_NAMES, t_max, n_samples=n_samples)
+    t_ref = via_ifft[0].t_grid
+    via_pf = invert_partial_fractions(spec, ENTRY_NAMES, t_ref)
+    table = dict(zip(ENTRY_NAMES, zip(via_ifft, via_pf)))
+    discrepancy = max(0.0, *(float(np.abs(a.samples - b.samples).max())
+                             for a, b in table.values()))
     return t_ref, table, discrepancy

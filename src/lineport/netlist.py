@@ -321,10 +321,13 @@ def junction_forces(topology: CircuitTopology, phi: np.ndarray, grad=None) -> np
 
 def potential_energy(topology: CircuitTopology, phi) -> float:
     phi = np.asarray(phi, dtype=float)
-    flux = [*phi, 0.0]  # numpy scalars: an overflowing square is inf, not OverflowError
+    flux = [*phi.tolist(), 0.0]  # ground carries zero flux
     u = 0.0
     for i, j, l in topology.inductors:
-        u += 0.5 * (flux[i - 1] - flux[j - 1]) ** 2 / l
+        try:  # ``** 2`` rounds as numpy's scalar square does; ``d * d`` would not
+            u += 0.5 * (flux[i - 1] - flux[j - 1]) ** 2 / l
+        except OverflowError:  # a square beyond the float range
+            u = math.inf
     for i, j, ej, phi0 in topology.junctions:
         try:
             u -= ej * math.cos((flux[i - 1] - flux[j - 1]) / phi0)

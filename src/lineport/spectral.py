@@ -23,6 +23,7 @@ Newton step; a whole g grid takes one stacked ``eigvals`` call. For every
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -348,7 +349,10 @@ class PoleLocus:
     """Branch-tracked poles over a g grid (normalized to omega_r).
 
     ``branches`` has shape (len(g_grid), 3); column k follows one root
-    continuously in g by nearest-neighbor matching. ``transitions`` maps a
+    continuously in g: between consecutive g values the roots are assigned
+    to the branches by the best of the six assignments, the one with the
+    least total displacement; among equal totals the earlier root of the
+    previous g takes the nearer one. ``transitions`` maps a
     branch index to the first g at which its imaginary part vanishes (the
     oscillatory-to-aperiodic transition). Beyond that point the real root
     closest to zero belongs to a branch continued from the formerly
@@ -366,15 +370,53 @@ class PoleLocus:
                   (self.g_grid, re_im.reshape(len(self.g_grid), -1)))
 
 
+_PERMUTATIONS = list(itertools.permutations(range(3)))
+#: the six assignments of three new roots to the three before them, in
+#: lexicographic order (identity first)
+_ASSIGNMENTS = np.array(_PERMUTATIONS)
+#: _COMPOSED[a, b] indexes the assignment _ASSIGNMENTS[a][_ASSIGNMENTS[b]]
+_COMPOSED = np.array([[_PERMUTATIONS.index(tuple(a[i] for i in b)) for b in _PERMUTATIONS]
+                      for a in _PERMUTATIONS])
+
+
+def _track_branches(rows):
+    """Reorder the roots of each row of ``rows`` (m, 3) so that each column
+    follows one branch.
+
+    Between consecutive rows the new roots are matched to the old by the
+    assignment with the least total displacement sum |new - old|. Among
+    equal totals the earlier old root (in the previous row's order) takes
+    the nearer new root, as in nearest-neighbour matching, and the first in
+    ``_ASSIGNMENTS`` order wins what is still tied. The costs of all six
+    assignments at all steps are computed at once; the per-step assignments
+    are then composed into each row's order by a doubling prefix scan.
+    """
+    steps = np.abs(rows[1:, None, :] - rows[:-1, :, None])  # [k, old, new]
+    # [k, assignment]: the move of old root i under each assignment
+    a, b, c = (steps[:, i, _ASSIGNMENTS[:, i]] for i in range(3))
+    # the total summed in ascending order, so equal moves give equal totals
+    # (a conjugate pair splitting on the real axis ties exactly)
+    low, high = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    total = low + np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c)) + high
+    best = total == total.min(axis=1, keepdims=True)
+    for move in (a, b, c):  # among equal totals the earlier old root takes the nearer
+        best &= move == np.where(best, move, np.inf).min(axis=1, keepdims=True)
+    order = np.concatenate(([0], best.argmax(axis=1)))  # row 0 keeps its order
+    shift = 1
+    while shift < len(order):
+        order[shift:] = _COMPOSED[order[shift:], order[:-shift]]
+        shift *= 2
+    return np.take_along_axis(rows, _ASSIGNMENTS[order], axis=1)
+
+
 def pole_locus(alpha, g_grid) -> PoleLocus:
     """Track the three roots of p along ``g_grid`` (normalized units).
 
     The roots at every g come from one stacked companion ``eigvals`` call
-    over the whole grid (see ``find_poles``). Roots at consecutive g values
-    are matched by nearest neighbor in the complex plane, the first of
-    equally near roots winning, so each column is one smooth branch; a
-    branch collision at the aperiodic transition is tagged in
-    ``transitions``, not an error.
+    over the whole grid (see ``find_poles``) and are matched step by step by
+    ``_track_branches``, so each column is one smooth branch; a branch
+    collision at the aperiodic transition is tagged in ``transitions``, not
+    an error.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     if g_grid.ndim != 1 or len(g_grid) == 0:
@@ -387,15 +429,7 @@ def pole_locus(alpha, g_grid) -> PoleLocus:
     if np.any(coeffs[:, 0] == 0.0):
         raise NumericalPreconditionError(f"alpha * g underflows to 0 at alpha = {alpha:g}: "
                                          "the cubic degenerates; use a larger alpha")
-    rows = _poles_of_rows(coeffs)[0].tolist()
-    tracked = [rows[0]]
-    for remaining in rows[1:]:
-        matched = []
-        for target in tracked[-1]:
-            dist = [abs(root - target) for root in remaining]
-            matched.append(remaining.pop(dist.index(min(dist))))
-        tracked.append(matched)
-    branches = np.array(tracked, dtype=complex)
+    branches = _track_branches(_poles_of_rows(coeffs)[0])
     transitions = {}
     for k in range(3):
         im = branches[:, k].imag

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import lineport.inversion
 import lineport.spectral
 from lineport.cli import MAX_G_POINTS, main
 from lineport.inversion import MAX_IFFT_SAMPLES
@@ -204,6 +205,39 @@ class TestImpulse:
         assert rc == 0
         assert len(calls) == 2
 
+
+    def test_inverts_each_matrix_on_one_contour(self, tmp_path, monkeypatch):
+        """The four entries of H share one Bromwich contour: impulse calls
+        ``bromwich_ifft`` once per g, not once per entry."""
+        bromwich_ifft = lineport.inversion.bromwich_ifft
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bromwich_ifft(*args, **kwargs)
+
+        monkeypatch.setattr(lineport.inversion, "bromwich_ifft", counted)
+        rc = main(["impulse", "--g", "0.3", "--g", "0.8", "--n", "1024", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 2
+        assert all(np.shape(num) == (4, 3) for num, *_ in calls)
+
+    @pytest.mark.parametrize("gs", [["0.999999"], ["0.3", "0.999999"]], ids=["alone", "second"])
+    def test_alias_overflow_refused_before_writing(self, tmp_path, capsys, gs):
+        """A pole this slow stretches the FFT period until exp(sigma t) overflows
+        in the alias bound: exit 4 with the decay, the period and a working
+        --t-max, no numpy warning, and no file, not even for an earlier g."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["impulse", *(a for g in gs for a in ("--g", g)), "--n", "524288",
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err == ("error: slowest pole decay 5e-07 and t_max = 62.8 force the FFT period "
+                       "4e+07, over which the alias-bound factor exp(sigma t), sigma = 0.0159, "
+                       "overflows; no n_samples (--n) helps, a t_max (--t-max) in "
+                       "[5.73e+04, 3.48e+09] would keep it finite\n")
+        assert not (tmp_path / "out").exists()
 
 class TestSimulate:
     def test_decoupled_limit(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from lineport import (NumericalPreconditionError, ReducedState, Signal,
                       integrate, invert_ifft, invert_partial_fractions,
                       normalize_max_abs, peak_envelope, residues, respond,
                       sources_from_initial, stiffness_matrix, transfer_matrix)
-from lineport.inversion import MAX_IFFT_SAMPLES
+from lineport.inversion import MAX_IFFT_SAMPLES, impulse_response_table
 from lineport.spectral import ENTRY_NAMES, LcExampleParams, find_poles
 
 from conftest import lc_model
@@ -68,6 +68,92 @@ class TestBromwichIfft:
             bromwich_ifft(np.array([1.0]), np.array([1.0, decay]), np.array([-decay]),
                           t_max=1.0, n_samples=n)
 
+
+    def test_alias_overflow_refused(self):
+        """A decay of 5e-7 forces the period 4e7, over which exp(sigma t)
+        overflows: the alias bound would be NaN, so the inversion is refused
+        with the t_max range that keeps it finite, and no numpy warning."""
+        message = ("slowest pole decay 5e-07 and t_max = 62.8 force the FFT period 4e+07, "
+                   "over which the alias-bound factor exp(sigma t), sigma = 0.0159, overflows; "
+                   "no n_samples (--n) helps, a t_max (--t-max) in [5.73e+04, 3.48e+09] "
+                   "would keep it finite")
+        with pytest.raises(NumericalPreconditionError, match=f"^{re.escape(message)}$"):
+            bromwich_ifft(np.array([1.0]), np.array([1.0, 5e-7]), np.array([-5e-7]),
+                          t_max=62.8, n_samples=2 ** 19)
+
+    @pytest.mark.parametrize("t_max", [5.73e4, 3.48e9])
+    def test_alias_refusal_range_is_finite(self, t_max):
+        sig = bromwich_ifft(np.array([1.0]), np.array([1.0, 5e-7]), np.array([-5e-7]),
+                            t_max=t_max, n_samples=2 ** 19)
+        assert np.isfinite(sig.meta["alias_bound"])
+
+    def test_stack_rows_equal_single_calls(self):
+        """A stack of numerators shares one contour; each row equals its own
+        single-numerator call bit for bit, and a 1-D numerator still returns
+        one Signal."""
+        den = np.array([1.0, 3.0, 2.0])
+        poles = np.array([-2.0, -1.0])
+        nums = np.array([[0.0, 1.0], [2.0, -1.0]])
+        stacked = bromwich_ifft(nums, den, poles, t_max=5.0, n_samples=4096)
+        assert len(stacked) == 2
+        for row, sig in zip(nums, stacked):
+            single = bromwich_ifft(np.trim_zeros(row, "f"), den, poles, t_max=5.0,
+                                   n_samples=4096)
+            assert isinstance(single, Signal)
+            assert np.array_equal(sig.samples, single.samples)
+            assert (sig.t0, sig.dt, sig.meta) == (single.t0, single.dt, single.meta)
+
+
+def assert_same_signal(got, want):
+    """Equal samples and grid, and equal ``meta``, arrays compared by value."""
+    assert np.array_equal(got.samples, want.samples)
+    assert (got.t0, got.dt) == (want.t0, want.dt)
+    assert got.meta.keys() == want.meta.keys()
+    for key, value in want.meta.items():
+        assert np.array_equal(got.meta[key], value), key
+
+
+class TestBatchedInversion:
+    """``impulse_response_table`` inverts the four entries on one contour and
+    from one exp(s t) table; it must equal the per-entry route exactly."""
+
+    @staticmethod
+    def per_entry_table(spec, t_max, n):
+        table, discrepancy = {}, 0.0
+        for entry in ENTRY_NAMES:
+            via_ifft = invert_ifft(spec, entry, t_max, n_samples=n)
+            via_pf = invert_partial_fractions(spec, entry, via_ifft.t_grid)
+            table[entry] = (via_ifft, via_pf)
+            discrepancy = max(discrepancy,
+                              float(np.abs(via_ifft.samples - via_pf.samples).max()))
+        return via_ifft.t_grid, table, discrepancy
+
+    def assert_same_table(self, spec, t_max, n):
+        t_ref, table, discrepancy = impulse_response_table(spec, t_max, n)
+        want_t, want, want_discrepancy = self.per_entry_table(spec, t_max, n)
+        assert np.array_equal(t_ref, want_t)
+        assert discrepancy == want_discrepancy
+        for entry in ENTRY_NAMES:
+            for got_sig, want_sig in zip(table[entry], want[entry]):
+                assert_same_signal(got_sig, want_sig)
+        s, r = residues(spec, ENTRY_NAMES)
+        for entry, r_entry in zip(ENTRY_NAMES, r):
+            assert np.array_equal(r_entry, residues(spec, entry)[1])
+            assert np.array_equal(table[entry][1].meta["residues"], r_entry)
+
+    @pytest.mark.parametrize("omega_r", [1.0, 2.5])
+    @pytest.mark.parametrize("alpha", [0.4, 2.0, 20.0])
+    @pytest.mark.parametrize("g", [0.05, 0.3, 0.8, 0.97])
+    def test_table_equals_per_entry_path(self, g, alpha, omega_r):
+        self.assert_same_table(transfer_matrix(g, alpha, omega_r), 10 * TR / omega_r, 4096)
+
+    def test_near_double_root_fallback(self):
+        """At the aperiodic transition of alpha 0.5 the partial fractions fall
+        back to the IFFT, for all four entries at once."""
+        spec = transfer_matrix(0.936818831239, 0.5)
+        assert "near-double-root" in spec.poles.flags
+        with pytest.warns(UserWarning, match="near-double pole"):
+            self.assert_same_table(spec, 10 * TR, 16384)
 
 class TestAgainstPartialFractions:
     @pytest.mark.parametrize("g", [0.3, 0.8])

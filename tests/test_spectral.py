@@ -6,7 +6,7 @@ import pytest
 from lineport import (NumericalPreconditionError, ValidationError, char_poly,
                       classify_modes, find_poles, pole_locus, poly_backward_residual,
                       transfer_eval, transfer_matrix, weak_coupling)
-from lineport.spectral import LcExampleParams
+from lineport.spectral import LcExampleParams, _poles_of_rows, _track_branches
 
 
 class TestCharPoly:
@@ -336,6 +336,97 @@ class TestPoleLocus:
         locus = pole_locus(alpha, g_grid)
         assert np.array_equal(locus.branches, branches)
         assert locus.transitions == transitions
+
+
+def greedy_branches(rows):
+    """The former matching, kept as the reference: each branch in turn takes
+    the nearest remaining root of the next row, the first of equally near
+    roots winning."""
+    rows = rows.tolist()
+    tracked = [rows[0]]
+    for remaining in rows[1:]:
+        matched = []
+        for target in tracked[-1]:
+            dist = [abs(root - target) for root in remaining]
+            matched.append(remaining.pop(dist.index(min(dist))))
+        tracked.append(matched)
+    return np.array(tracked, dtype=complex)
+
+
+def step_displacements(branches):
+    """Per step, the three branch moves summed in ascending order, as the
+    tracker sums them, so equal moves give equal sums."""
+    return np.sort(np.abs(np.diff(branches, axis=0)), axis=1).sum(axis=1)
+
+
+DEFAULT_G_GRID = np.arange(0.001, 0.999 + 0.0005, 0.001)
+
+
+class TestBranchTracking:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_default_grid_unchanged_from_greedy(self, alpha):
+        rows = _poles_of_rows(char_poly(DEFAULT_G_GRID, alpha))[0]
+        assert np.array_equal(pole_locus(alpha, DEFAULT_G_GRID).branches, greedy_branches(rows))
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.4, 1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("points", [99, 999, 5000])
+    def test_never_moves_more_than_greedy(self, alpha, points):
+        """The best of the six assignments is chosen at every step, and the
+        greedy pairing is one of them: no step, and so no total, moves more."""
+        g_grid = np.linspace(0.0001, 0.9999, points)
+        rows = _poles_of_rows(char_poly(g_grid, alpha))[0]
+        best = step_displacements(_track_branches(rows))
+        greedy = step_displacements(greedy_branches(rows))
+        assert np.all(best <= greedy)
+        assert best.sum() <= greedy.sum()
+
+    def test_differs_where_greedy_steals(self):
+        """The roots at 0 and 1 move to 0.9 and -1.05. Greedy gives 0, the
+        first branch, its nearest root 0.9, which leaves 1 to travel to -1.05
+        (total 2.95); the best assignment moves 0 to -1.05 and 1 to 0.9
+        (total 1.15). A third row, in another order, checks the composition."""
+        rows = np.array([[-10.0, 0.0, 1.0],
+                         [-10.0, 0.9, -1.05],
+                         [-1.1, -10.0, 1.0]], dtype=complex)
+        assert np.array_equal(greedy_branches(rows), [[-10.0, 0.0, 1.0],
+                                                      [-10.0, 0.9, -1.05],
+                                                      [-10.0, 1.0, -1.1]])
+        assert np.array_equal(_track_branches(rows), [[-10.0, 0.0, 1.0],
+                                                      [-10.0, -1.05, 0.9],
+                                                      [-10.0, -1.1, 1.0]])
+        assert step_displacements(_track_branches(rows)).sum() == pytest.approx(1.3)
+        assert step_displacements(greedy_branches(rows)).sum() == pytest.approx(3.1)
+
+    def test_tie_goes_to_the_nearer_root(self):
+        """A conjugate pair splitting into two real roots: both assignments
+        move the pair by the same total, and the earlier root of the pair
+        (+Im) takes the nearer real root, -0.55, as greedy matching does."""
+        rows = np.array([[-10.0, -0.5 + 0.1j, -0.5 - 0.1j],
+                         [-10.0, -0.3, -0.55]])
+        want = [[-10.0, -0.5 + 0.1j, -0.5 - 0.1j], [-10.0, -0.55, -0.3]]
+        assert np.array_equal(greedy_branches(rows), want)
+        assert np.array_equal(_track_branches(rows), want)
+
+    @pytest.mark.parametrize("alpha, g_grid", [
+        pytest.param(0.39769908928453795, np.linspace(0.01, 0.99, 99), id="99-points"),
+        pytest.param(0.02511242479240059, np.linspace(0.0001, 0.9999, 5000), id="5000-points"),
+    ])
+    def test_tie_at_pair_split_is_exact(self, alpha, g_grid):
+        """On these grids the three moves summed in index order round the
+        two assignments at the pair's split one ulp apart; summed in
+        ascending order they tie exactly, and the tie rule keeps greedy's
+        branches."""
+        rows = _poles_of_rows(char_poly(g_grid, alpha))[0]
+        assert np.array_equal(_track_branches(rows), greedy_branches(rows))
+
+    def test_undoes_shuffled_rows(self, rng):
+        """Three well-separated smooth branches, every row shuffled: the
+        composed per-step assignments restore the branches in row 0's order."""
+        t = np.linspace(0.0, 1.0, 777)[:, None]
+        smooth = np.array([-3.0, 1j, 2.0 - 1j]) + 0.5 * np.exp(2j * np.pi * t * [1.0, 2.0, 3.0])
+        shuffled = np.array([row[rng.permutation(3)] for row in smooth])
+        order = [list(smooth[0]).index(root) for root in shuffled[0]]
+        assert np.array_equal(_track_branches(shuffled), smooth[:, order])
 
 
 class TestStability:
