@@ -25,14 +25,12 @@ from .netlist import derive_reduced_model, invariant_report, parse_netlist_file
 from .reduced_dynamics import (MIN_LADDER_SECTIONS, ReducedState, assemble_rhs,
                                integrate, ladder_oracle)
 from .signals import write_csv
-from .spectral import ENTRY_NAMES, pole_locus, transfer_matrix
+from .spectral import ENTRY_NAMES, OMEGA_R_RANGE, pole_locus, transfer_matrix
 from .tline import LineInitialState, line_params, thevenin_source
 
 OUT_DIR_ENV = "LINEPORT_OUT"
 INVARIANT_TOL = 1e-9
 MAX_G_POINTS = 10 ** 6
-#: omega_r range whose powers up to omega_r^3, which scale H(s), stay in float range
-OMEGA_R_RANGE = (1e-100, 1e100)
 
 
 def _out_dir(args):
@@ -87,10 +85,11 @@ def cmd_poles(args):
     if len(g_grid) == 0:
         raise InputError(f"empty g grid: --g-stop {args.g_stop:g} lies below "
                          f"--g-start {args.g_start:g}; use --g-stop >= --g-start")
+    # every locus before the first file, so a refused alpha leaves no partial output
+    loci = [pole_locus(alpha, g_grid) for alpha in alphas]
     out = _out_dir(args)
     files = []
-    for alpha in alphas:
-        locus = pole_locus(alpha, g_grid)
+    for alpha, locus in zip(alphas, loci):
         path = os.path.join(out, f"poles_alpha{alpha:g}.csv")
         _write(path, locus.to_csv)
         files.append({"alpha": alpha, "file": os.path.basename(path),

@@ -11,10 +11,10 @@ the first three terms of the large-s expansion are therefore subtracted as
 c_m/(s+mu)^m on the contour and added back in closed form, which leaves a
 C^2 remainder and restores fast convergence without windowing. Aliasing is
 controlled by the period choice T >= 20 / (slowest pole decay) and reported
-as an estimated bound. The unit of work is the transfer matrix: its entries
-share the denominator, poles (``TransferMatrixSpec.poles``, found once per
-matrix), sigma, period and mu, so one contour serves all four (Dubner &
-Abate, J. ACM 15, 1968), while each entry keeps its own arithmetic.
+as an estimated bound. Every inversion takes the whole transfer matrix: its
+entries share the denominator, poles (``TransferMatrixSpec.poles``), sigma,
+period and mu, so one contour serves all four (Dubner & Abate, J. ACM 15,
+1968), while each entry keeps its own arithmetic. No caller sets sigma.
 
 ``invert_partial_fractions`` is the independent oracle: residue calculus on
 simple poles, exact up to root-finding precision, from one exp(s t) table
@@ -65,25 +65,17 @@ def _markov_parameters(num, den, count=3):
     return h
 
 
-def _entry_names(entry):
-    """``(names, single)`` for one entry name or a sequence of them."""
-    if isinstance(entry, str):
-        return (entry,), True
-    return tuple(entry), False
+def bromwich_ifft(nums, den, poles, t_max, n_samples=16384):
+    """Numerically invert each row of ``nums``, a stack of numerators over
+    the shared strictly proper denominator ``den`` whose roots are ``poles``,
+    on [0, t_max]; one ``Signal`` per row.
 
-
-def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None):
-    """Numerically invert the strictly proper rational num/den, whose
-    denominator has the roots ``poles``, on [0, t_max].
-
-    ``num`` is one numerator (1-D, one ``Signal`` returned) or a stack of
-    numerators over the shared ``den``, one per row (a list of ``Signal``, one
-    per row). A stack shares one contour: den(s), the (s+mu)^k terms and the
+    The rows share one contour: den(s), the (s+mu)^k terms and the
     exp(sigma t), exp(-mu t) and alias-tail factors are built once, while each
     row keeps its own subtraction, FFT and products, so every row equals a
-    single-row call bit for bit.
+    one-row stack bit for bit.
 
-    sigma defaults to 0.1 * (slowest pole decay) + 1/t_max; the FFT period is
+    sigma is 0.1 * (slowest pole decay) + 1/t_max; the FFT period is
     max(4 t_max, 20 / slowest decay), and the subtracted terms sit at the
     fastest decay (1/t_max if no pole decays). Returns the samples on the FFT
     grid restricted to [0, t_max], with quality metrics (imaginary residue,
@@ -92,8 +84,7 @@ def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None):
     representable, is refused with ``NumericalPreconditionError``, naming the
     n_samples or t_max that would not be.
     """
-    nums = np.asarray(num, dtype=float)
-    rows = nums[None] if nums.ndim == 1 else nums
+    rows = np.asarray(nums, dtype=float)
     markov = [_markov_parameters(row, den, 3) for row in rows]  # refuses an improper num/den
     if t_max <= 0:
         raise ValidationError("t_max must be positive")
@@ -103,8 +94,7 @@ def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None):
             f"n_samples must be a power of two >= {MIN_IFFT_SAMPLES}, got {n_samples}")
     poles = np.asarray(poles)
     min_decay, max_decay = -poles.real.max(), -poles.real.min()
-    if sigma is None:
-        sigma = 0.1 * min_decay + 1.0 / t_max
+    sigma = 0.1 * min_decay + 1.0 / t_max
     if sigma <= poles.real.max():
         raise NumericalPreconditionError(
             f"contour crosses pole: sigma={sigma:g} <= max Re(pole)={poles.real.max():g}")
@@ -161,7 +151,7 @@ def bromwich_ifft(num, den, poles, t_max, n_samples=16384, sigma=None):
                                     "n_samples": n_samples, "mu": float(mu),
                                     "imag_residual": imag_residual,
                                     "alias_bound": alias_bound}))
-    return signals[0] if nums.ndim == 1 else signals
+    return signals
 
 
 def _alias_overflow(min_decay, period, sigma, t_max):
@@ -178,60 +168,51 @@ def _alias_overflow(min_decay, period, sigma, t_max):
         f"in [{low:.3g}, {high:.3g}] would keep it finite")
 
 
-def invert_ifft(spec: TransferMatrixSpec, entry, t_max, n_samples=16384):
-    """IFFT inversion of one transfer-matrix entry, or of a sequence of
-    entries on one shared contour, one ``Signal`` per entry (see
-    ``bromwich_ifft``, which refuses an entry that is not strictly proper)."""
-    names, single = _entry_names(entry)
-    rationals = [spec.entry_rational(name) for name in names]
-    width = max(len(num) for num, _ in rationals)
-    nums = np.zeros((len(names), width))  # leading zeros leave polyval's values as they are
-    for row, (num, _) in zip(nums, rationals):
-        row[width - len(num):] = num
-    sigs = bromwich_ifft(nums, rationals[0][1], spec.poles.poles, t_max, n_samples=n_samples)
-    for sig, name in zip(sigs, names):
-        sig.meta["entry"] = name
-    return sigs[0] if single else sigs
+def invert_ifft(spec: TransferMatrixSpec, t_max, n_samples=16384):
+    """IFFT inversion of the four entries on one contour, one ``Signal``
+    each in ``ENTRY_NAMES`` order (see ``bromwich_ifft``, which refuses an
+    entry that is not strictly proper)."""
+    nums, den = spec.physical
+    return bromwich_ifft(nums, den, spec.poles.poles, t_max, n_samples=n_samples)
 
 
-def residues(spec: TransferMatrixSpec, entry):
+def residues(spec: TransferMatrixSpec):
     """Poles and residues in physical units, h(t) = sum R exp(s t): the
-    residues of one entry, or a list of them for a sequence of entries."""
-    names, single = _entry_names(entry)
-    rationals = [spec.entry_rational(name) for name in names]
+    poles, and one row of residues per entry in ``ENTRY_NAMES`` order."""
+    nums, den = spec.physical
     s = spec.poles.poles
-    slope = np.polyval(np.polyder(rationals[0][1]), s)
-    r = [np.polyval(num, s) / slope for num, _ in rationals]
-    return s, (r[0] if single else r)
+    slope = np.polyval(np.polyder(den), s)
+    return s, np.array([np.polyval(num, s) / slope for num in nums])
 
 
-def invert_partial_fractions(spec: TransferMatrixSpec, entry, t_grid):
-    """Analytic inversion by residue calculus (simple poles) of one entry,
-    or of a sequence of entries from one exp(s t) table, one ``Signal`` per
-    entry; each carries its poles and residues in ``meta``.
+def invert_partial_fractions(spec: TransferMatrixSpec, t_grid):
+    """Analytic inversion by residue calculus (simple poles) of the four
+    entries from one exp(s t) table, one ``Signal`` each in ``ENTRY_NAMES``
+    order; each carries its poles and residues in ``meta``.
 
     A near-double root makes the residue representation ill-conditioned; in
-    that case the result falls back to the IFFT inversion with a warning.
+    that case the result falls back to the IFFT inversion with a warning, and
+    ``meta["ifft_fallback"]`` is true: no independent oracle ran.
     """
-    names, single = _entry_names(entry)
-    for name in names:
+    for name in ENTRY_NAMES:
         if spec.relative_degree(name) <= 0:
             raise ValidationError(
                 f"{name} is improper: split off the polynomial part before inversion")
     t_grid = np.asarray(t_grid, dtype=float)
-    s, rs = residues(spec, names)
-    if "near-double-root" in spec.poles.flags:
+    s, rs = residues(spec)
+    fallback = "near-double-root" in spec.poles.flags
+    if fallback:
         warnings.warn("near-double pole: partial fractions ill-conditioned, "
                       "falling back to IFFT inversion", stacklevel=2)
-        sigs = invert_ifft(spec, names, float(t_grid[-1]), n_samples=16384)
+        sigs = invert_ifft(spec, float(t_grid[-1]), n_samples=16384)
         out = [Signal.from_samples(t_grid, np.interp(t_grid, sig.t_grid, sig.samples))
                for sig in sigs]
     else:
         growth = np.exp(np.outer(t_grid, s))
         out = [Signal.from_samples(t_grid, np.real(growth @ r)) for r in rs]
-    for sig, name, r in zip(out, names, rs):
-        sig.meta.update(entry=name, poles=s, residues=r)
-    return out[0] if single else out
+    for sig, r in zip(out, rs):
+        sig.meta.update(poles=s, residues=r, ifft_fallback=fallback)
+    return out
 
 
 @dataclass
@@ -304,7 +285,7 @@ def respond(spec: TransferMatrixSpec, f1: SourceSpec, f2: SourceSpec,
     meets h22 of relative degree one and therefore must not carry one.
     """
     t_grid, dt = uniform_grid(t_grid)
-    s, rs = residues(spec, ENTRY_NAMES)
+    s, rs = residues(spec)
     growth = np.exp(np.outer(t_grid, s))
     sources = (("f1", f1), ("f2", f2)) * 2  # the columns of h11, h12, h21, h22
     h11, h12, h21, h22 = (_entry_response(spec, entry, name, src, r, growth, t_grid, dt)
@@ -328,11 +309,12 @@ def normalize_max_abs(sig: Signal) -> Signal:
 def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=16384):
     """All four entries by IFFT, on one contour, and by partial fractions on
     the IFFT grid, from one exp(s t) table, with the maximum pairwise
-    discrepancy (used by the CLI)."""
-    via_ifft = invert_ifft(spec, ENTRY_NAMES, t_max, n_samples=n_samples)
+    discrepancy (used by the CLI); None when the partial fractions fell back
+    to the IFFT, so that no oracle ran."""
+    via_ifft = invert_ifft(spec, t_max, n_samples=n_samples)
     t_ref = via_ifft[0].t_grid
-    via_pf = invert_partial_fractions(spec, ENTRY_NAMES, t_ref)
+    via_pf = invert_partial_fractions(spec, t_ref)
     table = dict(zip(ENTRY_NAMES, zip(via_ifft, via_pf)))
-    discrepancy = max(0.0, *(float(np.abs(a.samples - b.samples).max())
-                             for a, b in table.values()))
+    discrepancy = None if via_pf[0].meta["ifft_fallback"] else max(
+        0.0, *(float(np.abs(a.samples - b.samples).max()) for a, b in table.values()))
     return t_ref, table, discrepancy

@@ -37,6 +37,8 @@ ENTRY_NAMES = ("h11", "h12", "h21", "h22")
 
 #: |Im| below this (relative to the pole magnitude) counts as a real pole
 REAL_AXIS_TOL = 1e-9
+#: omega_r range whose powers up to omega_r^3, which scale H(s), stay in float range
+OMEGA_R_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -196,13 +198,16 @@ def _poles_of_rows(work, omega_r=1.0, zero_roots=0):
     """
     m, n = work.shape[0], work.shape[1] - 1
     k = n - zero_roots
-    with np.errstate(over="ignore"):
+    log_limit = np.log10(np.finfo(float).max / (2 * (n + 1)))  # n + 1 terms and a margin
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         top = -work[:, 1:k + 1] / work[:, :1]
-        bound = (1.0 + np.abs(top).max(axis=1, initial=0.0)) * omega_r  # Cauchy
-    if not np.all(bound < np.inf):
-        lead = work[np.argmin(bound < np.inf), 0]
-        raise NumericalPreconditionError(
-            f"leading coefficient {lead:g} puts a pole beyond the float range")
+        radius = 1.0 + np.abs(top).max(axis=1, initial=0.0)  # Cauchy: every |root| <= radius
+        # log10 of the largest term a_j x^(n-j) of the Newton step at |x| <= radius
+        largest = (np.log10(np.abs(work)) + np.log10(radius)[:, None] * np.arange(n, -1, -1)
+                   ).max(axis=1)
+        fits = (largest < log_limit) & (radius * omega_r < np.inf)
+    if not fits.all():
+        _refuse_far_root(work[np.argmin(fits)], omega_r, log_limit)
     companion = np.zeros((m, k, k))
     companion[:, :1, :] = top[:, None]
     companion[:, 1:, :-1] = np.eye(max(k - 1, 0))
@@ -216,6 +221,24 @@ def _poles_of_rows(work, omega_r=1.0, zero_roots=0):
     near_double = (np.abs(polished[:, i] - polished[:, j]) <= 1e-5 * scale).any(axis=1)
     ordered, all_real = _order_rows(polished)
     return ordered * omega_r, near_double, all_real
+
+
+def _refuse_far_root(row, omega_r, log_limit):
+    """Refuse a row whose roots (times ``omega_r``) or Newton-step terms (log10
+    up to ``log_limit``) leave the float range. With M the largest other
+    coefficient these reach M/lead and M^n / lead^(n-1): a larger lead helps
+    unless the coefficients are too large themselves."""
+    n, lead = len(row) - 1, abs(row[0])
+    with np.errstate(divide="ignore"):
+        log_m = np.log10(np.abs(row[1:]).max())
+    need = 1.03 * 10.0 ** max((n * log_m - log_limit) / max(n - 1, 1),
+                              log_m + np.log10(omega_r / np.finfo(float).max))
+    if need <= lead:
+        raise NumericalPreconditionError(f"coefficients up to {np.abs(row).max():.3g} take "
+                                         "the Newton step beyond the float range; scale them down")
+    raise NumericalPreconditionError(
+        f"leading coefficient {row[0]:.3g} puts a root so far out that the Newton step leaves "
+        f"the float range; raise it (alpha g in H's denominator) to at least {need:.3g}")
 
 
 def find_poles(coeffs, omega_r: float = 1.0) -> PoleSet:
@@ -258,61 +281,53 @@ def classify_modes(ps: PoleSet) -> list[str]:
 
 @dataclass(frozen=True)
 class TransferMatrixSpec:
-    """The four rational entries of H(s) as numerator coefficients in
-    x = s/omega_r over the shared denominator p(x), with one physical scale
-    factor per entry: H_e(s) = scale_e * N_e(x) / p(x). The entries share one
-    pole set, ``poles``, found on first use."""
+    """H(s) over the shared denominator p(x), x = s/omega_r: in ``ENTRY_NAMES``
+    order, H_e(s) = scales[e] * numerators[e](x) / p(x), the numerator rows
+    zero-padded on the left to one width. The entries share one pole set,
+    ``poles``, and one conversion to physical s, ``physical``, made on first use."""
 
     g: float
     alpha: float
     omega_r: float
     den: np.ndarray
-    numerators: dict = field(default_factory=dict)
-    scales: dict = field(default_factory=dict)
+    numerators: np.ndarray
+    scales: np.ndarray
 
     @cached_property
     def poles(self) -> PoleSet:
         return find_poles(self.den, self.omega_r)
 
-    def entry_rational(self, entry) -> tuple[np.ndarray, np.ndarray]:
-        """Numerator/denominator coefficients in physical s (descending)."""
-        if entry not in ENTRY_NAMES:
-            raise ValidationError(f"unknown transfer-matrix entry {entry!r}")
+    @cached_property
+    def physical(self) -> tuple[np.ndarray, np.ndarray]:
+        """The numerator rows and the denominator in physical s (descending)."""
         w = self.omega_r
-        num_x = self.numerators[entry]
-        dn = len(num_x)
-        with np.errstate(over="ignore"):
-            num_s = self.scales[entry] * num_x / w ** np.arange(dn - 1, -1, -1)
-            den_s = self.den / w ** np.arange(len(self.den) - 1, -1, -1)
-        if not (np.isfinite(num_s).all() and np.isfinite(den_s).all()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            nums = self.scales[:, None] * self.numerators / w ** np.arange(
+                self.numerators.shape[1] - 1, -1, -1)
+            den = self.den / w ** np.arange(len(self.den) - 1, -1, -1)
+        if not (np.isfinite(nums).all() and np.isfinite(den).all()):  # a huge alpha
             raise NumericalPreconditionError(
-                f"{entry} is not representable in physical units at alpha={self.alpha:g}, "
+                f"H(s) is not representable in physical units at alpha={self.alpha:g}, "
                 f"omega_r={w:g}; rescale omega_r")
-        return num_s, den_s
+        return nums, den
 
     def relative_degree(self, entry) -> int:
-        num_x = np.trim_zeros(self.numerators[entry], "f")
-        deg_num = len(num_x) - 1 if len(num_x) else -1
-        den = np.trim_zeros(self.den, "f")
-        return (len(den) - 1) - deg_num
+        num_x = np.trim_zeros(self.numerators[ENTRY_NAMES.index(entry)], "f")
+        return len(np.trim_zeros(self.den, "f")) - len(num_x)
 
 
 def transfer_matrix(g, alpha, omega_r: float = 1.0) -> TransferMatrixSpec:
+    if not OMEGA_R_RANGE[0] <= omega_r <= OMEGA_R_RANGE[1]:
+        raise NumericalPreconditionError(
+            f"omega_r {omega_r:g} lies outside [{OMEGA_R_RANGE[0]:g}, {OMEGA_R_RANGE[1]:g}], "
+            "where H(s) is representable; rescale the time unit")
     den = char_poly(g, alpha)
-    w = omega_r
-    numerators = {
-        "h11": np.array([alpha * g, 1.0]),
-        "h12": np.array([1.0, 0.0]),
-        "h21": np.array([1.0]),
-        "h22": np.array([1.0, 0.0, 1.0 - g]),
-    }
-    scales = {
-        "h11": 1.0 / w ** 2,
-        "h12": g / w,
-        "h21": -alpha * g / w,
-        "h22": 1.0,
-    }
-    return TransferMatrixSpec(g=g, alpha=alpha, omega_r=w, den=den,
+    numerators = np.array([[0.0, alpha * g, 1.0],     # h11
+                           [0.0, 1.0, 0.0],           # h12
+                           [0.0, 0.0, 1.0],           # h21
+                           [1.0, 0.0, 1.0 - g]])      # h22
+    scales = np.array([1.0 / omega_r ** 2, g / omega_r, -alpha * g / omega_r, 1.0])
+    return TransferMatrixSpec(g=g, alpha=alpha, omega_r=omega_r, den=den,
                               numerators=numerators, scales=scales)
 
 
@@ -325,10 +340,8 @@ def transfer_eval(spec: TransferMatrixSpec, s) -> np.ndarray:
         nearest = poles[np.argmin(np.abs(poles - complex(s)))]
         raise ValidationError(f"evaluation at a pole of H: s={complex(s):g} "
                               f"matches pole {nearest:g}")
-    out = np.empty((2, 2), dtype=complex)
-    for idx, entry in zip(((0, 0), (0, 1), (1, 0), (1, 1)), ENTRY_NAMES):
-        out[idx] = spec.scales[entry] * np.polyval(spec.numerators[entry], x) / p
-    return out
+    return np.array([scale * np.polyval(num, x) / p
+                     for scale, num in zip(spec.scales, spec.numerators)]).reshape(2, 2)
 
 
 def weak_coupling(g, alpha, omega_r: float = 1.0) -> tuple[float, float]:

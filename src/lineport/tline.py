@@ -83,9 +83,9 @@ class LineInitialState:
     @classmethod
     def from_csv(cls, phi_path=None, q_path=None, extend="error") -> "LineInitialState":
         """Load profiles from two-column CSV files (x, value); either file may
-        be omitted, in which case that profile is zero. Grids must agree and
-        start at x = 0 (within 1e-9 dx); a file that starts elsewhere is
-        refused with ``InputError``."""
+        be omitted, in which case that profile is zero. Each file holds at
+        least three rows from x = 0 (within 1e-9 dx), and the two share one x
+        grid; a file that does not is refused with ``InputError``."""
         if phi_path is None and q_path is None:
             raise ValidationError("need at least one profile file")
         phi_sig = Signal.from_csv(phi_path) if phi_path else None
@@ -95,10 +95,15 @@ class LineInitialState:
                 raise InputError(
                     f"profile file {str(path)!r} starts at x = {sig.t0:g}; a profile "
                     f"starts at the port, x = 0: shift its x column by {-sig.t0:g}")
+            if sig is not None and len(sig) < 3:
+                raise InputError(f"profile file {str(path)!r} has {len(sig)} rows; "
+                                 "a profile needs at least 3")
         ref = phi_sig or q_sig
         if phi_sig and q_sig:
             if len(phi_sig) != len(q_sig) or abs(phi_sig.dt - q_sig.dt) > 1e-12 * ref.dt:
-                raise ValidationError("profile files must share one x grid")
+                raise InputError(f"profile files {str(phi_path)!r} ({len(phi_sig)} rows, dx "
+                                 f"{phi_sig.dt:g}) and {str(q_path)!r} ({len(q_sig)} rows, dx "
+                                 f"{q_sig.dt:g}) must share one x grid: give both one x column")
         zeros = np.zeros(len(ref))
         return cls(dx=ref.dt,
                    phi0=phi_sig.samples if phi_sig else zeros,

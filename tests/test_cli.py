@@ -239,6 +239,20 @@ class TestImpulse:
                        "[5.73e+04, 3.48e+09] would keep it finite\n")
         assert not (tmp_path / "out").exists()
 
+    def test_near_double_pole_reports_no_oracle_figure(self, tmp_path, capsys):
+        """At a near-double pole the partial fractions fall back to the IFFT,
+        so the sidecar writes null, not a discrepancy of 0, and names the flag."""
+        with pytest.warns(UserWarning, match="near-double pole"):
+            rc = main(["impulse", "--g", "0.9368188312392204", "--alpha", "0.5",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        stem = "impulse_g0.936819_alpha0.5"
+        sidecar = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert sidecar["max_ifft_vs_partial_fractions"] is None
+        assert "near-double-root" in sidecar["pole_flags"]
+        assert (tmp_path / f"{stem}.csv").exists() and (tmp_path / f"{stem}_pf.csv").exists()
+
+
 class TestSimulate:
     def test_decoupled_limit(self, tmp_path, capsys):
         net = write_netlist(tmp_path, couple=1e-6)
@@ -381,6 +395,11 @@ COUPLE 0.4
     pytest.param(["simulate", "{net}", *SIM_FLAGS, "--phi0-csv", "{tmp}/nan.csv"],
                  "nan.csv': value column must be finite",
                  id="profile-nan-value"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--phi0-csv", "{tmp}/two.csv"],
+                 "two.csv' has 2 rows; a profile needs at least 3", id="profile-two-rows"),
+    pytest.param(["simulate", "{net}", *SIM_FLAGS, "--phi0-csv", "{tmp}/gauss.csv",
+                  "--q0-csv", "{tmp}/half.csv"],
+                 "gauss.csv' (4 rows, dx 1) and", id="profiles-on-two-grids"),
     pytest.param(["poles", "--alpha", "junk"],
                  "argument --alpha: expected a number, got 'junk'", id="poles-alpha-junk"),
     pytest.param(["simulate", "{net}", *SIM_FLAGS, "--q0", "junk"],
@@ -400,6 +419,9 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     (tmp_path / "gap.csv").write_text("x,phi0\n0,0\n1,1\n3,0\n4,0\n")
     (tmp_path / "repeat.csv").write_text("x,q0\n0,0\n1,1\n1,0\n2,0\n")
     (tmp_path / "nan.csv").write_text("x,phi0\n0,0\n1,nan\n2,0\n3,0\n")
+    (tmp_path / "two.csv").write_text("x,phi0\n0,0\n1,1\n")
+    (tmp_path / "gauss.csv").write_text("x,phi0\n0,0\n1,1\n2,0\n3,0\n")
+    (tmp_path / "half.csv").write_text("x,q0\n0,0\n0.5,1\n1,0\n1.5,0\n")
     argv = [a.format(tmp=tmp_path, net=net) for a in argv]
     try:  # argparse rejects a flag value by raising SystemExit(2)
         rc = main([*argv, "--out", str(tmp_path / "out")])
@@ -436,6 +458,12 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     pytest.param(["reduce", "{tmp}/csmall.net"], "rescale the capacitance units",
                  id="coupling-product-overflow"),
     pytest.param(["reduce", "{net}", "--z-c", "5e-324"], "--z-c", id="z-c-tau-underflow"),
+    pytest.param(["poles", "--alpha", "1e-300"], "raise it (alpha g in H's denominator) to "
+                 "at least 2.17e-154", id="poles-alpha-1e-300"),
+    pytest.param(["poles", "--alpha", "1e-200"], "raise it (alpha g in H's denominator) to "
+                 "at least 2.17e-154", id="poles-alpha-1e-200"),
+    pytest.param(["poles", "--alpha", "1e308"], "take the Newton step beyond the float range",
+                 id="poles-alpha-1e308"),
 ])
 def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     """Valid values whose consequences overflow: exit 4, naming the flag or
@@ -453,6 +481,18 @@ def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     assert "Traceback" not in err
     assert names in err
     assert not (tmp_path / "out" / "reduced_model.json").exists()
+
+
+def test_poles_refusal_writes_no_file(tmp_path, capsys):
+    """A refused alpha after a good one: every locus is tracked before the
+    first file is written, and no numpy warning escapes the refusal."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["poles", "--alpha", "1", "--alpha", "1e-300", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "Warning" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("netlist", [CTINY_NETLIST, CSMALL_NETLIST],

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,26 @@ class TestTransferMatrix:
         assert spec.relative_degree("h12") == 2
         assert spec.relative_degree("h21") == 3
         assert spec.relative_degree("h22") == 1
+
+    @pytest.mark.parametrize("omega_r", [1e200, 1e120, 1e-120])
+    def test_omega_r_outside_range_refused(self, omega_r):
+        """omega_r outside OMEGA_R_RANGE is refused by name before any
+        arithmetic: no OverflowError, no numpy warning, no later refusal."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalPreconditionError,
+                               match=re.escape(f"omega_r {omega_r:g} lies outside [1e-100, 1e+100]")):
+                transfer_matrix(0.3, 2.0, omega_r=omega_r)
+
+    def test_spec_stores_one_numerator_array(self):
+        """The entries are one padded numerator array and one scale array in
+        ENTRY_NAMES order, converted to physical s once."""
+        spec = transfer_matrix(0.3, 2.0, omega_r=1.3)
+        assert spec.numerators.shape == (4, 3) and spec.scales.shape == (4,)
+        assert spec.physical is spec.physical
+        nums, den = spec.physical
+        assert nums.shape == (4, 3)
+        assert den == pytest.approx(spec.den / 1.3 ** np.arange(3, -1, -1), rel=1e-15)
 
 
 class TestWeakCoupling:

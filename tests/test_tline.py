@@ -237,5 +237,5 @@ class TestProfileCsv:
     def test_mismatched_grids_rejected(self, tmp_path):
         Signal.from_samples(np.linspace(0, 1, 11), np.ones(11)).to_csv(tmp_path / "a.csv")
         Signal.from_samples(np.linspace(0, 1, 21), np.ones(21)).to_csv(tmp_path / "b.csv")
-        with pytest.raises(ValidationError, match="x grid"):
+        with pytest.raises(InputError, match="x grid"):
             LineInitialState.from_csv(tmp_path / "a.csv", tmp_path / "b.csv")
