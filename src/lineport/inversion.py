@@ -42,16 +42,23 @@ MIN_IFFT_SAMPLES = 1024
 MAX_IFFT_SAMPLES = 2 ** 20
 
 
-def _markov_parameters(num, den, count=3):
-    """Leading coefficients of H(s) = sum_k h_k s^-k at s -> infinity."""
+def _proper_parts(num, den):
+    """``num`` and ``den`` without their leading zeros; refuses an improper
+    num/den."""
     num = np.trim_zeros(np.asarray(num, dtype=float), "f")
     den = np.trim_zeros(np.asarray(den, dtype=float), "f")
-    nd = len(den) - 1
-    nn = len(num) - 1
-    if nn >= nd:
+    if len(num) >= len(den):
         raise ValidationError(
             "improper transfer function: the impulse response contains a "
             "delta(t) distributional part; numeric inversion refused")
+    return num, den
+
+
+def _markov_parameters(num, den, count=3):
+    """Leading coefficients of H(s) = sum_k h_k s^-k at s -> infinity, for
+    the trimmed proper ``num``/``den`` of ``_proper_parts``."""
+    nd = len(den) - 1
+    nn = len(num) - 1
     padded = np.zeros(max(nd, count) + 1)
     padded[nd - nn:nd + 1] = num
     h = np.zeros(count)
@@ -85,7 +92,7 @@ def bromwich_ifft(nums, den, poles, t_max, n_samples=16384):
     n_samples or t_max that would not be.
     """
     rows = np.asarray(nums, dtype=float)
-    markov = [_markov_parameters(row, den, 3) for row in rows]  # refuses an improper num/den
+    parts = [_proper_parts(row, den) for row in rows]  # refuses an improper num/den
     if t_max <= 0:
         raise ValidationError("t_max must be positive")
     n_samples = int(n_samples)
@@ -112,6 +119,9 @@ def bromwich_ifft(nums, den, poles, t_max, n_samples=16384):
             f"{period:.3g}, which leaves fewer than two of {n_samples} samples on "
             f"[0, t_max = {t_max:.3g}]; {advice}")
     mu = max_decay if max_decay > 0 else 1.0 / t_max
+    # the Markov parameters grow as den[0]^-k, and a den[0] small enough to
+    # overflow them forces a period refused above
+    markov = [_markov_parameters(*part) for part in parts]
 
     omega = 2.0 * np.pi * np.fft.fftfreq(n_samples, d=dt)
     s = sigma + 1j * omega

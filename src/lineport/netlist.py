@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,13 @@ class CircuitTopology:
     @property
     def is_linear(self) -> bool:
         return len(self.junctions) == 0
+
+    @cached_property
+    def junction_terms(self) -> tuple:
+        """(i - 1, j - 1, E_J/phi0, phi0) of each junction: its nodes as
+        indices into the node fluxes with ground last, and the constants
+        that ``junction_forces`` reads, bound once per topology."""
+        return tuple((i - 1, j - 1, ej / phi0, phi0) for i, j, ej, phi0 in self.junctions)
 
 
 @dataclass(frozen=True)
@@ -307,33 +315,44 @@ def junction_forces(topology: CircuitTopology, phi: np.ndarray, grad=None) -> np
     """Junction part of grad U at the flux vector ``phi`` (shape (N,)), added
     to ``grad``, a list over the nodes and ground, when given; the rest of
     grad U is K phi, K the stiffness matrix of the circuit without junctions."""
-    flux = [*phi.tolist(), 0.0]  # ground carries zero flux
+    flux = phi.tolist()
+    flux.append(0.0)  # ground carries zero flux
     grad = [0.0] * len(flux) if grad is None else grad
-    for i, j, ej, phi0 in topology.junctions:
+    for i, j, scale, phi0 in topology.junction_terms:
         try:
-            force = (ej / phi0) * math.sin((flux[i - 1] - flux[j - 1]) / phi0)
+            force = scale * math.sin((flux[i] - flux[j]) / phi0)
         except ValueError:  # math.sin of a flux difference that overflowed to inf
             raise _flux_overflow(phi) from None
-        grad[i - 1] += force
-        grad[j - 1] -= force
+        grad[i] += force
+        grad[j] -= force
     return np.array(grad[:-1])
 
 
-def potential_energy(topology: CircuitTopology, phi) -> float:
+def potential_energy(topology: CircuitTopology, phi):
+    """Inductive potential energy U (see ``potential_gradient``) at the flux
+    vector ``phi`` (shape (N,)) as a float, or at each row of a stack of
+    them (shape (M, N)) as an array: one pass per element over all rows.
+
+    Each value has the bits of the same sum taken in Python floats: the
+    squares go through ``np.float_power``, which rounds as ``float ** 2``
+    does (``np.power`` and ``x * x`` do not always), and the cosines through
+    ``math.cos`` itself. A square beyond the float range gives U = inf.
+    """
     phi = np.asarray(phi, dtype=float)
-    flux = [*phi.tolist(), 0.0]  # ground carries zero flux
-    u = 0.0
-    for i, j, l in topology.inductors:
-        try:  # ``** 2`` rounds as numpy's scalar square does; ``d * d`` would not
-            u += 0.5 * (flux[i - 1] - flux[j - 1]) ** 2 / l
-        except OverflowError:  # a square beyond the float range
-            u = math.inf
+    rows = np.atleast_2d(phi)
+    flux = [*rows.T, np.zeros(len(rows))]  # ground carries zero flux
+    u = np.zeros(len(rows))
+    with np.errstate(over="ignore"):
+        for i, j, l in topology.inductors:
+            u += 0.5 * np.float_power(flux[i - 1] - flux[j - 1], 2) / l
     for i, j, ej, phi0 in topology.junctions:
+        x = (flux[i - 1] - flux[j - 1]) / phi0
         try:
-            u -= ej * math.cos((flux[i - 1] - flux[j - 1]) / phi0)
+            cos = np.fromiter(map(math.cos, x.tolist()), float, len(x))
         except ValueError:  # math.cos of a flux difference that overflowed to inf
-            raise _flux_overflow(phi) from None
-    return u
+            raise _flux_overflow(rows[np.isinf(x).argmax()]) from None
+        u -= ej * cos
+    return float(u[0]) if phi.ndim == 1 else u
 
 
 def stiffness_matrix(topology: CircuitTopology) -> np.ndarray:

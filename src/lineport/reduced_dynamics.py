@@ -29,6 +29,7 @@ Three independent formulations of the same physics live here:
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -108,10 +109,11 @@ class ReducedRhs:
     forces: object = field(init=False)
     bound_stiffness: np.ndarray | None = field(init=False)  # see _as_gradient
     flow_matrix: np.ndarray = field(init=False)
+    n: int = field(init=False)  # circuit nodes
 
     def __post_init__(self):
-        self.stiffness, self.forces, self.bound_stiffness = _as_gradient(
-            self.grad_u, self.model.n_nodes)
+        self.n = self.model.n_nodes
+        self.stiffness, self.forces, self.bound_stiffness = _as_gradient(self.grad_u, self.n)
         self.flow_matrix = _reduced_flow_matrix(self.model, self.stiffness)
 
     @property
@@ -119,9 +121,9 @@ class ReducedRhs:
         return self.forces is None
 
     def __call__(self, y):
-        out = self.flow_matrix @ y
+        out = self.flow_matrix.dot(y)
         if self.forces is not None:
-            n = self.model.n_nodes
+            n = self.n
             out[n:2 * n] -= self.forces(y[:n])
         return out
 
@@ -172,22 +174,35 @@ def _propagate_affine(flow, b_samples, u0, dt):
 
 def _rk4(f, b, y0, t_grid):
     """Classic RK4 for y' = f(y) + b(t), b linear between its columns; the
-    columns from the first non-finite state on are NaN."""
+    columns from the first non-finite state on are NaN.
+
+    The loop reads b and stores the states by row, adds b into each fresh
+    f(y) in place, and keeps numpy's per-call overhead off the 2n+1-element
+    stage arithmetic: the step factors are 0-d arrays, which numpy takes
+    without the conversion a Python float costs, and 2 k is k + k; both are
+    the same products bit for bit."""
     dt = t_grid[1] - t_grid[0]
-    b_mid = 0.5 * (b[:, :-1] + b[:, 1:])
-    out = np.empty((len(y0), len(t_grid)))
-    out[:, 0] = y = y0
+    half, step, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
+    b = np.ascontiguousarray(b.T)
+    b_mid = 0.5 * (b[:-1] + b[1:])
+    out = np.empty((len(t_grid), len(y0)))
+    out[0] = y = y0
     for k in range(len(t_grid) - 1):
-        k1 = f(y) + b[:, k]
-        k2 = f(y + 0.5 * dt * k1) + b_mid[:, k]
-        k3 = f(y + 0.5 * dt * k2) + b_mid[:, k]
-        k4 = f(y + dt * k3) + b[:, k + 1]
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(y).all():
-            out[:, k + 1:] = np.nan
+        k1 = f(y)
+        k1 += b[k]
+        k2 = f(y + k1 * half)
+        k2 += b_mid[k]
+        k3 = f(y + k2 * half)
+        k3 += b_mid[k]
+        k4 = f(y + k3 * step)
+        k4 += b[k + 1]
+        y = y + (k1 + (k2 + k2) + (k3 + k3) + k4) * sixth
+        # y.y is finite only if y is; an overflowing y.y asks the full check
+        if not (math.isfinite(y.dot(y)) or np.isfinite(y).all()):
+            out[k + 1:] = np.nan
             break
-        out[:, k + 1] = y
-    return out
+        out[k + 1] = y
+    return out.T
 
 
 def _evolve(model: ReducedModel, stiffness, flow, f, linear, b, y0, t_grid, method):
@@ -333,7 +348,7 @@ class LadderSystem:
         self._head_inv = self._head_l_inv.T @ self._head_l_inv
         self._k_line = 1.0 / (line.ell * self.dx)
         self._k_circ, self._forces, _ = _as_gradient(topology, n)
-        self._kick_dt = self._diff = None
+        self._kernel = self._diff = None
         self.dim = n + 1 + self.n_sections
 
     # -- Hamiltonian structure ------------------------------------------------
@@ -392,36 +407,46 @@ class LadderSystem:
         Line node j gets dt^2 k_line / cell_j (d_{j-1} - d_j), d_ns = 0 past
         the far node; the head block dt^2 head_inv @ [K q_circ + forces;
         -k_line d_0] is A @ q[:n+2] with K folded into A, plus the junction
-        forces, if any, through A's head_inv part. A and the line factors are
-        built once per dt, d once per state shape.
+        forces, if any, through A's head_inv part. A, the line factors and
+        the views of q, u and acc are built on the first call for a dt and
+        those arrays and kept, so a run of calls on one state sets up nothing
+        after its first; d is allocated once per state shape.
         """
+        kernel = self._kernel
+        if not (kernel and kernel[0] is q and kernel[1] is u and kernel[2] is acc
+                and kernel[3] == dt):
+            kernel = self._kernel = (q, u, acc, dt, self._kick_loop(q, u, dt, acc))
+        return kernel[4](steps)
+
+    def _kick_loop(self, q, u, dt, acc):
+        """``drift_kick``'s loop, bound to its operators and views."""
         n = self.n_circ
-        if dt != self._kick_dt:
-            head = dt * dt * self._head_inv
-            head[:, n] *= -self._k_line
-            fold = np.empty((n + 1, n + 2))
-            np.matmul(head[:, :n], self._k_circ, out=fold[:, :n])
-            fold[:, n], fold[:, n + 1] = -head[:, n], head[:, n]
-            self._kick_dt = dt
-            self._kick = fold, head[:, :n], dt * dt * self._k_line / self.cells[1:]
+        head = dt * dt * self._head_inv
+        head[:, n] *= -self._k_line
+        fold = np.empty((n + 1, n + 2))
+        np.matmul(head[:, :n], self._k_circ, out=fold[:, :n])
+        fold[:, n], fold[:, n + 1] = -head[:, n], head[:, n]
+        force_head = np.ascontiguousarray(head[:, :n])
+        line_inv = (dt * dt * self._k_line / self.cells[1:]).reshape((-1,) + (1,) * (q.ndim - 1))
         if self._diff is None or self._diff.shape[1:] != q.shape[1:]:
             self._diff = np.zeros((self.n_sections + 1,) + q.shape[1:])
-        fold, force_head, line_inv = self._kick
-        line_inv = line_inv.reshape((-1,) + (1,) * (q.ndim - 1))
         d, d_next = self._diff[:-1], self._diff[1:]
         q_circ, q_head, q_line, q_next = q[:n], q[:n + 2], q[n:-1], q[n + 1:]
         acc_head, acc_line = acc[:n + 1], acc[n + 1:]
         forces = self._forces
-        for _ in range(steps):
-            q += u
-            np.matmul(fold, q_head, out=acc_head)
-            if forces is not None:
-                acc_head += force_head @ forces(q_circ)
-            np.subtract(q_next, q_line, out=d)
-            np.subtract(d, d_next, out=acc_line)
-            acc_line *= line_inv
-            u -= acc
-        return d
+
+        def loop(steps):  # in-place ufuncs: an augmented assignment would rebind
+            for _ in range(steps):
+                np.add(q, u, out=q)
+                fold.dot(q_head, out=acc_head)
+                if forces is not None:
+                    np.add(acc_head, force_head.dot(forces(q_circ)), out=acc_head)
+                np.subtract(q_next, q_line, out=d)
+                np.subtract(d, d_next, out=acc_line)
+                np.multiply(acc_line, line_inv, out=acc_line)
+                np.subtract(u, acc, out=u)
+            return d
+        return loop
 
     def leapfrog_step(self, q, p, grad, dt, steps=1):
         """``steps`` kick-drift-kick steps from (q, p), ``grad`` being
@@ -552,12 +577,14 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
     q_pos, p = system.initial_state(initial, line_initial)
     n_out = len(t_grid)
     n = system.n_circ
+    head, cells = system._head, system.cells
+    # per sample k >= 1, the loop keeps the node fluxes, the head of
+    # w = dt M^-1 p and the two line sums of the energy; the rest is read
+    # off them for all samples at once below
     phi_out = np.empty((n_out, n))
-    q_out = np.empty((n_out, n))
-    q0_out = np.empty(n_out)
-    v0_out = np.empty(n_out)
+    w_heads = np.empty((n_out, n + 1))
+    d_d, cells_w_w = np.empty(n_out), np.empty(n_out)
     energy = np.empty(n_out)
-    head, head_inv, cells = system._head, system._head_inv, system.cells
 
     # every state the loop makes is checked through its energy below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -568,22 +595,28 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
                 "its energy is not finite")
         u = dt * system.velocities(p - (0.5 * dt) * system.grad_potential(q_pos))
         acc, w = np.empty_like(u), np.empty_like(u)
-        w_head, w_line = w[:n + 1], w[n + 1:]
-        cells_w = np.empty_like(w_line)
-        p_head = p[:n + 1]
-        for k in range(n_out):
-            if k:
-                d = system.drift_kick(q_pos, u, dt, n_sub, acc)
-                np.multiply(acc, 0.5, out=w)
-                w += u  # dt M^-1 p: the last kick undone by half
-                p_head = head @ w_head
-                p_head /= dt
-                np.multiply(cells[1:], w_line, out=cells_w)
-                energy[k] = potential_energy(topology, q_pos[:n]) + 0.5 * (
-                    system._k_line * (d @ d) + p_head @ w_head / dt + cells_w @ w_line / (dt * dt))
-            v0 = (head_inv @ p_head)[n]
-            phi_out[k], q_out[k] = q_pos[:n], p_head[:n]
-            q0_out[k], v0_out[k] = p_head[n] - cells[0] * v0, v0
+        q_circ, w_head, w_line = q_pos[:n], w[:n + 1], w[n + 1:]
+        cells_line, cells_w = cells[1:], np.empty_like(w_line)
+        half = np.array(0.5)  # a 0-d factor skips numpy's conversion of a float
+        phi_out[0] = q_circ
+        for k in range(1, n_out):
+            d = system.drift_kick(q_pos, u, dt, n_sub, acc)
+            np.multiply(acc, half, out=w)
+            w += u  # dt M^-1 p: the last kick undone by half
+            np.multiply(cells_line, w_line, out=cells_w)
+            d_d[k], cells_w_w[k] = d.dot(d), cells_w.dot(w_line)
+            phi_out[k], w_heads[k] = q_circ, w_head
+        # np.matmul on a stack makes the BLAS call of a one-row product on
+        # each row, so every value has that product's bits
+        p_head = np.empty((n_out, n + 1))
+        p_head[0] = p[:n + 1]
+        p_head[1:] = np.matmul(head, w_heads[1:, :, None])[:, :, 0]
+        p_head[1:] /= dt
+        p_w = np.matmul(p_head[1:, None, :], w_heads[1:, :, None])[:, 0, 0]
+        energy[1:] = potential_energy(topology, phi_out[1:]) + 0.5 * (
+            system._k_line * d_d[1:] + p_w / dt + cells_w_w[1:] / (dt * dt))
+        v0_out = np.matmul(system._head_inv, p_head[:, :, None])[:, n, 0]
+        q0_out = p_head[:, n] - cells[0] * v0_out
     if not np.all(np.isfinite(energy)):
         raise NumericalPreconditionError("ladder integration diverged; reduce dt")
     scale = max(abs(energy[0]), abs(energy).max() * 1e-12, 1e-300)
@@ -591,7 +624,7 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
     if drift > LADDER_ENERGY_DRIFT_TOL:
         raise NumericalPreconditionError(
             f"ladder energy drift {drift:.3g} exceeds {LADDER_ENERGY_DRIFT_TOL:.3g}; reduce dt")
-    return Trajectory(t_grid=t_grid, phi=phi_out, q=q_out, q0=q0_out, v0=v0_out,
+    return Trajectory(t_grid=t_grid, phi=phi_out, q=p_head[:, :n], q0=q0_out, v0=v0_out,
                       meta={"integrator": "leapfrog", "dt": float(dt),
                             "substeps": n_sub * (n_out - 1),
                             "n_sections": n_sections, "dx": system.dx,

@@ -19,7 +19,10 @@ with the inverse transform of these entries).
 Roots of p are the eigenvalues of its companion matrix, polished with one
 Newton step; a whole g grid takes one stacked ``eigvals`` call. For every
 (g, alpha) in (0,1) x (0,inf) they lie strictly in the left half plane
-(Routh-Hurwitz: a2 a1 - a3 a0 = alpha g^2 > 0).
+(Routh-Hurwitz: a2 a1 - a3 a0 = alpha g^2 > 0). A root whose backward
+residual exceeds ``POLE_RESIDUAL_TOL`` is refused, not returned: below
+alpha g of about 1e-17 the far root -1/(alpha g) can leave the others
+unresolved.
 """
 from __future__ import annotations
 
@@ -39,6 +42,8 @@ ENTRY_NAMES = ("h11", "h12", "h21", "h22")
 REAL_AXIS_TOL = 1e-9
 #: omega_r range whose powers up to omega_r^3, which scale H(s), stay in float range
 OMEGA_R_RANGE = (1e-100, 1e100)
+#: largest backward residual (``poly_backward_residual``) of a root that is returned
+POLE_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -182,9 +187,12 @@ def _order_rows(roots):
     return ordered, all_real
 
 
-def _poles_of_rows(work, omega_r=1.0, zero_roots=0):
+def _poles_of_rows(work, omega_r=1.0, zero_roots=0, where=None):
     """Ordered roots of each row of ``work`` (m, n+1), leading coefficient
     nonzero, scaled by ``omega_r``; with per-row near-double and all-real flags.
+    A root whose backward residual exceeds ``POLE_RESIDUAL_TOL`` is refused
+    with NumericalPreconditionError, naming row i by ``where(i)`` (default:
+    its coefficients).
 
     All m companion matrices go to one stacked ``eigvals`` call. As in
     ``np.roots``, the last ``zero_roots`` coefficients (zero in every row)
@@ -215,12 +223,40 @@ def _poles_of_rows(work, omega_r=1.0, zero_roots=0):
     if zero_roots:
         roots = np.concatenate((roots, np.zeros((m, zero_roots), roots.dtype)), axis=1)
     polished = _newton_step(work, roots).astype(complex)
-    i, j = np.triu_indices(n, 1)  # every pair of roots; none below degree two
+    # every pair of roots, none below degree two (np.triu_indices' pairs at
+    # a tenth of its cost)
+    i, j = np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
     # each pair's own scale: one far root must not flag the pairs near the origin
     scale = np.maximum(1.0, np.maximum(np.abs(polished[:, i]), np.abs(polished[:, j])))
     near_double = (np.abs(polished[:, i] - polished[:, j]) <= 1e-5 * scale).any(axis=1)
     ordered, all_real = _order_rows(polished)
+    resid = _backward_residuals(work, ordered)
+    bad = ~(resid <= POLE_RESIDUAL_TOL)  # a NaN residual is refused too
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        name = f"coefficients {work[row].tolist()}" if where is None else where(row)
+        raise NumericalPreconditionError(
+            f"root s = {ordered[row, col] * omega_r:.6g} at {name} has backward residual "
+            f"{resid[row, col]:.3g} > {POLE_RESIDUAL_TOL:g}: the leading coefficient "
+            f"{work[row, 0]:.3g} "
+            "puts a root so far out that the companion eigenvalues lose the others; raise it "
+            "(alpha g in H's denominator)")
     return ordered * omega_r, near_double, all_real
+
+
+def _backward_residuals(work, roots):
+    """``poly_backward_residual`` of each root in ``roots`` (m, n) against
+    its row of ``work`` (m, n+1): |p(x)| over the larger of the largest term
+    max_j |a_j| |x|^(n-j) and the largest coefficient. p(x) comes from
+    Horner, the largest term from the same recurrence on magnitudes, so
+    neither leaves the float range where the range check in
+    ``_poles_of_rows`` has passed."""
+    size, magnitudes = np.abs(roots), np.abs(work)
+    value, largest = work[:, :1], magnitudes[:, :1]
+    for a, m in zip(work.T[1:, :, None], magnitudes.T[1:, :, None]):
+        value = value * roots + a
+        largest = np.maximum(largest * size, m)
+    return np.abs(value) / np.maximum(largest, magnitudes.max(axis=1, keepdims=True))
 
 
 def _refuse_far_root(row, omega_r, log_limit):
@@ -241,7 +277,7 @@ def _refuse_far_root(row, omega_r, log_limit):
         f"the float range; raise it (alpha g in H's denominator) to at least {need:.3g}")
 
 
-def find_poles(coeffs, omega_r: float = 1.0) -> PoleSet:
+def find_poles(coeffs, omega_r: float = 1.0, where: str | None = None) -> PoleSet:
     """Roots of the characteristic polynomial as a classified PoleSet.
 
     A one-row call of the batched companion-matrix core that ``pole_locus``
@@ -252,7 +288,9 @@ def find_poles(coeffs, omega_r: float = 1.0) -> PoleSet:
     three real roots with 'aperiodic-triple'; two roots are near-double when
     their distance is at most 1e-5 of the larger of their magnitudes (floored
     at 1), so a far root flags no other pair. Below degree one (after that
-    strip) it raises ValidationError.
+    strip) it raises ValidationError. A root whose backward residual exceeds
+    ``POLE_RESIDUAL_TOL`` raises NumericalPreconditionError, naming the
+    polynomial by ``where`` when given, by its coefficients otherwise.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     flags = []
@@ -263,7 +301,8 @@ def find_poles(coeffs, omega_r: float = 1.0) -> PoleSet:
         degree = "0" if coeffs.any() else "undefined (the zero polynomial)"
         raise ValidationError(f"find_poles needs a polynomial of degree >= 1, got degree {degree}")
     zero_roots = len(coeffs) - 1 - np.flatnonzero(coeffs)[-1]
-    poles, near_double, all_real = _poles_of_rows(coeffs[None, :], omega_r, zero_roots)
+    poles, near_double, all_real = _poles_of_rows(coeffs[None, :], omega_r, zero_roots,
+                                                  None if where is None else lambda i: where)
     if near_double[0]:
         flags.append("near-double-root")
     if all_real[0] and len(coeffs) == 4:
@@ -295,7 +334,7 @@ class TransferMatrixSpec:
 
     @cached_property
     def poles(self) -> PoleSet:
-        return find_poles(self.den, self.omega_r)
+        return find_poles(self.den, self.omega_r, f"alpha = {self.alpha:g}, g = {self.g:g}")
 
     @cached_property
     def physical(self) -> tuple[np.ndarray, np.ndarray]:
@@ -442,7 +481,8 @@ def pole_locus(alpha, g_grid) -> PoleLocus:
     if np.any(coeffs[:, 0] == 0.0):
         raise NumericalPreconditionError(f"alpha * g underflows to 0 at alpha = {alpha:g}: "
                                          "the cubic degenerates; use a larger alpha")
-    branches = _track_branches(_poles_of_rows(coeffs)[0])
+    branches = _track_branches(
+        _poles_of_rows(coeffs, where=lambda i: f"alpha = {alpha:g}, g = {g_grid[i]:g}")[0])
     transitions = {}
     for k in range(3):
         im = branches[:, k].imag

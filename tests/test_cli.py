@@ -239,6 +239,18 @@ class TestImpulse:
                        "[5.73e+04, 3.48e+09] would keep it finite\n")
         assert not (tmp_path / "out").exists()
 
+    def test_period_refused_before_markov_overflow(self, tmp_path, capsys):
+        """At g = 1e-110 the Markov parameters of H overflow; the FFT period
+        is refused first, so no numpy warning precedes the exit-4 message."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["impulse", "--g", "1e-110", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "Warning" not in err
+        assert err.startswith("error: slowest pole decay 1.48e-126 forces the FFT period")
+        assert not (tmp_path / "out").exists()
+
     def test_near_double_pole_reports_no_oracle_figure(self, tmp_path, capsys):
         """At a near-double pole the partial fractions fall back to the IFFT,
         so the sidecar writes null, not a discrepancy of 0, and names the flag."""
@@ -464,6 +476,14 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
                  "at least 2.17e-154", id="poles-alpha-1e-200"),
     pytest.param(["poles", "--alpha", "1e308"], "take the Newton step beyond the float range",
                  id="poles-alpha-1e308"),
+    # the far root -1/(alpha g) leaves the companion eigenvalues unable to
+    # resolve the others: refused by the roots' backward residual
+    pytest.param(["poles", "--alpha", "1e-20"], "at alpha = 1e-20, g = 0.004 has backward "
+                 "residual 1.65e-08 > 1e-12", id="poles-alpha-1e-20"),
+    pytest.param(["poles", "--alpha", "1e-28"], "at alpha = 1e-28, g = 0.057 has backward "
+                 "residual", id="poles-alpha-1e-28"),
+    pytest.param(["poles", "--alpha", "1e-56"], "root s = 511.999+0j at alpha = 1e-56, "
+                 "g = 0.436", id="poles-alpha-1e-56"),
 ])
 def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     """Valid values whose consequences overflow: exit 4, naming the flag or

@@ -353,9 +353,34 @@ class TestPotential:
             assert np.array_equal(potential_gradient(topo, phi), grad)
             assert potential_energy(topo, phi) == u
 
+    def test_stacked_energy_equals_row_calls(self, rng):
+        """A stack of flux rows gives, row by row, the bits of one call per
+        row, junction circuits included; an overflowing junction flux
+        difference in any row is refused with that row's flux size."""
+        for _ in range(50):
+            topo = random_topology(rng, n_max=6)
+            junctions = tuple((i, j, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.2, 2.0)))
+                              for (i, j, _) in topo.inductors[:2])
+            topo = CircuitTopology(node_count=topo.node_count, capacitors=topo.capacitors,
+                                   inductors=topo.inductors, junctions=junctions,
+                                   coupling_capacitance=topo.coupling_capacitance)
+            size = 10.0 ** rng.uniform(-8.0, 8.0, (40, topo.node_count))
+            rows = size * rng.choice([-1.0, 1.0], (40, topo.node_count))
+            stacked = potential_energy(topo, rows)
+            assert stacked.shape == (40,)
+            assert np.array_equal(stacked, [potential_energy(topo, row) for row in rows])
+        topo, _ = lc_topology()
+        assert potential_energy(topo, np.array([[1.0], [1e200]]))[1] == math.inf
+        topo = CircuitTopology(node_count=2, capacitors=((1, 3, 1.0), (2, 3, 1.0)),
+                               inductors=((2, 3, 1.0),), junctions=((1, 2, 0.5, 1.0),),
+                               coupling_capacitance=1.0)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericalPreconditionError, match="overflows at flux size 1e\\+308"):
+            potential_energy(topo, np.array([[1.0, 2.0], [1e308, -1e308], [1.5e308, -1.5e308]]))
+
     def test_energy_matches_former_numpy_scalar_loop(self, rng):
-        """The energy loop runs on Python floats; the former loop on numpy
-        scalars, kept as the reference, gives the same values bit for bit,
+        """The energy runs elementwise on numpy arrays; the former loop on
+        numpy scalars, kept as the reference, gives the same values bit for bit,
         across flux sizes 1e-8 to 1e8 and where a square overflows to inf."""
         def former(topo, phi):
             flux = [*np.asarray(phi, dtype=float), 0.0]
