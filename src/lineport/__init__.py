@@ -13,7 +13,7 @@ from .netlist import (CircuitTopology, ReducedModel, build_capacitance_matrix,
 from .signals import Signal, Trajectory, peak_envelope, write_csv
 from .tline import (LineInitialState, LineParams, backward_wave, dalembert_eval,
                     forward_wave, line_params, thevenin_source)
-from .reduced_dynamics import (LadderSystem, ReducedState, assemble_rhs,
+from .reduced_dynamics import (LadderSystem, ReducedState, StateSpace, assemble_rhs,
                                integrate, ladder_oracle, langevin_form)
 from .spectral import (LcExampleParams, PoleLocus, PoleSet, TransferMatrixSpec,
                        char_poly, classify_modes, find_poles, pole_locus,

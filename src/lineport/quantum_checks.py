@@ -5,10 +5,10 @@ ODEs on the operator coefficients, so the canonical commutation relations
 are preserved exactly when the state-transition matrix S of the closed
 system is symplectic: S^T J S = J with J the canonical pairing of each flux
 with its momentum. ``commutator_residual`` measures the violation; it
-vanishes (to round-off) for the closed ladder+circuit flow and grows like
-the damped-subspace contraction for the reduced open system, which is the
-quantitative statement that the one-port reduction traded the line's
-degrees of freedom for dissipation.
+vanishes (to round-off) for the closed ladder+circuit flow and grows like the
+damped-subspace contraction for the reduced open system, which is the
+quantitative statement that the one-port reduction traded the line's degrees
+of freedom for dissipation. Lumped systems are ``StateSpace`` flows.
 
 Planck's constant enters reporting only: the linear equations of motion are
 hbar-free, so all checks are stated on the classical propagator.
@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
-from .netlist import ReducedModel
-from .reduced_dynamics import LadderSystem, _propagate_affine, _reduced_flow_matrix
+from .reduced_dynamics import LadderSystem, StateSpace, _propagate_affine
 from .signals import Signal, uniform_grid
 from .spectral import LcExampleParams, weak_coupling
 
@@ -47,21 +47,9 @@ class Propagator:
     dt: float | None = None
 
 
-@dataclass(frozen=True)
-class HamiltonianSystem:
-    """Closed linear system q' = M^-1 p, p' = -K q (exact flow available)."""
-
-    mass: np.ndarray
-    stiffness: np.ndarray
-
-
-@dataclass(frozen=True)
-class OpenReducedSystem:
-    """Reduced one-port system on the canonical state (Phi, Phi_0, Q, Q_0);
-    the Q_0 damping makes its flow non-symplectic by construction."""
-
-    model: ReducedModel
-    stiffness: np.ndarray
+#: the closed flow on (q, p) and the reduced one-port flow on (Phi, Phi_0, Q, Q_0)
+HamiltonianSystem = StateSpace.closed
+OpenReducedSystem = partial(StateSpace.reduced, port_flux=True)
 
 
 def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
@@ -70,7 +58,7 @@ def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
     Ladder systems take the leapfrog map of round(t/dt) steps of size dt
     from one eigendecomposition of the ladder's modes
     (``LadderSystem.leapfrog_power``), the backward map for a negative t;
-    closed and open lumped systems use the exact matrix exponential.
+    closed and open lumped systems (``StateSpace``) use the exact matrix exponential.
     Nonlinear (Josephson) systems are rejected: the propagator, and with it
     the commutator check, only exists for linear dynamics.
     """
@@ -91,26 +79,9 @@ def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
             raise ValidationError(f"t={t:g} is not a multiple of dt={dt:g}")
         return Propagator(matrix=system.leapfrog_power(dt, steps), t=t,
                           kind="ladder-leapfrog", dt=dt)
-    from scipy.linalg import expm  # loaded at first use, off the import path
-    if isinstance(system, HamiltonianSystem):
-        m_inv = np.linalg.inv(system.mass)
-        d = len(system.mass)
-        flow = np.zeros((2 * d, 2 * d))
-        flow[:d, d:] = m_inv
-        flow[d:, :d] = -system.stiffness
-        return Propagator(matrix=expm(flow * t), t=t, kind="closed-exact")
-    if isinstance(system, OpenReducedSystem):
-        model = system.model
-        n = model.n_nodes
-        # embed the [Phi, Q, Q0] flow into the state [Phi, Phi0, Q, Q0]; no
-        # equation depends on Phi0, so its column stays zero
-        keep = np.r_[0:n, n + 1:2 * n + 2]
-        flow = np.zeros((2 * n + 2, 2 * n + 2))
-        flow[np.ix_(keep, keep)] = _reduced_flow_matrix(
-            model, np.asarray(system.stiffness, dtype=float))
-        flow[n, n + 1:] = np.append(model.p, 1.0 / model.c_p)  # dPhi0/dt = V0
-        return Propagator(matrix=expm(flow * t), t=t, kind="reduced-open")
-    raise ValidationError(f"unsupported system type {type(system).__name__}")
+    if not isinstance(system, StateSpace):
+        raise ValidationError(f"unsupported system type {type(system).__name__}")
+    return Propagator(matrix=system.propagator(t), t=t, kind=system.kind)
 
 
 def commutator_residual(prop) -> float:

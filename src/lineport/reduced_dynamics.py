@@ -16,8 +16,8 @@ Three independent formulations of the same physics live here:
   realizing the exponential-memory convolution exactly through one auxiliary
   state per node instead of quadrature.
 
-  Both right-hand sides are one flow matrix, holding the linear-inductor
-  stiffness, times the state, less the junction forces where -dU/dPhi enters.
+  Both right-hand sides are one flow matrix times the state, less the junction
+  forces; ``StateSpace`` builds every lumped flow but the Langevin one, and exp(At).
 
 * ``ladder_oracle`` discretizes the line into n LC sections and integrates
   the closed Hamiltonian system with symplectic leapfrog; with the far end
@@ -105,7 +105,6 @@ class ReducedRhs:
     model: ReducedModel
     grad_u: object
     e0: Signal | None = None
-    stiffness: np.ndarray = field(init=False)
     forces: object = field(init=False)
     bound_stiffness: np.ndarray | None = field(init=False)  # see _as_gradient
     flow_matrix: np.ndarray = field(init=False)
@@ -113,8 +112,8 @@ class ReducedRhs:
 
     def __post_init__(self):
         self.n = self.model.n_nodes
-        self.stiffness, self.forces, self.bound_stiffness = _as_gradient(self.grad_u, self.n)
-        self.flow_matrix = _reduced_flow_matrix(self.model, self.stiffness)
+        k, self.forces, self.bound_stiffness = _as_gradient(self.grad_u, self.n)
+        self.flow_matrix = StateSpace.reduced(self.model, k).a
 
     @property
     def is_linear(self) -> bool:
@@ -128,30 +127,57 @@ class ReducedRhs:
         return out
 
 
-def _reduced_flow_matrix(model: ReducedModel, k: np.ndarray) -> np.ndarray:
-    n = model.n_nodes
-    m = np.zeros((2 * n + 1, 2 * n + 1))
-    m[:n, n:2 * n] = model.cb_inv
-    m[:n, 2 * n] = model.p
-    m[n:2 * n, :n] = -k
-    m[2 * n, n:2 * n] = -model.p / model.z_c
-    m[2 * n, 2 * n] = -1.0 / model.tau
-    return m
+@dataclass(frozen=True)
+class StateSpace:
+    """A linear flow x' = A x, the one builder of the lumped flow matrices;
+    ``kind`` names the system in a propagator record."""
+
+    a: np.ndarray
+    kind: str | None = None
+
+    @classmethod
+    def reduced(cls, model: ReducedModel, stiffness, port_flux: bool = False) -> StateSpace:
+        """The reduced equations (module docstring) on (Phi, Q, Q0) with dU/dPhi =
+        K Phi, K = ``stiffness``; ``port_flux`` inserts Phi0 after Phi: the row
+        dPhi0/dt = V0 = p.Q + Q0/C_p and a zero column, as no row reads Phi0."""
+        n = model.n_nodes
+        a = np.zeros((2 * n + 1, 2 * n + 1))
+        a[:n, n:2 * n] = model.cb_inv
+        a[:n, 2 * n] = model.p
+        a[n:2 * n, :n] = -np.asarray(stiffness, dtype=float)
+        a[2 * n, n:2 * n] = -model.p / model.z_c
+        a[2 * n, 2 * n] = -1.0 / model.tau
+        if port_flux:
+            a = np.insert(np.insert(a, n, 0.0, axis=1), n,
+                          np.r_[np.zeros(n + 1), model.p, 1.0 / model.c_p], axis=0)
+        return cls(a, "reduced-open")
+
+    @classmethod
+    def closed(cls, mass, stiffness) -> StateSpace:
+        """The closed Hamiltonian flow q' = M^-1 p, p' = -K q on (q, p)."""
+        d = len(mass)
+        a = np.zeros((2 * d, 2 * d))
+        a[:d, d:] = np.linalg.inv(mass)
+        a[d:, :d] = -np.asarray(stiffness, dtype=float)
+        return cls(a, "closed-exact")
+
+    def propagator(self, t: float) -> np.ndarray:
+        """exp(A t), by scipy's expm, which loads at first use, off the import path."""
+        from scipy.linalg import expm
+        return expm(self.a * t)
 
 
 assemble_rhs = ReducedRhs
 
 
 def _lti_step_operators(m, dt):
-    """Exact step operators for u' = M u + b(t) with piecewise-linear b:
-    u1 = E u0 + F b0 + G (b1 - b0)."""
-    from scipy.linalg import expm  # loaded at first use, off the import path
+    """Exact step operators for u' = M u + b(t), b piecewise linear: u1 = E u0 +
+    F b0 + G (b1 - b0), off the dt-propagator of [[M, I, 0], [0, 0, I], [0, 0, 0]]."""
     d = m.shape[0]
     w = np.zeros((3 * d, 3 * d))
-    w[:d, :d] = m * dt
-    w[:d, d:2 * d] = np.eye(d) * dt
-    w[d:2 * d, 2 * d:] = np.eye(d) * dt
-    ew = expm(w)
+    w[:d, :d] = m
+    w[:2 * d, d:] = np.eye(2 * d)
+    ew = StateSpace(w).propagator(dt)
     return ew[:d, :d], ew[:d, d:2 * d], ew[:d, 2 * d:] / dt
 
 

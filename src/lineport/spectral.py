@@ -20,9 +20,9 @@ Roots of p are the eigenvalues of its companion matrix, polished with one
 Newton step; a whole g grid takes one stacked ``eigvals`` call. For every
 (g, alpha) in (0,1) x (0,inf) they lie strictly in the left half plane
 (Routh-Hurwitz: a2 a1 - a3 a0 = alpha g^2 > 0). A root whose backward
-residual exceeds ``POLE_RESIDUAL_TOL`` is refused, not returned: below
-alpha g of about 1e-17 the far root -1/(alpha g) can leave the others
-unresolved.
+residual exceeds ``POLE_RESIDUAL_TOL``, or in ``pole_locus`` one with Re >= 0,
+is refused, not returned: below alpha g of about 1e-17 the far root
+-1/(alpha g) can leave the others unresolved.
 """
 from __future__ import annotations
 
@@ -112,13 +112,9 @@ def poly_backward_residual(coeffs, x) -> float:
 
     For |x| >> 1 the cubic's leading terms cancel to O(1); measuring against
     the largest term is the float64-meaningful residual there and reduces to
-    |p(x)| / max|coeff| for |x| <= 1.
+    |p(x)| / max|coeff| for |x| <= 1. A one-row call of ``_backward_residuals``.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    powers = x ** np.arange(len(coeffs) - 1, -1, -1)
-    terms = coeffs * powers
-    scale = max(np.abs(terms).max(), np.abs(coeffs).max())
-    return float(abs(np.sum(terms)) / scale)
+    return float(_backward_residuals(np.asarray(coeffs, dtype=float)[None], np.array([[x]]))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -468,7 +464,7 @@ def pole_locus(alpha, g_grid) -> PoleLocus:
     over the whole grid (see ``find_poles``) and are matched step by step by
     ``_track_branches``, so each column is one smooth branch; a branch
     collision at the aperiodic transition is tagged in ``transitions``, not
-    an error.
+    an error, while a root with Re >= 0 is (see the module docstring).
     """
     g_grid = np.asarray(g_grid, dtype=float)
     if g_grid.ndim != 1 or len(g_grid) == 0:
@@ -483,6 +479,13 @@ def pole_locus(alpha, g_grid) -> PoleLocus:
                                          "the cubic degenerates; use a larger alpha")
     branches = _track_branches(
         _poles_of_rows(coeffs, where=lambda i: f"alpha = {alpha:g}, g = {g_grid[i]:g}")[0])
+    right = np.argwhere(branches.real >= 0.0)
+    if len(right):
+        i, k = right[0]
+        raise NumericalPreconditionError(
+            f"root s = {branches[i, k]:.6g} at alpha = {alpha:g}, g = {g_grid[i]:g} has Re >= 0: "
+            f"the far root -1/(alpha g) drowns the pair's real part -alpha g^2/2 = "
+            f"{-alpha * g_grid[i] ** 2 / 2:.3g}; raise alpha to 1e-16 or more")
     transitions = {}
     for k in range(3):
         im = branches[:, k].imag

@@ -484,6 +484,14 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
                  "residual", id="poles-alpha-1e-28"),
     pytest.param(["poles", "--alpha", "1e-56"], "root s = 511.999+0j at alpha = 1e-56, "
                  "g = 0.436", id="poles-alpha-1e-56"),
+    # the residual passes, but the far root drowns the pair's real part
+    # -alpha g^2/2: a root on or right of the imaginary axis, where
+    # Routh-Hurwitz puts no pole, is refused
+    pytest.param(["poles", "--alpha", "1e-100"], "at alpha = 1e-100, g = 0.113 has Re >= 0: "
+                 "the far root", id="poles-alpha-1e-100"),
+    pytest.param(["poles", "--alpha", "1e-48"], "at alpha = 1e-48, g = 0.14 has Re >= 0: the "
+                 "far root -1/(alpha g) drowns the pair's real part -alpha g^2/2 = -9.8e-51; "
+                 "raise alpha to 1e-16 or more", id="poles-alpha-1e-48"),
 ])
 def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     """Valid values whose consequences overflow: exit 4, naming the flag or

@@ -3,9 +3,11 @@ import pytest
 
 from lineport import (GaussianMoments, HamiltonianSystem, LadderSystem,
                       OpenReducedSystem, ReducedState, Signal, ValidationError,
-                      assemble_rhs, canonical_j, commutator_residual, integrate,
-                      ladder_oracle, langevin_weak, line_params, peak_envelope,
-                      propagate_gaussian, propagator_of, stiffness_matrix)
+                      assemble_rhs, build_capacitance_matrix, canonical_j,
+                      commutator_residual, derive_reduced_model, integrate,
+                      ladder_oracle, langevin_weak, line_params, parse_netlist,
+                      peak_envelope, propagate_gaussian, propagator_of, reduce_ground,
+                      residual_report, stiffness_matrix)
 from lineport.spectral import LcExampleParams
 
 from conftest import lc_model, lc_topology
@@ -258,6 +260,93 @@ class TestResidualReport:
         assert rep["system"] == "ladder-leapfrog"
         assert rep["symplectic_residual"] <= 1e-10
         json.dumps(rep)
+
+
+CHAIN_NETLIST = """\
+# three-node LC chain, grounded through the last inductor
+C 1 4 1.0
+C 2 4 1.0
+C 3 4 1.0
+C 1 2 0.2
+L 1 2 1.0
+L 2 3 1.5
+L 3 4 2.0
+COUPLE 0.42857142857142855
+"""
+
+
+def former_reduced_flow(model, k):
+    """The former ``_reduced_flow_matrix``: the reduced flow on (Phi, Q, Q0)."""
+    n = model.n_nodes
+    m = np.zeros((2 * n + 1, 2 * n + 1))
+    m[:n, n:2 * n] = model.cb_inv
+    m[:n, 2 * n] = model.p
+    m[n:2 * n, :n] = -k
+    m[2 * n, n:2 * n] = -model.p / model.z_c
+    m[2 * n, 2 * n] = -1.0 / model.tau
+    return m
+
+
+def former_closed_flow(mass, stiffness):
+    """The flow ``propagator_of`` formerly built for a ``HamiltonianSystem``."""
+    m_inv = np.linalg.inv(mass)
+    d = len(mass)
+    flow = np.zeros((2 * d, 2 * d))
+    flow[:d, d:] = m_inv
+    flow[d:, :d] = -stiffness
+    return flow
+
+
+def former_open_flow(model, stiffness):
+    """The flow ``propagator_of`` formerly built for an ``OpenReducedSystem``:
+    the reduced flow embedded in (Phi, Phi0, Q, Q0), plus dPhi0/dt = V0."""
+    n = model.n_nodes
+    keep = np.r_[0:n, n + 1:2 * n + 2]
+    flow = np.zeros((2 * n + 2, 2 * n + 2))
+    flow[np.ix_(keep, keep)] = former_reduced_flow(model, np.asarray(stiffness, dtype=float))
+    flow[n, n + 1:] = np.append(model.p, 1.0 / model.c_p)
+    return flow
+
+
+def lumped_circuit(name):
+    """(reduced model, topology) of the LC example or the 3-node chain."""
+    if name == "lc":
+        model, topo, _ = lc_model(g=0.3, alpha=2.0)
+        return model, topo
+    topo = parse_netlist(CHAIN_NETLIST)
+    return derive_reduced_model(topo, 2.0), topo
+
+
+class TestStateSpaceCore:
+    """The lumped systems built by ``StateSpace`` against the flows that
+    ``propagator_of`` and the reduced right-hand side formerly built by hand,
+    kept here as the references."""
+
+    @pytest.mark.parametrize("name", ["lc", "chain"])
+    def test_propagators_equal_former_flows(self, name):
+        from scipy.linalg import expm
+        model, topo = lumped_circuit(name)
+        k = stiffness_matrix(topo)
+        mass = reduce_ground(build_capacitance_matrix(topo), topo.ground)
+        assert np.array_equal(assemble_rhs(model, k).flow_matrix, former_reduced_flow(model, k))
+        closed = HamiltonianSystem(mass=mass, stiffness=k)
+        open_system = OpenReducedSystem(model=model, stiffness=k)
+        for t in (0.1, 1.7, 13.0):
+            assert np.array_equal(propagator_of(closed, t).matrix,
+                                  expm(former_closed_flow(mass, k) * t))
+            assert np.array_equal(propagator_of(open_system, t).matrix,
+                                  expm(former_open_flow(model, k) * t))
+
+    def test_residual_report_names_each_system(self):
+        model, topo = lumped_circuit("lc")
+        k = stiffness_matrix(topo)
+        ladder, params = lc_ladder(n_sections=150, length=10.0)
+        systems = {"ladder-leapfrog": ladder,
+                   "closed-exact": HamiltonianSystem(mass=np.array([[1.0]]), stiffness=k),
+                   "reduced-open": OpenReducedSystem(model=model, stiffness=k)}
+        for kind, system in systems.items():
+            dt = params.t_r / 200.0 if kind == "ladder-leapfrog" else None
+            assert residual_report(propagator_of(system, params.t_r, dt=dt))["system"] == kind
 
 
 class TestGaussian:

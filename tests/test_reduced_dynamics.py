@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from lineport import (LadderSystem, LineInitialState, NumericalPreconditionError,
-                      ReducedState, ValidationError, assemble_rhs, integrate,
-                      ladder_oracle, langevin_form, line_params, parse_netlist,
-                      peak_envelope, stiffness_matrix, thevenin_source)
+                      ReducedState, StateSpace, ValidationError, assemble_rhs,
+                      char_poly, find_poles, integrate, ladder_oracle, langevin_form,
+                      line_params, parse_netlist, peak_envelope, stiffness_matrix,
+                      thevenin_source)
 from lineport.reduced_dynamics import _lti_step_operators, _propagate_affine
 from lineport.signals import Signal
 
@@ -833,3 +834,21 @@ class TestTimeGridChecked:
         with pytest.raises(ValidationError, match="time grid"):
             ladder_oracle(lc_line(params), 200, 10.0, topo,
                           ReducedState(phi=[1.0], q=[0.0], q0=0.0), t)
+
+
+class TestStateSpace:
+    def test_reduced_flow_eigenvalues_are_the_laplace_poles(self):
+        """The reduced LC flow's eigenvalues are the roots of the Laplace
+        oracle's cubic (times omega_r), each to 1e-12 of its magnitude, on a
+        270-point (g, alpha, omega_r) grid; each root is matched to its
+        nearest eigenvalue, and no two roots to the same one."""
+        for g in np.linspace(0.02, 0.98, 10):
+            for alpha in np.geomspace(0.05, 20.0, 9):
+                for omega_r in (0.5, 1.0, 3.0):
+                    model, topo, params = lc_model(g=g, alpha=alpha, omega_r=omega_r)
+                    flow = StateSpace.reduced(model, stiffness_matrix(topo)).a
+                    eig = np.linalg.eigvals(flow)
+                    poles = find_poles(char_poly(params.g, params.alpha), params.omega_r).poles
+                    gap = np.abs(eig[:, None] - poles[None, :])
+                    assert len(set(gap.argmin(axis=0))) == 3
+                    assert np.all(gap.min(axis=0) <= 1e-12 * np.abs(poles))

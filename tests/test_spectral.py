@@ -108,6 +108,31 @@ class TestFindPoles:
             find_poles(coeffs)
 
 
+def former_backward_residual(coeffs, x):
+    """The former ``poly_backward_residual``: a sum over a table of powers."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    terms = coeffs * x ** np.arange(len(coeffs) - 1, -1, -1)
+    return float(abs(np.sum(terms)) / max(np.abs(terms).max(), np.abs(coeffs).max()))
+
+
+class TestBackwardResidual:
+    def test_matches_former_power_sum(self, rng):
+        """The one-row call of the batched residual keeps the former
+        definition. Horner and the power sum round p(x) differently, each by
+        at most about 2n(n+1) rounding units of the largest term, which both
+        divide by: for the cubic the two agree to 64 eps, fixed from that
+        bound with a margin for complex arithmetic, at the roots and away
+        from them."""
+        eps = np.finfo(float).eps
+        for _ in range(500):
+            coeffs = char_poly(rng.uniform(0.01, 0.99), np.exp(rng.uniform(-5.0, 5.0)))
+            points = [*find_poles(coeffs).poles, rng.normal(), rng.normal() * 1e3,
+                      complex(*rng.normal(size=2)) * np.exp(rng.uniform(-3.0, 3.0))]
+            for x in points:
+                got, want = poly_backward_residual(coeffs, x), former_backward_residual(coeffs, x)
+                assert abs(got - want) <= 64 * eps
+
+
 class TestClassify:
     def test_mixed(self):
         labels = classify_modes(find_poles(char_poly(0.3, 2.0)))
