@@ -5,16 +5,15 @@
     h(t) ~= (exp(sigma t) / T) * IFFT[ H(sigma + i omega_k) ],
 
 on a uniform grid with omega_k = 2 pi k / T. A strictly proper rational H
-whose relative degree is below four produces a kink (or, at relative degree
+whose relative degree is below five produces a kink (or, at relative degree
 one, a jump) of h at t = 0+, which a truncated Fourier sum resolves slowly;
-the first three terms of the large-s expansion are therefore subtracted as
-c_m/(s+mu)^m on the contour and added back in closed form, which leaves a
-C^2 remainder and restores fast convergence without windowing. Aliasing is
-controlled by the period choice T >= 20 / (slowest pole decay) and reported
-as an estimated bound. Every inversion takes the whole transfer matrix: its
-entries share the denominator, poles (``TransferMatrixSpec.poles``), sigma,
-period and mu, so one contour serves all four (Dubner & Abate, J. ACM 15,
-1968), while each entry keeps its own arithmetic. No caller sets sigma.
+the first MARKOV_TERMS = 4 terms of the large-s expansion are therefore
+subtracted as c_m/(s+mu)^m on the contour and added back in closed form,
+which leaves a C^3 remainder and restores fast convergence without
+windowing. T is 4 t_max, and sigma puts the alias error at ALIAS_TARGET
+(Dubner & Abate, J. ACM 15, 1968; Crump, J. ACM 23, 1976). The entries of a
+transfer matrix share its denominator, poles (``TransferMatrixSpec.poles``)
+and contour, while each keeps its own arithmetic.
 
 ``invert_partial_fractions`` is the independent oracle: residue calculus on
 simple poles, exact up to root-finding precision, from one exp(s t) table
@@ -28,8 +27,8 @@ convolution.
 """
 from __future__ import annotations
 
+import math
 import warnings
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +39,14 @@ from .spectral import ENTRY_NAMES, TransferMatrixSpec
 
 MIN_IFFT_SAMPLES = 1024
 MAX_IFFT_SAMPLES = 2 ** 20
+ALIAS_TARGET = 1e-14  # exp(-(sigma + slowest decay) T), the alias error the contour targets
+_LOG_INV_EPS = math.log(1.0 / ALIAS_TARGET)
+MARKOV_TERMS = 4  # subtracted large-s terms; the remainder is C^(MARKOV_TERMS - 1)
+_LOG_LIMIT = math.log(np.finfo(float).max / 16.0)  # a sum of 16 such terms still fits
 
 
 def _proper_parts(num, den):
-    """``num`` and ``den`` without their leading zeros; refuses an improper
-    num/den."""
+    """``num`` and ``den`` without leading zeros; refuses an improper num/den."""
     num = np.trim_zeros(np.asarray(num, dtype=float), "f")
     den = np.trim_zeros(np.asarray(den, dtype=float), "f")
     if len(num) >= len(den):
@@ -54,9 +56,9 @@ def _proper_parts(num, den):
     return num, den
 
 
-def _markov_parameters(num, den, count=3):
-    """Leading coefficients of H(s) = sum_k h_k s^-k at s -> infinity, for
-    the trimmed proper ``num``/``den`` of ``_proper_parts``."""
+def _markov_parameters(num, den, mu, count=MARKOV_TERMS):
+    """Leading c_k of H(s) = sum_k c_k (s + mu)^-k at s -> infinity, for the
+    trimmed proper ``num``/``den`` of ``_proper_parts``: H's h_k re-expanded."""
     nd = len(den) - 1
     nn = len(num) - 1
     padded = np.zeros(max(nd, count) + 1)
@@ -69,7 +71,46 @@ def _markov_parameters(num, den, count=3):
         for j in range(k):
             acc -= a[k - j] * h[j]
         h[k] = acc / a[0]
-    return h
+    return [sum(math.comb(k, j) * mu ** (k - j) * h[j] for j in range(k + 1))
+            for k in range(count)]
+
+
+def _refuse_t_max(coeff_rows, poles, t_max, n_samples):
+    """Refuse a t_max outside [lo, hi], naming an --n or --t-max inside (1 %
+    inside, for its 3 digits), in float logs free of inf and NaN. Above hi the
+    fastest pole passes the Nyquist frequency pi n/(4 t_max), or exp(sigma t)
+    the float range. Below hi every |s| on the contour is under (3 pi n +
+    ln(1/ALIAS_TARGET))/(4 t_max); lo keeps that within the reach where
+    |s|^MARKOV_TERMS (the Markov terms' scale) and each term c s^k of
+    ``coeff_rows`` (numerators and den) stay finite. Both scale with n."""
+    reach = _LOG_LIMIT / MARKOV_TERMS
+    for row in coeff_rows:
+        for power, c in enumerate(row[-2::-1], start=1):  # c s^power, constant skipped
+            if c != 0.0:
+                reach = min(reach, (_LOG_LIMIT - math.log(abs(c))) / power)
+    fastest, growth = float(np.abs(poles).max()), float(poles.real.max())
+    # growth's floor of 1e-300 also keeps the period 4 t_max finite
+    cap = math.log((_LOG_LIMIT - _LOG_INV_EPS) / 4.0) - math.log(max(growth, 1e-300))
+    lo = math.log((3.0 * math.pi * n_samples + _LOG_INV_EPS) / 4.0) - reach
+    hi = min(cap, math.log(math.pi * n_samples / 4.0) - math.log(fastest)) if fastest else cap
+    log_t = math.log(t_max)
+    if lo <= log_t <= hi:
+        return
+    need = n_samples * 2 ** math.ceil((log_t - hi) / math.log(2.0)) if log_t > hi else 0
+    if lo > hi:
+        advice = "no t_max (--t-max) or n_samples (--n) would; scale the poles below that reach"
+    elif log_t < lo:
+        advice = f"use a t_max (--t-max) of at least {1.01 * math.exp(lo):.3g}"
+    elif need <= MAX_IFFT_SAMPLES and log_t <= cap and lo + math.log(need / n_samples) <= log_t:
+        advice = f"n_samples (--n) of at least {need} would resolve it"
+    else:
+        advice = (f"no n_samples (--n) up to {MAX_IFFT_SAMPLES} would; a t_max (--t-max) of "
+                  f"at most {0.99 * math.exp(hi):.3g} would")
+    raise NumericalPreconditionError(
+        f"t_max = {t_max:.3g} lies outside the range where the contour at n_samples = "
+        f"{n_samples} keeps the fastest pole (|s| = {fastest:.3g}) below its Nyquist frequency "
+        f"pi n/(4 t_max), and itself (up to |s| = {math.exp(reach):.3g}), H and exp(sigma t) "
+        f"in the float range; {advice}")
 
 
 def bromwich_ifft(nums, den, poles, t_max, n_samples=16384):
@@ -77,19 +118,18 @@ def bromwich_ifft(nums, den, poles, t_max, n_samples=16384):
     the shared strictly proper denominator ``den`` whose roots are ``poles``,
     on [0, t_max]; one ``Signal`` per row.
 
-    The rows share one contour: den(s), the (s+mu)^k terms and the
+    The rows share one contour: den(s), 1/(s+mu) and the
     exp(sigma t), exp(-mu t) and alias-tail factors are built once, while each
     row keeps its own subtraction, FFT and products, so every row equals a
     one-row stack bit for bit.
 
-    sigma is 0.1 * (slowest pole decay) + 1/t_max; the FFT period is
-    max(4 t_max, 20 / slowest decay), and the subtracted terms sit at the
-    fastest decay (1/t_max if no pole decays). Returns the samples on the FFT
-    grid restricted to [0, t_max], with quality metrics (imaginary residue,
-    alias bound, contour parameters) in ``signal.meta``. A period that leaves
-    fewer than two samples on [0, t_max], or over which the alias bound is not
-    representable, is refused with ``NumericalPreconditionError``, naming the
-    n_samples or t_max that would not be.
+    The FFT period is T = 4 t_max and sigma = -(slowest pole decay) +
+    ln(1/ALIAS_TARGET)/T; mu is the fastest decay but at least 1/t_max.
+    Returns the n_samples/4 + 1 samples on [0, t_max], with the imaginary
+    residue, alias bound and contour parameters in ``signal.meta``, or
+    refuses a t_max out of range (``_refuse_t_max``). In range the fastest
+    pole is below pi n/T, so ln(1/ALIAS_TARGET)/T is over 1e-5 of the slowest
+    decay: sigma clears every pole.
     """
     rows = np.asarray(nums, dtype=float)
     parts = [_proper_parts(row, den) for row in rows]  # refuses an improper num/den
@@ -100,82 +140,42 @@ def bromwich_ifft(nums, den, poles, t_max, n_samples=16384):
         raise ValidationError(
             f"n_samples must be a power of two >= {MIN_IFFT_SAMPLES}, got {n_samples}")
     poles = np.asarray(poles)
+    _refuse_t_max([*(num for num, _ in parts), parts[0][1]], poles, float(t_max), n_samples)
     min_decay, max_decay = -poles.real.max(), -poles.real.min()
-    sigma = 0.1 * min_decay + 1.0 / t_max
-    if sigma <= poles.real.max():
-        raise NumericalPreconditionError(
-            f"contour crosses pole: sigma={sigma:g} <= max Re(pole)={poles.real.max():g}")
-    period = max(4.0 * t_max, 20.0 / max(min_decay, 1e-300))
+    period = 4.0 * t_max
     dt = period / n_samples
-    if dt > 2.0 * t_max:  # the second FFT sample already lies beyond t_max
-        need = MIN_IFFT_SAMPLES
-        while need <= MAX_IFFT_SAMPLES and period / need > 2.0 * t_max:
-            need *= 2
-        advice = (f"n_samples (--n) of at least {need} would leave two"
-                  if need <= MAX_IFFT_SAMPLES
-                  else f"no n_samples (--n) up to {MAX_IFFT_SAMPLES} would")
-        raise NumericalPreconditionError(
-            f"slowest pole decay {min_decay:.3g} forces the FFT period 20/decay = "
-            f"{period:.3g}, which leaves fewer than two of {n_samples} samples on "
-            f"[0, t_max = {t_max:.3g}]; {advice}")
-    mu = max_decay if max_decay > 0 else 1.0 / t_max
-    # the Markov parameters grow as den[0]^-k, and a den[0] small enough to
-    # overflow them forces a period refused above
-    markov = [_markov_parameters(*part) for part in parts]
+    sigma = -min_decay + _LOG_INV_EPS / period
+    mu = max(max_decay, 1.0 / t_max)
+    markov = [_markov_parameters(*part, mu) for part in parts]
 
     omega = 2.0 * np.pi * np.fft.fftfreq(n_samples, d=dt)
     s = sigma + 1j * omega
     den_on_contour = np.polyval(den, s)
-    shifted = s + mu
-    shifted_powers = (shifted, shifted ** 2, shifted ** 3)
+    inverse = 1.0 / (s + mu)
     t_all = dt * np.arange(n_samples)
-    kept = int(np.count_nonzero(t_all <= t_max + 0.5 * dt))  # a prefix of the grid
-    t = t_all[:kept]
+    t = t_all[:n_samples // 4 + 1]  # the last is t_max
     head_decay = np.exp(-mu * t)
     tail_start = int(0.9 * n_samples)
-    # exp(sigma t) overflows on the tail first, where it makes the alias
-    # bound non-finite, which is refused before any product is formed
-    with np.errstate(over="ignore"):
-        damp = np.exp(sigma * t)
-        tail_growth = np.exp(sigma * t_all[tail_start:])
-    decay_factor = np.exp(-(sigma + min_decay) * period)
+    damp = np.exp(sigma * t)
+    tail_growth = np.exp(sigma * t_all[tail_start:])
     signals = []
-    for row, (h1, h2, h3) in zip(rows, markov):
-        c1 = h1
-        c2 = h2 + c1 * mu
-        c3 = h3 + 2.0 * c2 * mu - c1 * mu * mu
+    for row, c in zip(rows, markov):
         h_on_contour = np.polyval(row, s)
         h_on_contour /= den_on_contour
-        h_on_contour -= c1 / shifted_powers[0] + c2 / shifted_powers[1] + c3 / shifted_powers[2]
+        h_on_contour -= inverse * np.polyval(c[::-1], inverse)  # sum_k c_k (s + mu)^-k
         g = np.fft.ifft(h_on_contour)
         g /= dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            tail = np.abs(tail_growth * g.real[tail_start:])
-            alias_bound = float(tail.max() * decay_factor / max(1.0 - decay_factor, 1e-16))
-        if not np.isfinite(alias_bound):
-            raise _alias_overflow(min_decay, period, sigma, t_max)
-        h_vals = damp * g.real[:kept] + head_decay * (c1 + c2 * t + 0.5 * c3 * t * t)
-        imag_residual = float(np.abs(damp * g.imag[:kept]).max())
+        tail = np.abs(tail_growth * g.real[tail_start:])
+        alias_bound = float(tail.max() * ALIAS_TARGET / (1.0 - ALIAS_TARGET))
+        head = np.polyval([ck / math.factorial(k) for k, ck in enumerate(c)][::-1], t)
+        h_vals = damp * g.real[:len(t)] + head_decay * head
+        imag_residual = float(np.abs(damp * g.imag[:len(t)]).max())
         signals.append(Signal(t0=0.0, dt=dt, samples=h_vals,
                               meta={"sigma": float(sigma), "period": float(period),
                                     "n_samples": n_samples, "mu": float(mu),
                                     "imag_residual": imag_residual,
                                     "alias_bound": alias_bound}))
     return signals
-
-
-def _alias_overflow(min_decay, period, sigma, t_max):
-    """The refusal of a period over which exp(sigma t) leaves the float
-    range. At the default sigma, sigma * period is 2 + 20/(decay t_max) while
-    the decay sets the period and 4 + 0.4 decay t_max once t_max does, so a
-    t_max between the two roots of ``exponent`` keeps the bound finite."""
-    exponent = 700.0  # below log(float max) = 709.78, leaving room for |g|
-    low, high = 20.0 / (min_decay * (exponent - 2.0)), (exponent - 4.0) / (0.4 * min_decay)
-    return NumericalPreconditionError(
-        f"slowest pole decay {min_decay:.3g} and t_max = {t_max:.3g} force the FFT "
-        f"period {period:.3g}, over which the alias-bound factor exp(sigma t), "
-        f"sigma = {sigma:.3g}, overflows; no n_samples (--n) helps, a t_max (--t-max) "
-        f"in [{low:.3g}, {high:.3g}] would keep it finite")
 
 
 def invert_ifft(spec: TransferMatrixSpec, t_max, n_samples=16384):
@@ -310,10 +310,9 @@ def normalize_max_abs(sig: Signal) -> Signal:
     if peak == 0.0:
         raise ValidationError("cannot normalize an all-zero signal")
     k = int(np.argmax(np.abs(sig.samples)))
-    out = Signal(t0=sig.t0, dt=sig.dt, samples=sig.samples / peak,
-                 normalization=(float(peak), float(sig.t_grid[k])),
-                 meta=dict(sig.meta))
-    return out
+    return Signal(t0=sig.t0, dt=sig.dt, samples=sig.samples / peak,
+                  normalization=(float(peak), float(sig.t_grid[k])),
+                  meta=dict(sig.meta))
 
 
 def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=16384):

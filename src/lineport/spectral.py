@@ -259,18 +259,18 @@ def _refuse_far_root(row, omega_r, log_limit):
     """Refuse a row whose roots (times ``omega_r``) or Newton-step terms (log10
     up to ``log_limit``) leave the float range. With M the largest other
     coefficient these reach M/lead and M^n / lead^(n-1): a larger lead helps
-    unless the coefficients are too large themselves."""
-    n, lead = len(row) - 1, abs(row[0])
+    unless the coefficients, or the lead they need (found in log10), overflow."""
+    n, log_max = len(row) - 1, np.log10(np.finfo(float).max)
     with np.errstate(divide="ignore"):
         log_m = np.log10(np.abs(row[1:]).max())
-    need = 1.03 * 10.0 ** max((n * log_m - log_limit) / max(n - 1, 1),
-                              log_m + np.log10(omega_r / np.finfo(float).max))
-    if need <= lead:
-        raise NumericalPreconditionError(f"coefficients up to {np.abs(row).max():.3g} take "
-                                         "the Newton step beyond the float range; scale them down")
+    log_need = np.log10(1.03) + max((n * log_m - log_limit) / max(n - 1, 1),
+                                    log_m + np.log10(omega_r) - log_max)
+    if not np.log10(abs(row[0])) < log_need < log_max:
+        raise NumericalPreconditionError(f"coefficients up to {np.abs(row).max():.3g} take the "
+                                         "Newton step beyond the float range; lower alpha g")
     raise NumericalPreconditionError(
         f"leading coefficient {row[0]:.3g} puts a root so far out that the Newton step leaves "
-        f"the float range; raise it (alpha g in H's denominator) to at least {need:.3g}")
+        f"the float range; raise it (alpha g in H's denominator) to at least {10 ** log_need:.3g}")
 
 
 def find_poles(coeffs, omega_r: float = 1.0, where: str | None = None) -> PoleSet:
@@ -340,7 +340,7 @@ class TransferMatrixSpec:
             nums = self.scales[:, None] * self.numerators / w ** np.arange(
                 self.numerators.shape[1] - 1, -1, -1)
             den = self.den / w ** np.arange(len(self.den) - 1, -1, -1)
-        if not (np.isfinite(nums).all() and np.isfinite(den).all()):  # a huge alpha
+        if not np.abs(np.append(nums, den)).max() < 2.0 ** 1020:  # a huge alpha; room for 16 terms
             raise NumericalPreconditionError(
                 f"H(s) is not representable in physical units at alpha={self.alpha:g}, "
                 f"omega_r={w:g}; rescale omega_r")

@@ -222,33 +222,55 @@ class TestImpulse:
         assert len(calls) == 2
         assert all(np.shape(num) == (4, 3) for num, *_ in calls)
 
-    @pytest.mark.parametrize("gs", [["0.999999"], ["0.3", "0.999999"]], ids=["alone", "second"])
-    def test_alias_overflow_refused_before_writing(self, tmp_path, capsys, gs):
-        """A pole this slow stretches the FFT period until exp(sigma t) overflows
-        in the alias bound: exit 4 with the decay, the period and a working
-        --t-max, no numpy warning, and no file, not even for an earlier g."""
+    @pytest.mark.parametrize("gs", [["0.1"], ["0.999", "0.1"]], ids=["alone", "second"])
+    def test_t_max_refused_before_writing(self, tmp_path, capsys, gs):
+        """At alpha 0.01 and g 0.1 the far pole -1/(alpha g) lies beyond the
+        contour's Nyquist frequency pi n/(4 t_max): exit 4 naming the pole and
+        the --n that resolves it, no numpy warning, and no file, not even for
+        an earlier g."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rc = main(["impulse", *(a for g in gs for a in ("--g", g)), "--n", "524288",
+            rc = main(["impulse", *(a for g in gs for a in ("--g", g)), "--alpha", "0.01",
                        "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 4
-        assert err == ("error: slowest pole decay 5e-07 and t_max = 62.8 force the FFT period "
-                       "4e+07, over which the alias-bound factor exp(sigma t), sigma = 0.0159, "
-                       "overflows; no n_samples (--n) helps, a t_max (--t-max) in "
-                       "[5.73e+04, 3.48e+09] would keep it finite\n")
+        assert err == ("error: t_max = 62.8 lies outside the range where the contour at "
+                       "n_samples = 16384 keeps the fastest pole (|s| = 1e+03) below its Nyquist "
+                       "frequency pi n/(4 t_max), and itself (up to |s| = 5.79e+76), H and "
+                       "exp(sigma t) in the float range; n_samples (--n) of at least 131072 "
+                       "would resolve it\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n", ["16384", "524288"], ids=["n-16384", "n-524288"])
+    def test_slow_pole_inverted(self, tmp_path, capsys, n):
+        """g 0.999999 has a pole decaying at 5e-7, which set the former FFT
+        period and was refused; the period now follows t_max, and the IFFT
+        matches the partial fractions to 1e-6 of each entry's peak."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["impulse", "--g", "0.999999", "--n", n, "--out", str(tmp_path)])
+        assert rc == 0
+        assert "Warning" not in capsys.readouterr().err
+        stem = tmp_path / "impulse_g0.999999_alpha2"
+        via_ifft, via_pf = (np.loadtxt(f"{stem}{suffix}.csv", delimiter=",", skiprows=1)
+                            for suffix in ("", "_pf"))
+        assert len(via_ifft) == int(n) // 4 + 1
+        err = np.abs(via_ifft[:, 1:] - via_pf[:, 1:]).max(axis=0)
+        assert (err <= 1e-6 * np.abs(via_pf[:, 1:]).max(axis=0)).all()
+
     def test_period_refused_before_markov_overflow(self, tmp_path, capsys):
-        """At g = 1e-110 the Markov parameters of H overflow; the FFT period
-        is refused first, so no numpy warning precedes the exit-4 message."""
+        """At g = 1e-110 the Markov parameters of H overflow; the t_max range
+        check refuses first, since no t_max resolves the far pole 5e109, so
+        no numpy warning precedes the exit-4 message."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = main(["impulse", "--g", "1e-110", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 4
         assert "Warning" not in err
-        assert err.startswith("error: slowest pole decay 1.48e-126 forces the FFT period")
+        assert "fastest pole (|s| = 5e+109)" in err
+        assert err.endswith("no t_max (--t-max) or n_samples (--n) would; scale the poles "
+                            "below that reach\n")
         assert not (tmp_path / "out").exists()
 
     def test_near_double_pole_reports_no_oracle_figure(self, tmp_path, capsys):
@@ -464,7 +486,8 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
                  "junction flux difference overflows at flux size 1e+308; reduce the "
                  "initial state", id="josephson-phi-diff-overflow"),
     pytest.param(["reduce", "{tmp}/cbig.net"], "the capacitances overflow; rescale the units",
-                 id="capacitance-sum-overflow"),
+                 id="capacitance-sum-overflow",
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
     pytest.param(["reduce", "{tmp}/ctiny.net"], "rescale the capacitance units",
                  id="capacitance-inverse-overflow"),
     pytest.param(["reduce", "{tmp}/csmall.net"], "rescale the capacitance units",
@@ -476,6 +499,22 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
                  "at least 2.17e-154", id="poles-alpha-1e-200"),
     pytest.param(["poles", "--alpha", "1e308"], "take the Newton step beyond the float range",
                  id="poles-alpha-1e308"),
+    # found by test_fuzz_laplace_flags with numpy warnings as errors: extreme
+    # alpha and t_max values, refused without a warning on the way
+    pytest.param(["poles", "--alpha", "1.0072084518267304e+308", "--g-start", "0.875",
+                  "--g-stop", "0.875"], "beyond the float range; lower alpha g",
+                 id="poles-alpha-far-root-need-overflow"),
+    pytest.param(["impulse", "--t-max=8.98846567431158e+307", "--n=1024"],
+                 "a t_max (--t-max) of at most 526 would", id="impulse-t-max-9e307"),
+    pytest.param(["impulse", "--t-max=5e-324"], "a t_max (--t-max) of at least 6.74e-73",
+                 id="impulse-t-max-5e-324"),
+    pytest.param(["impulse", "--alpha=5.2e305"], "a t_max (--t-max) of at least 9.37e+03",
+                 id="impulse-alpha-5.2e305"),
+    # a coefficient of H near the float maximum, which the partial fractions'
+    # derivative of den would overflow once the contour accepts the t_max
+    pytest.param(["impulse", "--alpha", "1.7e308", "--g", "1e-300", "--omega-r", "1e-100",
+                  "--n", "1024"], "H(s) is not representable in physical units",
+                 id="impulse-coefficient-near-float-max"),
     # the far root -1/(alpha g) leaves the companion eigenvalues unable to
     # resolve the others: refused by the roots' backward residual
     pytest.param(["poles", "--alpha", "1e-20"], "at alpha = 1e-20, g = 0.004 has backward "
@@ -495,15 +534,15 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
 ])
 def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     """Valid values whose consequences overflow: exit 4, naming the flag or
-    the initial state as the cause."""
+    the initial state as the cause, with no numpy RuntimeWarning on the way
+    (an error under the test settings) unless the case is marked."""
     net = write_netlist(tmp_path)
     (tmp_path / "jj.net").write_text(JOSEPHSON_NETLIST)
     (tmp_path / "cbig.net").write_text("C 1 2 1e308\nC 1 2 1e308\nL 1 2 1.0\nCOUPLE 0.5\n")
     (tmp_path / "ctiny.net").write_text(CTINY_NETLIST)
     (tmp_path / "csmall.net").write_text(CSMALL_NETLIST)
     argv = [a.format(tmp=tmp_path, net=net) for a in argv]
-    with np.errstate(all="ignore"):
-        rc = main([*argv, "--out", str(tmp_path / "out")])
+    rc = main([*argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 4
     assert "Traceback" not in err
@@ -641,18 +680,23 @@ def test_shifted_profile_exit_2(tmp_path, capsys):
     assert "shifted.csv' starts at x = 5" in err and "shift its x column by -5" in err
 
 
-@pytest.mark.parametrize("flag", [["--alpha", "1e-9"], ["--g", "0.999999"]],
-                         ids=["alpha-1e-9", "g-0.999999"])
-def test_impulse_period_beyond_t_max_exit_4(tmp_path, capsys, flag):
-    """A pole so slow that the FFT grid leaves one sample on [0, t_max] is
-    refused by its cause, before any numpy RuntimeWarning."""
+@pytest.mark.parametrize("flag, names", [
+    pytest.param(["--alpha", "1e-9"],
+                 ["(|s| = 3.33e+09)", "a t_max (--t-max) of at most 3.82e-06"], id="alpha-1e-9"),
+    pytest.param(["--alpha", "1e-100", "--g", "0.113"],
+                 ["(|s| = 8.85e+100)", "(up to |s| = 5.79e+76)",
+                  "scale the poles below that reach"], id="alpha-1e-100")])
+def test_impulse_fastest_pole_exit_4(tmp_path, capsys, flag, names):
+    """A far pole -1/(alpha g) beyond the contour's Nyquist frequency is
+    refused by its own |s|, with a corrective value and before any numpy
+    RuntimeWarning; no decay of -0 from the pair at Re = +0 is named."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rc = main(["impulse", *flag, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 4
-    assert "Warning" not in err
-    assert "slowest pole decay" in err and "fewer than two of 16384 samples" in err
+    assert "Warning" not in err and "-0 " not in err
+    assert all(name in err for name in names), err
 
 
 # In a fresh interpreter, because this test process has loaded scipy already.
@@ -878,8 +922,7 @@ def test_fuzz_laplace_flags(case):
     with tempfile.TemporaryDirectory() as tmp:
         net = write_netlist(Path(tmp))
         argv = [a.format(net=net) for a in argv]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                np.errstate(all="ignore"):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 rc = main([*argv, "--out", f"{tmp}/out"])
             except SystemExit as exc:

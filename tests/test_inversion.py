@@ -27,10 +27,14 @@ class TestBromwichIfft:
         assert sig.meta["imag_residual"] <= 1e-8
 
     def test_contour_must_clear_poles(self):
-        # a right-half-plane pole at +1: at t_max 5 the contour sits at sigma 0.1
-        with pytest.raises(NumericalPreconditionError, match="contour crosses pole"):
-            bromwich_ifft(np.array([[1.0]]), np.array([1.0, -1.0]), np.array([1.0]),
-                          t_max=5.0)
+        """A right-half-plane pole at +1 is inverted, not refused: sigma =
+        1 + ln(1e14)/20 clears it, and h = exp(t) on the n/4 + 1 samples of
+        [0, t_max]."""
+        (sig,) = bromwich_ifft(np.array([[1.0]]), np.array([1.0, -1.0]), np.array([1.0]),
+                               t_max=5.0)
+        assert len(sig.samples) == 16384 // 4 + 1 and sig.t_grid[-1] == 5.0
+        assert sig.meta["sigma"] > 1.0
+        assert np.abs(sig.samples - np.exp(sig.t_grid)).max() <= 1e-12 * np.exp(5.0)
 
     def test_sample_count_validation(self):
         num, den = np.array([[1.0]]), np.array([1.0, 1.0])
@@ -53,34 +57,59 @@ class TestBromwichIfft:
         with pytest.raises(ValidationError, match="distributional"):
             bromwich_ifft(np.array([num]), np.array([1.0, 1.0]), np.array([-1.0]), t_max=5.0)
 
-    @pytest.mark.parametrize("decay, n, period, advice", [
-        pytest.param(1e-4, 1024, "2e+05", "n_samples (--n) of at least 131072 would leave two",
+    @pytest.mark.parametrize("decay, n, advice", [
+        pytest.param(1e4, 1024, "n_samples (--n) of at least 16384 would resolve it",
                      id="n-1024"),
-        pytest.param(1e-4, 65536, "2e+05", "n_samples (--n) of at least 131072 would leave two",
+        pytest.param(1e5, 65536, "n_samples (--n) of at least 131072 would resolve it",
                      id="n-65536"),
-        pytest.param(1e-9, 16384, "2e+10", f"no n_samples (--n) up to {MAX_IFFT_SAMPLES} would",
-                     id="beyond-cap")])
-    def test_too_few_samples_refused(self, decay, n, period, advice):
-        """A slow pole stretches the FFT period until [0, t_max] holds one
-        sample; the refusal names the decay, the period and the n needed."""
-        message = (f"slowest pole decay {decay:.3g} forces the FFT period 20/decay = {period}, "
-                   f"which leaves fewer than two of {n} samples on [0, t_max = 1]; {advice}")
+        pytest.param(1e9, 16384, f"no n_samples (--n) up to {MAX_IFFT_SAMPLES} would; a t_max "
+                     "(--t-max) of at most 1.27e-05 would", id="beyond-cap")])
+    def test_too_few_samples_refused(self, decay, n, advice):
+        """A pole too fast for n samples over 4 t_max lies beyond the Nyquist
+        frequency pi n/(4 t_max); the refusal names the pole and the n, or
+        beyond the cap the t_max, that resolves it."""
+        message = (f"t_max = 1 lies outside the range where the contour at n_samples = {n} "
+                   f"keeps the fastest pole (|s| = {decay:.3g}) below its Nyquist frequency "
+                   "pi n/(4 t_max), and itself (up to |s| = 5.79e+76), H and exp(sigma t) in "
+                   f"the float range; {advice}")
         with pytest.raises(NumericalPreconditionError, match=f"^{re.escape(message)}$"):
             bromwich_ifft(np.array([[1.0]]), np.array([1.0, decay]), np.array([-decay]),
                           t_max=1.0, n_samples=n)
 
+    @pytest.mark.parametrize("decay, t_max, n", [(1e4, 1.0, 16384), (1e5, 1.0, 131072),
+                                                  (1e9, 1.27e-5, 16384)])
+    def test_named_n_or_t_max_is_accepted(self, decay, t_max, n):
+        """The n or t_max that ``test_too_few_samples_refused`` names gives an
+        accurate inversion."""
+        (sig,) = bromwich_ifft(np.array([[1.0]]), np.array([1.0, decay]), np.array([-decay]),
+                               t_max=t_max, n_samples=n)
+        assert np.abs(sig.samples - np.exp(-decay * sig.t_grid)).max() <= 1e-6
 
-    def test_alias_overflow_refused(self):
-        """A decay of 5e-7 forces the period 4e7, over which exp(sigma t)
-        overflows: the alias bound would be NaN, so the inversion is refused
-        with the t_max range that keeps it finite, and no numpy warning."""
-        message = ("slowest pole decay 5e-07 and t_max = 62.8 force the FFT period 4e+07, "
-                   "over which the alias-bound factor exp(sigma t), sigma = 0.0159, overflows; "
-                   "no n_samples (--n) helps, a t_max (--t-max) in [5.73e+04, 3.48e+09] "
-                   "would keep it finite")
-        with pytest.raises(NumericalPreconditionError, match=f"^{re.escape(message)}$"):
-            bromwich_ifft(np.array([[1.0]]), np.array([1.0, 5e-7]), np.array([-5e-7]),
-                          t_max=62.8, n_samples=2 ** 19)
+    @pytest.mark.parametrize("t_max, advice", [
+        pytest.param(5e-324, "use a t_max (--t-max) of at least 6.74e-73", id="t-max-5e-324"),
+        pytest.param(1e-100, "use a t_max (--t-max) of at least 6.74e-73", id="t-max-1e-100")])
+    def test_t_max_below_range_refused(self, t_max, advice):
+        """A t_max so small that the contour's |s| leaves the float range,
+        long before the sample spacing underflows, is refused without a
+        ZeroDivisionError or numpy warning."""
+        with pytest.raises(NumericalPreconditionError, match=re.escape(advice)):
+            bromwich_ifft(np.array([[1.0]]), np.array([1.0, 1.0]), np.array([-1.0]), t_max)
+
+    def test_pole_beyond_every_range_refused(self):
+        """A pole beyond the contour's reach at every t_max and n."""
+        with pytest.raises(NumericalPreconditionError,
+                           match=r"\|s\| = 1e\+100\).*no t_max \(--t-max\) or n_samples"):
+            bromwich_ifft(np.array([[1.0]]), np.array([1.0, 1e100]), np.array([-1e100]), 1.0)
+
+    def test_slow_pole_inverted(self):
+        """A decay of 5e-7 no longer sets the period: the contour follows
+        t_max, and h = exp(-5e-7 t) comes out to rounding (the former rule
+        stretched the period to 4e7 and refused)."""
+        (sig,) = bromwich_ifft(np.array([[1.0]]), np.array([1.0, 5e-7]), np.array([-5e-7]),
+                               t_max=62.8, n_samples=2 ** 19)
+        assert sig.meta["period"] == 4 * 62.8
+        assert np.abs(sig.samples - np.exp(-5e-7 * sig.t_grid)).max() <= 1e-12
+        assert sig.meta["alias_bound"] <= 1e-13
 
     @pytest.mark.parametrize("t_max", [5.73e4, 3.48e9])
     def test_alias_refusal_range_is_finite(self, t_max):
@@ -178,6 +207,23 @@ class TestAgainstPartialFractions:
         a = normalize_max_abs(via_pf)
         scale = a.normalization[0]
         assert np.abs(via_ifft.samples / scale - a.samples).max() <= 1e-6
+
+
+class TestAccuracy:
+    """The relative IFFT-PF figure per entry (as the bench's impulse check
+    computes it) at n = 16384 and t_max = 10 T_r, on points where the period
+    rule max(4 t_max, 20/slowest decay) missed 1e-6 (0.11 at g 0.999,
+    5.1e-3 at g 0.01 and alpha 50, 5.9e-4 at g 0.9 and alpha 50, 1.3e-6 at
+    g 0.25 and alpha 1.5, inside the bench's laplace box) or refused (g
+    0.999999)."""
+
+    @pytest.mark.parametrize("g, alpha", [(0.999, 2.0), (0.999999, 2.0), (0.01, 50.0),
+                                          (0.9, 50.0), (0.25, 1.5)])
+    def test_relative_discrepancy_below_1e_6(self, g, alpha):
+        _, table, _ = impulse_response_table(transfer_matrix(g, alpha), 10 * TR, 16384)
+        for via_ifft, via_pf in table.values():
+            err = np.abs(via_ifft.samples - via_pf.samples).max()
+            assert err <= 1e-6 * np.abs(via_pf.samples).max()
 
 
 class TestPartialFractions:
