@@ -194,7 +194,8 @@ def build_capacitance_matrix(topology: CircuitTopology) -> np.ndarray:
     pair summed); each diagonal entry is the opposite of its row sum, so all
     row sums vanish. The coupling capacitor C_c is not part of this matrix.
     """
-    return _stamp_branches(topology.node_count + 1, topology.capacitors)
+    with np.errstate(over="ignore"):  # reduce_ground refuses a sum beyond the float range
+        return _stamp_branches(topology.node_count + 1, topology.capacitors)
 
 
 def reduce_ground(full_matrix, ground_index) -> np.ndarray:

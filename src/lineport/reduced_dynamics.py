@@ -17,7 +17,9 @@ Three independent formulations of the same physics live here:
   state per node instead of quadrature.
 
   Both right-hand sides are one flow matrix times the state, less the junction
-  forces; ``StateSpace`` builds every lumped flow but the Langevin one, and exp(At).
+  forces; ``StateSpace`` builds every lumped flow but the Langevin one, and exp(At)
+  by a numpy scaling-and-squaring kernel (``_expm``; Higham, SIAM J. Matrix
+  Anal. Appl. 26, 2005), so no module here needs scipy.
 
 * ``ladder_oracle`` discretizes the line into n LC sections and integrates
   the closed Hamiltonian system with symplectic leapfrog; with the far end
@@ -49,6 +51,12 @@ MIN_LADDER_SECTIONS = 100
 LADDER_COURANT = 0.5
 #: largest relative energy drift a ladder run may show
 LADDER_ENERGY_DRIFT_TOL = 0.01
+#: the [13/13] Pade approximant's numerator coefficients b_0..b_13, and the
+#: largest 1-norm of A at which it gives exp(A) to double precision (Higham 2005)
+PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+THETA_13 = 5.371920351148152
 
 
 @dataclass
@@ -162,9 +170,32 @@ class StateSpace:
         return cls(a, "closed-exact")
 
     def propagator(self, t: float) -> np.ndarray:
-        """exp(A t), by scipy's expm, which loads at first use, off the import path."""
-        from scipy.linalg import expm
-        return expm(self.a * t)
+        """exp(A t) by scaling and squaring (``_expm``)."""
+        return _expm(self.a * t)
+
+
+def _expm(a):
+    """exp(A) by scaling and squaring with one Pade degree (N. J. Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179, 2005): A scaled exactly by 2^-s to a 1-norm of
+    at most THETA_13, the [13/13] approximant (V - U)^-1 (V + U), with U odd and
+    V even in A, taken as I + 2 (V - U)^-1 U, then squared s times. That form
+    rounds a small A's exp(A) to within an ulp, and a zero A's to I exactly."""
+    mantissa, s = math.frexp(np.linalg.norm(a, 1) / THETA_13)
+    s = max(0, s - (mantissa == 0.5))  # the least s with 2^s >= ||A||_1 / THETA_13
+    a = np.ldexp(a, -s)
+    b = PADE_13
+    ident = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = ident + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 assemble_rhs = ReducedRhs

@@ -344,6 +344,12 @@ class TransferMatrixSpec:
             raise NumericalPreconditionError(
                 f"H(s) is not representable in physical units at alpha={self.alpha:g}, "
                 f"omega_r={w:g}; rescale omega_r")
+        if den[0] == 0 < self.g:  # p is cubic for g > 0; an underflow must not make H improper
+            # a lower omega_r cannot help when alpha g itself underflows
+            fix = "" if self.den[0] == 0 else " or lower omega_r (--omega-r)"
+            raise NumericalPreconditionError(
+                f"the leading coefficient alpha g/omega_r^3 of H's denominator underflows to 0 at "
+                f"alpha={self.alpha:g}, g={self.g:g}, omega_r={w:g}; raise alpha (--alpha){fix}")
         return nums, den
 
     def relative_degree(self, entry) -> int:

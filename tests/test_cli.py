@@ -486,8 +486,7 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
                  "junction flux difference overflows at flux size 1e+308; reduce the "
                  "initial state", id="josephson-phi-diff-overflow"),
     pytest.param(["reduce", "{tmp}/cbig.net"], "the capacitances overflow; rescale the units",
-                 id="capacitance-sum-overflow",
-                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+                 id="capacitance-sum-overflow"),
     pytest.param(["reduce", "{tmp}/ctiny.net"], "rescale the capacitance units",
                  id="capacitance-inverse-overflow"),
     pytest.param(["reduce", "{tmp}/csmall.net"], "rescale the capacitance units",
@@ -515,6 +514,17 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     pytest.param(["impulse", "--alpha", "1.7e308", "--g", "1e-300", "--omega-r", "1e-100",
                   "--n", "1024"], "H(s) is not representable in physical units",
                  id="impulse-coefficient-near-float-max"),
+    # H's denominator is cubic for g > 0: a leading coefficient alpha g/omega_r^3
+    # that underflows to 0 would make H look improper (exit 3)
+    pytest.param(["impulse", "--alpha", "1e-50", "--g", "0.9999999999999999", "--omega-r",
+                  "1e100"], "underflows to 0 at alpha=1e-50, g=1, omega_r=1e+100; raise alpha "
+                 "(--alpha) or lower omega_r (--omega-r)",
+                 id="impulse-leading-coefficient-underflow"),
+    pytest.param(["impulse", "--alpha", "1e200", "--g", "1e-300", "--omega-r", "1e100",
+                  "--n", "1024"], "raise alpha (--alpha) or lower omega_r (--omega-r)",
+                 id="impulse-leading-coefficient-underflow-tiny-g"),
+    pytest.param(["impulse", "--alpha", "1e-200", "--g", "1e-200", "--n", "1024"],
+                 "omega_r=1; raise alpha (--alpha)\n", id="impulse-alpha-g-underflow"),
     # the far root -1/(alpha g) leaves the companion eigenvalues unable to
     # resolve the others: refused by the roots' backward residual
     pytest.param(["poles", "--alpha", "1e-20"], "at alpha = 1e-20, g = 0.004 has backward "
@@ -535,7 +545,7 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
 def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     """Valid values whose consequences overflow: exit 4, naming the flag or
     the initial state as the cause, with no numpy RuntimeWarning on the way
-    (an error under the test settings) unless the case is marked."""
+    (an error under the test settings)."""
     net = write_netlist(tmp_path)
     (tmp_path / "jj.net").write_text(JOSEPHSON_NETLIST)
     (tmp_path / "cbig.net").write_text("C 1 2 1e308\nC 1 2 1e308\nL 1 2 1.0\nCOUPLE 0.5\n")
@@ -699,31 +709,42 @@ def test_impulse_fastest_pole_exit_4(tmp_path, capsys, flag, names):
     assert all(name in err for name in names), err
 
 
-# In a fresh interpreter, because this test process has loaded scipy already.
+# In a fresh interpreter, because this test process has loaded scipy already;
+# with None in its sys.modules slot, any import of scipy raises.
 SCIPY_FREE_RUN = """\
 import sys
-import lineport, lineport.cli
-net, out = sys.argv[1:]
-for argv in (["reduce", net], ["poles", "--g-step", "0.01"], ["impulse", "--n", "1024"]):
+sys.modules["scipy"] = None
+import lineport.cli
+lc, jj, out = sys.argv[1:]
+sim = ["--ell", "2.0", "--c-per-len", "0.5", "--t-max", "5.0", "--samples", "51",
+       "--n-sections", "100"]
+for argv in (["reduce", lc], ["poles", "--g-step", "0.01"], ["impulse", "--n", "1024"],
+             ["simulate", lc, *sim], ["simulate", jj, *sim]):
     assert lineport.cli.main([*argv, "--out", out]) == 0, argv
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_laplace_commands_load_no_scipy(tmp_path):
-    """`reduce`, `poles` and `impulse` run on numpy alone."""
+def run_fresh_interpreter(script, *args):
+    """Run ``script`` in a fresh interpreter on this checkout's sources."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(write_netlist(tmp_path)),
-                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    """`reduce`, `poles`, `impulse` and `simulate`, on the LC and the
+    Josephson netlist, run on numpy alone."""
+    jj = tmp_path / "jj.net"
+    jj.write_text(JOSEPHSON_NETLIST)
+    proc = run_fresh_interpreter(SCIPY_FREE_RUN, write_netlist(tmp_path), jj, tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 LADDER_SCIPY_FREE_RUN = """\
 import sys
+sys.modules["scipy"] = None
 import numpy as np
 import lineport
 topo = lineport.parse_netlist_file(sys.argv[1])
@@ -731,21 +752,24 @@ line = lineport.line_params(2.0, 0.5)
 system = lineport.LadderSystem(topo, line, 100, 10.0)
 lineport.propagator_of(system, 1.0, dt=0.01)
 initial = lineport.ReducedState(phi=[1.0], q=[0.0], q0=0.0)
-lineport.ladder_oracle(line, 100, 10.0, topo, initial, np.linspace(0.0, 5.0, 51))
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+grid = np.linspace(0.0, 5.0, 51)
+lineport.ladder_oracle(line, 100, 10.0, topo, initial, grid)
+model = lineport.derive_reduced_model(topo, line.z_c)
+k = lineport.stiffness_matrix(topo)
+lineport.integrate(lineport.assemble_rhs(model, topo), initial, grid, method="expm")
+lineport.langevin_form(model, topo, None, initial, grid)
+mass = lineport.reduce_ground(lineport.build_capacitance_matrix(topo), topo.ground)
+lineport.propagator_of(lineport.HamiltonianSystem(mass=mass, stiffness=k), 1.0)
+lineport.propagator_of(lineport.OpenReducedSystem(model=model, stiffness=k), 1.0)
 """
 
 
-def test_ladder_path_loads_no_scipy(tmp_path):
-    """`LadderSystem`, its leapfrog propagator and `ladder_oracle` run on numpy alone."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", LADDER_SCIPY_FREE_RUN,
-                           str(write_netlist(tmp_path))], env=env, capture_output=True,
-                          text=True, timeout=120)
+def test_library_paths_load_no_scipy(tmp_path):
+    """`LadderSystem`, its leapfrog propagator, `ladder_oracle`, the exact
+    expm stepper of `integrate`, `langevin_form` and the propagators of both
+    lumped systems run on numpy alone."""
+    proc = run_fresh_interpreter(LADDER_SCIPY_FREE_RUN, write_netlist(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # --- fuzzing simulate's initial-state inputs --------------------------------

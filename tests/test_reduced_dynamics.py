@@ -1,18 +1,20 @@
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from lineport import (LadderSystem, LineInitialState, NumericalPreconditionError,
                       ReducedState, StateSpace, ValidationError, assemble_rhs,
-                      char_poly, find_poles, integrate, ladder_oracle, langevin_form,
-                      line_params, parse_netlist, peak_envelope, stiffness_matrix,
-                      thevenin_source)
+                      build_capacitance_matrix, char_poly, derive_reduced_model,
+                      find_poles, integrate, ladder_oracle, langevin_form,
+                      line_params, parse_netlist, peak_envelope, reduce_ground,
+                      stiffness_matrix, thevenin_source)
 from lineport.reduced_dynamics import _lti_step_operators, _propagate_affine
 from lineport.signals import Signal
 
-from conftest import lc_model
+from conftest import lc_model, random_topology
 
 
 def lc_line(params, v_p=1.0):
@@ -852,3 +854,71 @@ class TestStateSpace:
                     gap = np.abs(eig[:, None] - poles[None, :])
                     assert len(set(gap.argmin(axis=0))) == 3
                     assert np.all(gap.min(axis=0) <= 1e-12 * np.abs(poles))
+
+
+def mp_expm(a):
+    """exp(A) to 50 digits by mpmath, rounded to doubles."""
+    with mpmath.workdps(50):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+
+
+class TestExpmKernel:
+    """``StateSpace.propagator`` against mpmath's exp(A) at 50 digits. The
+    bound follows from the conditioning of exp: its relative condition number
+    is at least ||A|| (N. J. Higham, Functions of Matrices, SIAM 2008, sec.
+    10.2), so a stable method loses accuracy in proportion. The max-abs error
+    may reach 8 ulps of max|exp(A)| per unit of ||A||_1, and 8 ulps below
+    ||A||_1 = 1."""
+
+    @staticmethod
+    def assert_close(got, a, want=None):
+        want = mp_expm(a) if want is None else want
+        bound = 8 * np.finfo(float).eps * max(1.0, np.linalg.norm(a, 1))
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reduced_flows_of_random_circuits(self, seed):
+        topo = random_topology(np.random.default_rng(seed), n_max=3)
+        flow = StateSpace.reduced(derive_reduced_model(topo, 2.0), stiffness_matrix(topo))
+        for dt in (1e-3, 0.1, 1.0, 10.0):
+            self.assert_close(flow.propagator(dt), flow.a * dt)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_step_operators_of_random_circuits(self, seed):
+        """E, F and G of the exact stepper are blocks of exp(W dt) for the
+        3d x 3d augmented W = [[M, I, 0], [0, 0, I], [0, 0, 0]]."""
+        topo = random_topology(np.random.default_rng(seed), n_max=3)
+        m = StateSpace.reduced(derive_reduced_model(topo, 2.0), stiffness_matrix(topo)).a
+        d = len(m)
+        w = np.zeros((3 * d, 3 * d))
+        w[:d, :d] = m
+        w[:2 * d, d:] = np.eye(2 * d)
+        for dt in (0.01, 0.5):
+            want = mp_expm(w * dt)
+            blocks = np.hstack(_lti_step_operators(m, dt))
+            blocks[:, 2 * d:] *= dt
+            self.assert_close(blocks, w * dt, want[:d])
+
+    @pytest.mark.parametrize("kind", ["closed", "port-flux"])
+    def test_lumped_flows_over_norms(self, kind):
+        """||A t||_1 from 1e-8 to 1e3: none to eight squarings."""
+        model, topo, _ = lc_model(g=0.3, alpha=2.0)
+        k = stiffness_matrix(topo)
+        mass = reduce_ground(build_capacitance_matrix(topo), topo.ground)
+        flow = (StateSpace.closed(mass, k) if kind == "closed"
+                else StateSpace.reduced(model, k, port_flux=True))
+        for norm in 10.0 ** np.arange(-8, 4):
+            t = norm / np.linalg.norm(flow.a, 1)
+            self.assert_close(flow.propagator(t), flow.a * t)
+
+    def test_non_normal_matrices_over_norms(self):
+        a = np.random.default_rng(5).standard_normal((6, 6))
+        for norm in 10.0 ** np.arange(-8, 4):
+            t = norm / np.linalg.norm(a, 1)
+            self.assert_close(StateSpace(a).propagator(t), a * t)
+
+    def test_zero_matrix_gives_identity(self):
+        assert np.array_equal(StateSpace(np.zeros((5, 5))).propagator(1.0), np.eye(5))
+        model, topo, _ = lc_model()
+        flow = StateSpace.reduced(model, stiffness_matrix(topo))
+        assert np.array_equal(flow.propagator(0.0), np.eye(3))
