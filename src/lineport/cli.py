@@ -6,8 +6,8 @@ an analytic cross-check), ``simulate`` (reduced model vs ladder oracle
 trajectories). Outputs are deterministic: identical invocations produce
 byte-identical files.
 
-Exit codes: 0 success, 2 input error, 3 model invariant violation,
-4 numerical precondition violation.
+Every refusal is a raised ``LineportError``; ``main`` prints its message and
+returns its class's ``exit_code`` (0 on success).
 """
 from __future__ import annotations
 
@@ -58,21 +58,26 @@ def cmd_reduce(args):
     topology = parse_netlist_file(args.netlist)
     model = derive_reduced_model(topology, args.z_c)
     report = invariant_report(model)
+    worst = max(report.values())
+    if worst > INVARIANT_TOL:
+        raise ValidationError(f"invariant residual {worst:.3g} exceeds {INVARIANT_TOL:g}")
     payload = model.to_json_dict()
     payload["invariants"] = report
     payload["warnings"] = list(model.warnings)
     sys.stdout.write(_json_text(payload))
     out = _out_dir(args)
     _write(os.path.join(out, "reduced_model.json"), _write_json, payload)
-    worst = max(report.values())
-    if worst > INVARIANT_TOL:
-        print(f"invariant residual {worst:.3g} exceeds {INVARIANT_TOL:g}",
-              file=sys.stderr)
-        return 3
     return 0
 
 
+def _check_g(values):
+    for g in values:
+        if not 0.0 < g < 1.0:
+            raise InputError(f"g values must lie in (0, 1), got {g}")
+
+
 def cmd_poles(args):
+    _check_g((args.g_start, args.g_stop))
     alphas = args.alpha if args.alpha else [0.5, 1.0, 2.0]
     if (args.g_stop - args.g_start) / args.g_step >= MAX_G_POINTS:
         raise InputError(f"--g-step {args.g_step:g} gives more than {MAX_G_POINTS} g points "
@@ -101,6 +106,8 @@ def cmd_poles(args):
 
 
 def cmd_impulse(args):
+    gs = args.g if args.g else [0.3, 0.8]
+    _check_g(gs)
     n = args.n
     if n < MIN_IFFT_SAMPLES:
         raise InputError(f"--n must be at least {MIN_IFFT_SAMPLES}, got {n}")
@@ -111,7 +118,6 @@ def cmd_impulse(args):
         raise NumericalPreconditionError(
             f"--omega-r {omega_r:g} lies outside [{OMEGA_R_RANGE[0]:g}, {OMEGA_R_RANGE[1]:g}], "
             "where H(s) is representable; rescale the time unit")
-    gs = args.g if args.g else [0.3, 0.8]
     if n & (n - 1):
         n = 1 << (n - 1).bit_length()
         print(f"warning: n rounded up to the next power of two: {n}", file=sys.stderr)
@@ -306,30 +312,12 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name in ("g", "g_start", "g_stop"):
-        if hasattr(args, name):
-            vals = getattr(args, name)
-            vals = vals if isinstance(vals, list) else [vals]
-            for v in vals:
-                if v is not None and not (0.0 < v < 1.0) and args.command in ("poles", "impulse"):
-                    print(f"error: g values must lie in (0, 1), got {v}", file=sys.stderr)
-                    return 2
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalPreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except LineportError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,17 +1,20 @@
 """Exception hierarchy shared by the whole package.
 
-The CLI maps these onto exit codes: input errors (netlist parse errors among
-them) exit 2, model/validation errors exit 3, violated numerical
-preconditions exit 4.
+Each class's ``exit_code`` is the status the CLI exits with when a command
+raises it; the attributes below are the only record of that mapping.
 """
 
 
 class LineportError(Exception):
     """Base class for all lineport errors."""
 
+    exit_code = 3
+
 
 class InputError(LineportError):
     """Unreadable or malformed user input: a missing file, a bad value."""
+
+    exit_code = 2
 
 
 class NetlistParseError(InputError):
@@ -27,7 +30,11 @@ class NetlistParseError(InputError):
 class ValidationError(LineportError):
     """A model invariant or input-value constraint is violated."""
 
+    exit_code = 3
+
 
 class NumericalPreconditionError(LineportError):
     """A numerical precondition (echo window, contour placement, stability)
     does not hold; the message states the corrective action."""
+
+    exit_code = 4

@@ -253,11 +253,11 @@ def derive_reduced_model(topology: CircuitTopology, z_c: float) -> ReducedModel:
         c_p = 1.0 / (1.0 / c_c + p[0])
         b = c_p * np.outer(p, p)
         a = cb_inv - b
+        tau = z_c * c_p
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NumericalPreconditionError(
             "the reduced model overflows: the capacitances are too small for "
             "Cb^-1 and C_p p p^T; rescale the capacitance units")
-    tau = z_c * c_p
     if not (np.isfinite(tau) and tau > 0):
         raise NumericalPreconditionError(
             f"tau = Z_c C_p = {tau:g} at Z_c = {z_c:g}, C_p = {c_p:g} is not a "

@@ -85,13 +85,20 @@ class ReducedState:
 def _as_gradient(grad_u, n):
     """grad U as (linear stiffness K, junction forces or None, the stiffness
     that bounds dt: K plus each junction's small-signal E_J/phi0^2 stamped as
-    an inductor, None for a callable, whose stiffness is unknown)."""
+    an inductor, None for a callable, whose stiffness is unknown). A circuit
+    whose K or bound is not finite is refused before any step."""
     forces = None
     if isinstance(grad_u, CircuitTopology):
-        k = stiffness_matrix(replace(grad_u, junctions=()))  # the linear inductors
+        with np.errstate(over="ignore"):  # refused below if not finite
+            k = stiffness_matrix(replace(grad_u, junctions=()))  # the linear inductors
+            bound = k + _stamp_branches(len(k) + 1, [(i, j, e_j / phi0 / phi0) for i, j, e_j,
+                                                     phi0 in grad_u.junctions])[:-1, :-1]
+        for stiffness, units, m in (("inductor stiffness 1/L", "inductance", k),
+                                    ("junction stiffness E_J/phi0^2", "junction", bound)):
+            if not np.isfinite(m).all():
+                raise NumericalPreconditionError(
+                    f"{stiffness} is not finite; rescale the {units} units")
         forces = None if grad_u.is_linear else partial(junction_forces, grad_u)
-        bound = k + _stamp_branches(len(k) + 1, [(i, j, e_j / phi0 ** 2) for i, j, e_j, phi0
-                                                 in grad_u.junctions])[:-1, :-1]
     elif callable(grad_u):
         k, forces, bound = np.zeros((n, n)), grad_u, None
     else:
@@ -272,8 +279,9 @@ def _evolve(model: ReducedModel, stiffness, flow, f, linear, b, y0, t_grid, meth
         method = "expm" if linear else "rk4"
     # warn where accuracy depends on dt: all but the exact homogeneous stepper
     if stiffness is not None and (method != "expm" or b.any()):
-        omega_max = np.sqrt(np.linalg.norm(model.cb_inv, 2)
-                            * max(np.linalg.norm(stiffness, 2), 1e-300))
+        # a root of each norm: their product may overflow or underflow to 0
+        omega_max = (np.sqrt(np.linalg.norm(model.cb_inv, 2))
+                     * np.sqrt(max(np.linalg.norm(stiffness, 2), 1e-300)))
         limit = min(model.tau, 1.0 / omega_max) / DT_SAFETY_FACTOR
         if dt > limit:
             warnings.warn(f"dt={dt:.3g} does not resolve the fastest scale; "
@@ -397,11 +405,21 @@ class LadderSystem:
         cells[0] *= 0.5
         cells[-1] *= 0.5
         self.cells = cells
-        head = _stamp_branches(n + 1, [(1, n + 1, c_c)])  # C_c: node 1 to line node 0
-        head[:n, :n] += cb
-        head[n, n] += cells[0]
+        with np.errstate(over="ignore"):  # refused below if not finite
+            head = _stamp_branches(n + 1, [(1, n + 1, c_c)])  # C_c: node 1 to line node 0
+            head[:n, :n] += cb
+            head[n, n] += cells[0]
         self._head = head
-        self._head_l_inv = np.linalg.inv(np.linalg.cholesky(head))  # head = L L^T
+        try:
+            l_head = np.linalg.cholesky(head)  # head = L L^T
+        except np.linalg.LinAlgError:
+            l_head = np.full_like(head, np.nan)
+        if not np.isfinite(l_head).all():
+            raise NumericalPreconditionError(
+                f"ladder mass matrix is not positive definite in float64: capacitances up "
+                f"to {np.abs(head).max():.3g} against a first ladder cell of {cells[0]:.3g}; "
+                "lower the circuit capacitances or lengthen the ladder's sections")
+        self._head_l_inv = np.linalg.inv(l_head)
         self._head_inv = self._head_l_inv.T @ self._head_l_inv
         self._k_line = 1.0 / (line.ell * self.dx)
         self._k_circ, self._forces, _ = _as_gradient(topology, n)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
+import lineport.cli
+import lineport.errors
 import lineport.inversion
 import lineport.spectral
 from lineport.cli import MAX_G_POINTS, main
@@ -87,6 +90,17 @@ class TestReduce:
         assert rc == 3
         assert names in capsys.readouterr().err
         assert not (tmp_path / "reduced_model.json").exists()
+
+    def test_invariant_refusal_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """A model that fails its own invariant check is refused before any
+        output: no JSON on stdout and no reduced_model.json."""
+        monkeypatch.setattr(lineport.cli, "invariant_report", lambda model: {"c_p_residual": 1e-6})
+        rc = main(["reduce", str(write_netlist(tmp_path)), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "error: invariant residual 1e-06 exceeds 1e-09\n"
+        assert not (tmp_path / "out" / "reduced_model.json").exists()
 
     def test_deterministic_output(self, tmp_path, capsys):
         net = write_netlist(tmp_path)
@@ -360,6 +374,9 @@ L 2 3 1.0
 COUPLE 0.4
 """
 
+# JOSEPHSON_NETLIST's topology with its values C13, E_J, phi0, C23, L23, C_c filled in
+VALUES_NETLIST = "C 1 3 {}\nJ 1 2 {} {}\nC 2 3 {}\nL 2 3 {}\nCOUPLE {}\n"
+
 
 @pytest.mark.parametrize("argv, names", [
     pytest.param(["reduce", "{tmp}/missing.net"], "missing.net", id="reduce-missing-netlist"),
@@ -442,6 +459,14 @@ COUPLE 0.4
                  "--g-step 1e-300 gives more than 1000000 g points", id="g-step-beyond-cap"),
     pytest.param(["impulse", "--n", "99999999999999999999"],
                  "--n must be at most 1048576, got 99999999999999999999", id="n-beyond-cap"),
+    pytest.param(["reduce", "{tmp}/cabc.net"], "line 1: bad element value 'abc'",
+                 id="bad-element-value"),
+    pytest.param(["reduce", "{tmp}/couple2.net"], "line 3: COUPLE line needs a single value",
+                 id="couple-two-values"),
+    pytest.param(["reduce", "{tmp}/ground.net"],
+                 "line 4: GROUND line needs 'auto' or a node index", id="bare-ground"),
+    pytest.param(["reduce", "{tmp}/couple.net"],
+                 "netlist must reference at least nodes 1 and ground", id="couple-only"),
 ])
 def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     net = write_netlist(tmp_path)
@@ -456,6 +481,10 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     (tmp_path / "two.csv").write_text("x,phi0\n0,0\n1,1\n")
     (tmp_path / "gauss.csv").write_text("x,phi0\n0,0\n1,1\n2,0\n3,0\n")
     (tmp_path / "half.csv").write_text("x,q0\n0,0\n0.5,1\n1,0\n1.5,0\n")
+    (tmp_path / "cabc.net").write_text("C 1 2 abc\nL 1 2 1.0\nCOUPLE 0.5\n")
+    (tmp_path / "couple2.net").write_text("C 1 2 1.0\nL 1 2 1.0\nCOUPLE 1 2\n")
+    (tmp_path / "ground.net").write_text("C 1 2 1.0\nL 1 2 1.0\nCOUPLE 0.5\nGROUND\n")
+    (tmp_path / "couple.net").write_text("COUPLE 1.0\n")
     argv = [a.format(tmp=tmp_path, net=net) for a in argv]
     try:  # argparse rejects a flag value by raising SystemExit(2)
         rc = main([*argv, "--out", str(tmp_path / "out")])
@@ -541,6 +570,26 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     pytest.param(["poles", "--alpha", "1e-48"], "at alpha = 1e-48, g = 0.14 has Re >= 0: the "
                  "far root -1/(alpha g) drowns the pair's real part -alpha g^2/2 = -9.8e-51; "
                  "raise alpha to 1e-16 or more", id="poles-alpha-1e-48"),
+    # element values whose stiffness, time constant or ladder mass matrix
+    # leaves the float range; each once exited 1, printed a numpy warning or
+    # blamed the initial state
+    pytest.param(["simulate", "{tmp}/phi0tiny.net", *SIM_FLAGS, "--samples", "51",
+                  "--n-sections", "100"], "junction stiffness E_J/phi0^2 is not finite; "
+                 "rescale the junction units", id="junction-stiffness-overflow"),
+    pytest.param(["simulate", "{tmp}/lsum.net", *SIM_FLAGS, "--samples", "51",
+                  "--n-sections", "100"], "inductor stiffness 1/L is not finite; rescale "
+                 "the inductance units", id="inductor-stiffness-sum-overflow"),
+    pytest.param(["simulate", "{tmp}/ltiny.net", *SIM_FLAGS, "--samples", "51",
+                  "--n-sections", "100"], "inductor stiffness 1/L is not finite; rescale "
+                 "the inductance units", id="inductor-stiffness-inverse-overflow"),
+    pytest.param(["simulate", "{tmp}/ccbig.net", *SIM_FLAGS, "--samples", "51",
+                  "--n-sections", "100"], "ladder mass matrix is not positive definite in "
+                 "float64: capacitances up to 7.87e+15", id="ladder-head-singular"),
+    pytest.param(["simulate", "{tmp}/chuge.net", *SIM_FLAGS, "--samples", "51",
+                  "--n-sections", "100"], "ladder mass matrix is not positive definite in "
+                 "float64: capacitances up to inf", id="ladder-head-overflow"),
+    pytest.param(["reduce", "{tmp}/cplarge.net"], "tau = Z_c C_p = inf at Z_c = 50",
+                 id="tau-overflow"),
 ])
 def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     """Valid values whose consequences overflow: exit 4, naming the flag or
@@ -551,6 +600,14 @@ def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     (tmp_path / "cbig.net").write_text("C 1 2 1e308\nC 1 2 1e308\nL 1 2 1.0\nCOUPLE 0.5\n")
     (tmp_path / "ctiny.net").write_text(CTINY_NETLIST)
     (tmp_path / "csmall.net").write_text(CSMALL_NETLIST)
+    (tmp_path / "phi0tiny.net").write_text("C 1 2 1.0\nJ 1 2 1.0 1e-200\nCOUPLE 0.5\n")
+    (tmp_path / "lsum.net").write_text("C 1 2 1.0\nL 1 2 1e-308\nL 1 2 1e-308\nCOUPLE 0.5\n")
+    (tmp_path / "ltiny.net").write_text("C 1 2 1.0\nL 1 2 1e-320\nCOUPLE 0.5\n")
+    (tmp_path / "ccbig.net").write_text(VALUES_NETLIST.format(1, 1, 1, 1, 1, 7865809183042824.0))
+    (tmp_path / "chuge.net").write_text(VALUES_NETLIST.format(1.3931231832285764e+308, 1, 1, 1,
+                                                              1, 4.0456995163373943e+307))
+    (tmp_path / "cplarge.net").write_text(VALUES_NETLIST.format(1.73251876725969e+307, 1, 1, 1,
+                                                                1, 4.536900429268128e+306))
     argv = [a.format(tmp=tmp_path, net=net) for a in argv]
     rc = main([*argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -724,12 +781,12 @@ for argv in (["reduce", lc], ["poles", "--g-step", "0.01"], ["impulse", "--n", "
 """
 
 
-def run_fresh_interpreter(script, *args):
-    """Run ``script`` in a fresh interpreter on this checkout's sources."""
+def run_fresh_interpreter(*args):
+    """Run ``python *args`` in a fresh interpreter on this checkout's sources."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -738,7 +795,8 @@ def test_cli_commands_load_no_scipy(tmp_path):
     Josephson netlist, run on numpy alone."""
     jj = tmp_path / "jj.net"
     jj.write_text(JOSEPHSON_NETLIST)
-    proc = run_fresh_interpreter(SCIPY_FREE_RUN, write_netlist(tmp_path), jj, tmp_path / "out")
+    proc = run_fresh_interpreter("-c", SCIPY_FREE_RUN, write_netlist(tmp_path), jj,
+                                 tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -768,8 +826,34 @@ def test_library_paths_load_no_scipy(tmp_path):
     """`LadderSystem`, its leapfrog propagator, `ladder_oracle`, the exact
     expm stepper of `integrate`, `langevin_form` and the propagators of both
     lumped systems run on numpy alone."""
-    proc = run_fresh_interpreter(LADDER_SCIPY_FREE_RUN, write_netlist(tmp_path))
+    proc = run_fresh_interpreter("-c", LADDER_SCIPY_FREE_RUN, write_netlist(tmp_path))
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["reduce", "{net}"], 0, id="0-reduce"),
+    pytest.param(["impulse", "--g", "1.5"], 2, id="2-bad-g"),
+    pytest.param(["reduce", "{tmp}/island.net"], 3, id="3-floating-island"),
+    pytest.param(["poles", "--alpha", "1e-300"], 4, id="4-tiny-alpha")])
+def test_process_exit_status(tmp_path, argv, code):
+    """The process exits with the status that ``main`` returns."""
+    (tmp_path / "island.net").write_text("C 1 4 1.0\nC 2 3 0.5\nL 1 4 1.0\nL 2 4 1.0\n"
+                                         "L 3 4 1.0\nCOUPLE 1.0\n")
+    argv = [a.format(tmp=tmp_path, net=write_netlist(tmp_path)) for a in argv]
+    proc = run_fresh_interpreter("-m", "lineport.cli", *argv, "--out", tmp_path / "out")
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_exit_codes_match_readme():
+    """Each error class's ``exit_code`` is the code README's table gives it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {name: int(code) for code, name in re.findall(r"^\| `(\d)` \| `(\w+)`", readme,
+                                                          flags=re.MULTILINE)}
+    classes = {name: getattr(lineport.errors, name) for name in dir(lineport.errors)
+               if isinstance(getattr(lineport.errors, name), type)}
+    assert table == {name: cls.exit_code for name, cls in classes.items()
+                     if issubclass(cls, lineport.errors.LineportError)}
 
 
 # --- fuzzing simulate's initial-state inputs --------------------------------
@@ -858,6 +942,46 @@ def test_fuzz_simulate_initial_state(case):
         assert rc == 2, (argv, err.getvalue())
     else:
         assert rc != 2, (argv, err.getvalue())
+
+
+# --- a netlist-values property ---------------------------------------------
+# The topology of JOSEPHSON_NETLIST with every element value drawn from the
+# whole positive float range, subnormals included: `reduce` and `simulate`
+# either succeed or refuse with exit 2, 3 or 4, and no numpy RuntimeWarning
+# escapes on the way.
+
+MAGNITUDES = st.floats(1e-320, 1.7e308).map(repr)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.lists(MAGNITUDES, min_size=6, max_size=6))
+# falsifying examples found by this property (ZeroDivisionError and
+# OverflowError from E_J/phi0^2, LinAlgError from the ladder's mass matrix,
+# numpy warnings from the dt bound, tau and the mass matrix), and phi0 = 1e200
+@example(["1.0", "1.0", "1e-320", "1.0", "1.0", "1.0"])
+@example(["1.0", "1.0", "1.3407807929942597e+154", "1.0", "1.0", "1.0"])
+@example(["1.0", "1.0", "1e+200", "1.0", "1.0", "1.0"])
+@example(["1.0", "1.0", "1.0", "1.0", "1.0", "4503599579917364.0"])
+@example(["1.0", "1.0", "1.0", "1.0", "1.0", "7865809183042824.0"])
+@example(["4.0480450661462125e+23", "1e-320", "1.0", "4.0480450661462125e+23",
+          "9.999999999999999e+299", "1.0"])
+@example(["1.73251876725969e+307", "1.0", "1.0", "1.0", "1.0", "4.536900429268128e+306"])
+@example(["1.3931231832285764e+308", "1.0", "1.0", "1.0", "1.0", "4.0456995163373943e+307"])
+def test_netlist_values_property(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        net = Path(tmp, "values.net")
+        net.write_text(VALUES_NETLIST.format(*values))
+        for argv in (["reduce", str(net)],
+                     ["simulate", str(net), "--ell", "2.0", "--c-per-len", "0.5",
+                      "--t-max", "3", "--samples", "31", "--n-sections", "100"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True):
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = main([*argv, "--out", f"{tmp}/out"])
+            event(f"{argv[0]} exit {rc}")
+            assert rc in (0, 2, 3, 4), (values, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 # --- fuzzing the Laplace-side flags -----------------------------------------

@@ -43,6 +43,10 @@ class TestBromwichIfft:
         with pytest.raises(ValidationError, match="power of two"):
             bromwich_ifft(num, den, np.array([-1.0]), 1.0, n_samples=512)
 
+    def test_t_max_must_be_positive(self):
+        with pytest.raises(ValidationError, match="^t_max must be positive$"):
+            bromwich_ifft(np.array([[1.0]]), np.array([1.0, 1.0]), np.array([-1.0]), 0.0)
+
     def test_improper_entry_refused(self):
         # at g=0, h22 = 1: a pure delta(t), not a function
         spec = transfer_matrix(0.0, 2.0)

@@ -299,6 +299,19 @@ class TestPotential:
                 ref[j - 1, i - 1] -= w
         assert np.array_equal(k, ref)
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda topo: derive_reduced_model(topo, 0.0),
+                     "characteristic impedance must be positive", id="z-c-0"),
+        pytest.param(lambda topo: potential_gradient(topo, np.zeros(2)),
+                     r"flux vector must have shape \(1,\)", id="flux-shape"),
+        pytest.param(lambda topo: stiffness_matrix(CircuitTopology(
+            node_count=1, capacitors=((1, 2, 1.0),), junctions=((1, 2, 1.0, 1.0),),
+            coupling_capacitance=0.5)), r"stiffness matrix requires a linear circuit "
+            r"\(no junctions\)", id="josephson-stiffness")])
+    def test_malformed_arguments_refused(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call(lc_topology()[0])
+
     def test_nonfinite_flux_rejected(self):
         topo, _ = lc_topology()
         with pytest.raises(ValidationError, match="finite"):

@@ -85,7 +85,7 @@ class TestPropagator:
 
     @pytest.mark.parametrize("t, dt", [
         (np.inf, 0.01), (np.nan, 0.01), (1.0, 0.0), (1.0, -0.01),
-        (1.0, np.inf), (1.0, np.nan), (1e300, 1e-300)])
+        (1.0, np.inf), (1.0, np.nan), (1e300, 1e-300), (1.0, 0.3)])
     def test_ladder_refuses_unusable_t_or_dt(self, t, dt):
         system, _ = lc_ladder(n_sections=150, length=8.0)
         with pytest.raises(ValidationError, match="dt|t="):
@@ -401,6 +401,17 @@ class TestGaussian:
     def test_covariance_validation(self):
         with pytest.raises(ValidationError, match="symmetric"):
             GaussianMoments(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: GaussianMoments(np.zeros(2), np.eye(3)),
+                     "covariance shape must match the mean", id="moments-shape"),
+        pytest.param(lambda: GaussianMoments(np.zeros(2), np.diag([1.0, -1.0])),
+                     "covariance must be positive semidefinite", id="moments-not-psd"),
+        pytest.param(lambda: propagator_of(object(), 1.0),
+                     "unsupported system type object", id="propagator-of-object")])
+    def test_malformed_arguments_refused(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()
 
     def test_uncertainty_defect(self):
         vacuum = GaussianMoments(np.zeros(2), 0.5 * np.eye(2))

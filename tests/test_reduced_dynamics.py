@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -796,6 +797,22 @@ class TestLadderSamples:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert all(c <= 2 for c in counts[0].values()), counts[0]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda m, topo, line: integrate(assemble_rhs(m, topo), ReducedState(
+        phi=[1.0], q=[0.0], q0=0.0), np.linspace(0.0, 1.0, 101), method="bogus"),
+        "unknown integration method 'bogus'", id="integrate-unknown-method"),
+    pytest.param(lambda m, topo, line: LadderSystem(topo, line, 150, 0.0),
+                 "ladder length must be positive", id="ladder-length-0"),
+    pytest.param(lambda m, topo, line: ReducedState(phi=[1.0, 2.0], q=[0.0], q0=0.0),
+                 "phi and q must have the same length", id="state-lengths-differ"),
+    pytest.param(lambda m, topo, line: assemble_rhs(m, np.eye(2)),
+                 "stiffness matrix must be 1x1", id="stiffness-shape")])
+def test_malformed_arguments_refused(call, message):
+    model, topo, params = lc_model()
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(model, topo, lc_line(params))
 
 
 class TestTimeGridChecked:

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from lineport import PoleLocus, Trajectory, signals, write_csv
+from lineport import PoleLocus, Signal, Trajectory, ValidationError, signals, write_csv
 from lineport.signals import FLOAT_FMT
 
 AWKWARD = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, -2.0, 1e22])
@@ -88,3 +89,13 @@ def test_rounding_tie_takes_the_exact_path(tmp_path):
     write_csv(tmp_path / "tie.csv", "v", (values,))
     assert (tmp_path / "tie.csv").read_bytes() == (
         b"v\n1234567890123456.8\n-1234567890123456.8\n0.10000000000000001\n")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Signal(t0=0.0, dt=1.0, samples=np.zeros((2, 2))),
+                 "signal samples must be one-dimensional", id="samples-2d"),
+    pytest.param(lambda: Signal(t0=0.0, dt=1.0, samples=np.zeros(3))(0.5, extend="wrap"),
+                 "unknown extend policy 'wrap'", id="unknown-extend")])
+def test_malformed_arguments_refused(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()

@@ -87,6 +87,16 @@ class TestLineInitialState:
         with pytest.raises(ValidationError, match=match):
             LineInitialState(dx=dx, phi0=phi0, q0=q0)
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: LineInitialState(dx=0.1, phi0=[0.0, 1.0, 0.0],
+                                              q0=[0.0, 0.0, 0.0], extend="wrap"),
+                     "unknown extend policy 'wrap'", id="unknown-extend"),
+        pytest.param(lambda: LineInitialState.from_csv(), "need at least one profile file",
+                     id="from-csv-no-file")])
+    def test_malformed_arguments_refused(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()
+
     def test_out_of_domain_message_names_the_position(self):
         state = LineInitialState(dx=0.5, phi0=[0.0, 1.0, 0.0], q0=[0.0, 0.0, 0.0])
         with pytest.raises(ValidationError, match=re.escape(
