@@ -39,6 +39,7 @@ from .spectral import ENTRY_NAMES, TransferMatrixSpec
 
 MIN_IFFT_SAMPLES = 1024
 MAX_IFFT_SAMPLES = 2 ** 20
+DEFAULT_IFFT_SAMPLES = 16384
 ALIAS_TARGET = 1e-14  # exp(-(sigma + slowest decay) T), the alias error the contour targets
 _LOG_INV_EPS = math.log(1.0 / ALIAS_TARGET)
 MARKOV_TERMS = 4  # subtracted large-s terms; the remainder is C^(MARKOV_TERMS - 1)
@@ -113,7 +114,7 @@ def _refuse_t_max(coeff_rows, poles, t_max, n_samples):
         f"in the float range; {advice}")
 
 
-def bromwich_ifft(nums, den, poles, t_max, n_samples=16384):
+def bromwich_ifft(nums, den, poles, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
     """Numerically invert each row of ``nums``, a stack of numerators over
     the shared strictly proper denominator ``den`` whose roots are ``poles``,
     on [0, t_max]; one ``Signal`` per row.
@@ -178,7 +179,7 @@ def bromwich_ifft(nums, den, poles, t_max, n_samples=16384):
     return signals
 
 
-def invert_ifft(spec: TransferMatrixSpec, t_max, n_samples=16384):
+def invert_ifft(spec: TransferMatrixSpec, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
     """IFFT inversion of the four entries on one contour, one ``Signal``
     each in ``ENTRY_NAMES`` order (see ``bromwich_ifft``, which refuses an
     entry that is not strictly proper)."""
@@ -214,7 +215,7 @@ def invert_partial_fractions(spec: TransferMatrixSpec, t_grid):
     if fallback:
         warnings.warn("near-double pole: partial fractions ill-conditioned, "
                       "falling back to IFFT inversion", stacklevel=2)
-        sigs = invert_ifft(spec, float(t_grid[-1]), n_samples=16384)
+        sigs = invert_ifft(spec, float(t_grid[-1]))
         out = [Signal.from_samples(t_grid, np.interp(t_grid, sig.t_grid, sig.samples))
                for sig in sigs]
     else:
@@ -315,7 +316,7 @@ def normalize_max_abs(sig: Signal) -> Signal:
                   meta=dict(sig.meta))
 
 
-def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=16384):
+def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
     """All four entries by IFFT, on one contour, and by partial fractions on
     the IFFT grid, from one exp(s t) table, with the maximum pairwise
     discrepancy (used by the CLI); None when the partial fractions fell back

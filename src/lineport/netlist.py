@@ -260,8 +260,8 @@ def derive_reduced_model(topology: CircuitTopology, z_c: float) -> ReducedModel:
             "Cb^-1 and C_p p p^T; rescale the capacitance units")
     if not (np.isfinite(tau) and tau > 0):
         raise NumericalPreconditionError(
-            f"tau = Z_c C_p = {tau:g} at Z_c = {z_c:g}, C_p = {c_p:g} is not a "
-            "positive finite time; change the line impedance (--z-c)")
+            f"tau = Z_c C_p = {tau:g} at Z_c = {z_c:g}, C_p = {c_p:g} is not a positive finite "
+            "time; rescale the capacitances or the line impedance (--z-c, or --ell/--c-per-len)")
     return ReducedModel(cb=cb, cb_inv=cb_inv, p=p, c_p=c_p, a=a, b=b,
                         tau=tau, z_c=z_c, coupling_capacitance=c_c,
                         warnings=tuple(warnings))

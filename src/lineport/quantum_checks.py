@@ -59,17 +59,15 @@ def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
     from one eigendecomposition of the ladder's modes
     (``LadderSystem.leapfrog_power``), the backward map for a negative t;
     closed and open lumped systems (``StateSpace``) use the exact matrix exponential.
-    Nonlinear (Josephson) systems are rejected: the propagator, and with it
-    the commutator check, only exists for linear dynamics.
+    ``leapfrog_power`` rejects a ladder with Josephson junctions: the
+    propagator, and with it the commutator check, only exists for linear
+    dynamics.
     """
     if not np.isfinite(t):
         raise ValidationError(f"propagator time must be finite, got t={t:g}")
     if dt is not None and not (np.isfinite(dt) and dt > 0):
         raise ValidationError(f"leapfrog dt must be positive and finite, got dt={dt:g}")
     if isinstance(system, LadderSystem):
-        if not system.topology.is_linear:
-            raise ValidationError("commutator checks require linear dynamics "
-                                  "(Josephson junctions present)")
         if dt is None:
             raise ValidationError("ladder propagator needs the leapfrog dt")
         if not np.isfinite(t / dt):

@@ -85,8 +85,8 @@ class ReducedState:
 def _as_gradient(grad_u, n):
     """grad U as (linear stiffness K, junction forces or None, the stiffness
     that bounds dt: K plus each junction's small-signal E_J/phi0^2 stamped as
-    an inductor, None for a callable, whose stiffness is unknown). A circuit
-    whose K or bound is not finite is refused before any step."""
+    an inductor) from a ``CircuitTopology`` or an n x n K, nothing else. A
+    circuit whose K or bound is not finite is refused before any step."""
     forces = None
     if isinstance(grad_u, CircuitTopology):
         with np.errstate(over="ignore"):  # refused below if not finite
@@ -99,12 +99,13 @@ def _as_gradient(grad_u, n):
                 raise NumericalPreconditionError(
                     f"{stiffness} is not finite; rescale the {units} units")
         forces = None if grad_u.is_linear else partial(junction_forces, grad_u)
-    elif callable(grad_u):
-        k, forces, bound = np.zeros((n, n)), grad_u, None
     else:
-        k = bound = np.asarray(grad_u, dtype=float)
+        try:
+            k = bound = np.asarray(grad_u, dtype=float)
+        except (TypeError, ValueError):  # not numbers: a callable, say
+            k = np.empty(0)
     if k.shape != (n, n):
-        raise ValidationError(f"stiffness matrix must be {n}x{n}")
+        raise ValidationError(f"grad_u must be a CircuitTopology or a {n}x{n} stiffness matrix")
     return k, forces, bound
 
 
@@ -114,14 +115,14 @@ class ReducedRhs:
     the reduced equations on the packed state y = [phi, q, q0], whose q0 row
     takes the input e0/Z_c; ``assemble_rhs`` is its constructor. ``grad_u``
     is a ``CircuitTopology`` (inductor stiffness K in the flow, junction
-    forces), a stiffness matrix K (no forces), or a callable phi -> grad U
-    (the forces, K = 0). Without forces the exact expm stepper applies."""
+    forces) or a stiffness matrix K (no forces). Without forces the exact
+    expm stepper applies."""
 
     model: ReducedModel
-    grad_u: object
+    grad_u: CircuitTopology | np.ndarray
     e0: Signal | None = None
     forces: object = field(init=False)
-    bound_stiffness: np.ndarray | None = field(init=False)  # see _as_gradient
+    bound_stiffness: np.ndarray = field(init=False)  # see _as_gradient
     flow_matrix: np.ndarray = field(init=False)
     n: int = field(init=False)  # circuit nodes
 
@@ -272,13 +273,13 @@ def _rk4(f, b, y0, t_grid):
 def _evolve(model: ReducedModel, stiffness, flow, f, linear, b, y0, t_grid, method):
     """Integrate y' = f(y) + b(t) on ``t_grid``, b sampled in its columns, by
     'expm' on ``flow`` when f is ``linear`` (f(y) = flow @ y) or 'rk4' on f;
-    'auto' takes 'expm' when it can; ``stiffness`` (``_as_gradient``'s, None
-    if unknown) bounds dt in a warning. Returns the columns and method."""
+    'auto' takes 'expm' when it can; ``stiffness`` (``_as_gradient``'s bound)
+    bounds dt in a warning. Returns the columns and method."""
     dt = t_grid[1] - t_grid[0]
     if method == "auto":
         method = "expm" if linear else "rk4"
     # warn where accuracy depends on dt: all but the exact homogeneous stepper
-    if stiffness is not None and (method != "expm" or b.any()):
+    if method != "expm" or b.any():
         # a root of each norm: their product may overflow or underflow to 0
         omega_max = (np.sqrt(np.linalg.norm(model.cb_inv, 2))
                      * np.sqrt(max(np.linalg.norm(stiffness, 2), 1e-300)))
@@ -430,11 +431,11 @@ class LadderSystem:
     # grad_potential, velocities, momenta, drift_kick and leapfrog_step also
     # act on (dim, B) stacks
 
-    def grad_potential(self, q, out=None):
-        """Potential gradient dU/dq, written into ``out`` when given; line
-        node j gets k_line (d_{j-1} - d_j), d_j = phi_{j+1} - phi_j."""
+    def grad_potential(self, q):
+        """Potential gradient dU/dq; line node j gets k_line (d_{j-1} - d_j),
+        d_j = phi_{j+1} - phi_j."""
         n = self.n_circ
-        out = np.empty_like(q) if out is None else out
+        out = np.empty_like(q)
         np.matmul(self._k_circ, q[:n], out=out[:n])
         if self._forces is not None:
             out[:n] += self._forces(q[:n])
@@ -445,21 +446,20 @@ class LadderSystem:
         line *= self._k_line
         return out
 
-    def velocities(self, p, out=None):
-        """Inverse mass action M^-1 p, written into ``out`` when given: the
-        precomputed head inverse on the circuit nodes and line node 0, one
-        cell division per line node."""
+    def velocities(self, p):
+        """Inverse mass action M^-1 p: the precomputed head inverse on the
+        circuit nodes and line node 0, one cell division per line node."""
         n = self.n_circ
-        out = np.empty_like(p) if out is None else out
+        out = np.empty_like(p)
         np.matmul(self._head_inv, p[:n + 1], out=out[:n + 1])
         np.divide(p[n + 1:].T, self.cells[1:], out=out[n + 1:].T)
         return out
 
-    def momenta(self, v, out=None):
-        """Mass action M v, written into ``out`` when given: the head block on
-        the circuit nodes and line node 0, one cell multiply per line node."""
+    def momenta(self, v):
+        """Mass action M v: the head block on the circuit nodes and line
+        node 0, one cell multiply per line node."""
         n = self.n_circ
-        out = np.empty_like(v) if out is None else out
+        out = np.empty_like(v)
         np.matmul(self._head, v[:n + 1], out=out[:n + 1])
         np.multiply(v[n + 1:].T, self.cells[1:], out=out[n + 1:].T)
         return out
@@ -563,7 +563,8 @@ class LadderSystem:
         theta = 0 and sin N theta / sin theta its limit N.
         """
         if self._forces is not None:
-            raise ValidationError("leapfrog power requires a linear circuit")
+            raise ValidationError("leapfrog power requires a linear circuit "
+                                  "(Josephson junctions present)")
         dim, n, l_inv = self.dim, self.n_circ, self._head_l_inv
         s = np.eye(2 * dim)
         if steps == 0:
@@ -631,6 +632,7 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
 
     The requested window must satisfy the no-echo condition
     t_max < 2 length / v_p so that the open far end never influences x = 0.
+    ``dt`` defaults to LADDER_COURANT of the CFL step dx/v_p, which n_sections sets.
     """
     t_grid, dt_out = uniform_grid(t_grid)
     t_max = float(t_grid[-1])
@@ -640,6 +642,7 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
             f"echo window violated: t_max={t_max:g} needs line length > {needed:g} "
             f"(have {length:g})")
     system = LadderSystem(topology, line, n_sections, length)
+    fix = "raise n_sections (--n-sections)" if dt is None else "lower dt"
     if dt is None:
         dt = LADDER_COURANT * system.cfl_dt()
     n_sub = max(1, int(np.ceil(dt_out / dt - 1e-12)))
@@ -693,12 +696,12 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
         v0_out = np.matmul(system._head_inv, p_head[:, :, None])[:, n, 0]
         q0_out = p_head[:, n] - cells[0] * v0_out
     if not np.all(np.isfinite(energy)):
-        raise NumericalPreconditionError("ladder integration diverged; reduce dt")
+        raise NumericalPreconditionError(f"ladder integration diverged; {fix}")
     scale = max(abs(energy[0]), abs(energy).max() * 1e-12, 1e-300)
     drift = float(np.abs(energy - energy[0]).max() / scale)
     if drift > LADDER_ENERGY_DRIFT_TOL:
         raise NumericalPreconditionError(
-            f"ladder energy drift {drift:.3g} exceeds {LADDER_ENERGY_DRIFT_TOL:.3g}; reduce dt")
+            f"ladder energy drift {drift:.3g} exceeds {LADDER_ENERGY_DRIFT_TOL:.3g}; {fix}")
     return Trajectory(t_grid=t_grid, phi=phi_out, q=p_head[:, :n], q0=q0_out, v0=v0_out,
                       meta={"integrator": "leapfrog", "dt": float(dt),
                             "substeps": n_sub * (n_out - 1),

@@ -244,15 +244,14 @@ def _backward_residuals(work, roots):
     """``poly_backward_residual`` of each root in ``roots`` (m, n) against
     its row of ``work`` (m, n+1): |p(x)| over the larger of the largest term
     max_j |a_j| |x|^(n-j) and the largest coefficient. p(x) comes from
-    Horner, the largest term from the same recurrence on magnitudes, so
-    neither leaves the float range where the range check in
+    ``_polyval_rows``, the largest term from its Horner recurrence on
+    magnitudes, so neither leaves the float range where the range check in
     ``_poles_of_rows`` has passed."""
     size, magnitudes = np.abs(roots), np.abs(work)
-    value, largest = work[:, :1], magnitudes[:, :1]
-    for a, m in zip(work.T[1:, :, None], magnitudes.T[1:, :, None]):
-        value = value * roots + a
+    largest = magnitudes[:, :1]
+    for m in magnitudes.T[1:, :, None]:
         largest = np.maximum(largest * size, m)
-    return np.abs(value) / np.maximum(largest, magnitudes.max(axis=1, keepdims=True))
+    return abs(_polyval_rows(work, roots)) / np.maximum(largest, magnitudes.max(1, keepdims=True))
 
 
 def _refuse_far_root(row, omega_r, log_limit):
@@ -361,7 +360,7 @@ def transfer_matrix(g, alpha, omega_r: float = 1.0) -> TransferMatrixSpec:
     if not OMEGA_R_RANGE[0] <= omega_r <= OMEGA_R_RANGE[1]:
         raise NumericalPreconditionError(
             f"omega_r {omega_r:g} lies outside [{OMEGA_R_RANGE[0]:g}, {OMEGA_R_RANGE[1]:g}], "
-            "where H(s) is representable; rescale the time unit")
+            "where H(s) is representable; rescale the time unit (--omega-r)")
     den = char_poly(g, alpha)
     numerators = np.array([[0.0, alpha * g, 1.0],     # h11
                            [0.0, 1.0, 0.0],           # h12

@@ -497,10 +497,10 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
 
 
 @pytest.mark.parametrize("argv, names", [
-    pytest.param(["impulse", "--omega-r", "1e-300", "--n", "1024"], "--omega-r 1e-300",
-                 id="omega-r-tiny"),
-    pytest.param(["impulse", "--omega-r", "1e300", "--n", "1024"], "--omega-r 1e+300",
-                 id="omega-r-huge"),
+    pytest.param(["impulse", "--omega-r", "1e-300", "--n", "1024"],
+                 "omega_r 1e-300 lies outside", id="omega-r-tiny"),
+    pytest.param(["impulse", "--omega-r", "1e300", "--n", "1024"],
+                 "omega_r 1e+300 lies outside", id="omega-r-huge"),
     pytest.param(["simulate", "{net}", "--ell", "1e-300", "--c-per-len", "1e-300",
                   "--t-max", "10", "--samples", "51", "--n-sections", "100"],
                  "--ell 1e-300 and --c-per-len 1e-300", id="line-speed-overflow"),
@@ -590,11 +590,26 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
                  "float64: capacitances up to inf", id="ladder-head-overflow"),
     pytest.param(["reduce", "{tmp}/cplarge.net"], "tau = Z_c C_p = inf at Z_c = 50",
                  id="tau-overflow"),
+    # refusals that simulate reaches name a value that simulate can set: the
+    # capacitances or its line flags for tau, and for the ladder, whose step
+    # follows from the section count, --n-sections
+    pytest.param(["simulate", "{tmp}/cphuge.net", "--ell", "200", "--c-per-len", "0.005",
+                  "--t-max", "5", "--samples", "51", "--n-sections", "100"],
+                 "error: tau = Z_c C_p = inf at Z_c = 200, C_p = 8.5e+307 is not a positive "
+                 "finite time; rescale the capacitances or the line impedance (--z-c, or "
+                 "--ell/--c-per-len)\n", id="simulate-tau-overflow"),
+    pytest.param(["simulate", "{tmp}/ejbig.net", *SIM_FLAGS, "--samples", "51",
+                  "--n-sections", "100"], "error: ladder energy drift 0.0177 exceeds 0.01; "
+                 "raise n_sections (--n-sections)\n", id="ladder-energy-drift"),
+    pytest.param(["simulate", "{tmp}/lsmall.net", *SIM_FLAGS, "--samples", "51",
+                  "--n-sections", "100"], "error: ladder integration diverged; raise "
+                 "n_sections (--n-sections)\n", id="ladder-diverged"),
 ])
 def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
-    """Valid values whose consequences overflow: exit 4, naming the flag or
-    the initial state as the cause, with no numpy RuntimeWarning on the way
-    (an error under the test settings)."""
+    """Valid values whose consequences overflow, or that the ladder cannot
+    step: exit 4, naming the flag, the elements or the initial state as the
+    cause, with no numpy RuntimeWarning on the way (an error under the test
+    settings)."""
     net = write_netlist(tmp_path)
     (tmp_path / "jj.net").write_text(JOSEPHSON_NETLIST)
     (tmp_path / "cbig.net").write_text("C 1 2 1e308\nC 1 2 1e308\nL 1 2 1.0\nCOUPLE 0.5\n")
@@ -608,6 +623,11 @@ def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
                                                               1, 4.0456995163373943e+307))
     (tmp_path / "cplarge.net").write_text(VALUES_NETLIST.format(1.73251876725969e+307, 1, 1, 1,
                                                                 1, 4.536900429268128e+306))
+    (tmp_path / "cphuge.net").write_text("C 1 2 1.7e308\nL 1 2 1.0\nCOUPLE 1.7e308\n")
+    (tmp_path / "ejbig.net").write_text(VALUES_NETLIST.format(1, 300, 1, 1, 1,
+                                                              0.42857142857142855))
+    (tmp_path / "lsmall.net").write_text(LC_NETLIST.format(couple=0.42857142857142855)
+                                         .replace("L 1 2 1.0", "L 1 2 1e-6"))
     argv = [a.format(tmp=tmp_path, net=net) for a in argv]
     rc = main([*argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err

@@ -123,16 +123,11 @@ class TestIntegrate:
             assert any("does not resolve" in str(w.message) for w in caught) == warns
 
     def test_junctions_use_rk4_and_reject_expm(self):
-        from lineport import CircuitTopology, derive_reduced_model, potential_gradient
+        from lineport import CircuitTopology, derive_reduced_model
         topo = CircuitTopology(node_count=1, capacitors=((1, 2, 1.0),),
                                junctions=((1, 2, 0.8, 1.0),),
                                coupling_capacitance=0.4)
-        model = derive_reduced_model(topo, 1.5)
-
-        def grad(phi):
-            return potential_gradient(topo, phi)
-
-        rhs = assemble_rhs(model, grad)
+        rhs = assemble_rhs(derive_reduced_model(topo, 1.5), topo)
         t = np.linspace(0.0, 5.0, 2001)
         traj = integrate(rhs, ReducedState(phi=[0.3], q=[0.0], q0=0.0), t)
         assert traj.meta["integrator"] == "rk4"
@@ -147,12 +142,11 @@ def gaussian_source(t, center, width):
 def josephson_run(sourced):
     """A one-node junction circuit, optionally driven by a pulse sampled on
     the output grid: (rhs, initial state, grid)."""
-    from lineport import CircuitTopology, derive_reduced_model, potential_gradient
+    from lineport import CircuitTopology, derive_reduced_model
     topo = CircuitTopology(node_count=1, capacitors=((1, 2, 1.0),),
                            junctions=((1, 2, 0.8, 1.0),), coupling_capacitance=0.4)
     t = np.linspace(0.0, 5.0, 2001)
-    rhs = assemble_rhs(derive_reduced_model(topo, 1.5),
-                       lambda phi: potential_gradient(topo, phi),
+    rhs = assemble_rhs(derive_reduced_model(topo, 1.5), topo,
                        e0=gaussian_source(t, 2.0, 0.4) if sourced else None)
     return rhs, ReducedState(phi=[0.3], q=[0.1], q0=-0.2), t
 
@@ -278,11 +272,10 @@ class TestSplitRhs:
     def close(got, want):
         return np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
-    @pytest.mark.parametrize("split", [True, False], ids=["topology", "callable"])
-    def test_reduced_rhs_equals_former_body(self, split):
+    def test_reduced_rhs_equals_former_body(self):
         from lineport import potential_gradient
         topo, m = self.circuit()
-        rhs = assemble_rhs(m, topo if split else (lambda phi: potential_gradient(topo, phi)))
+        rhs = assemble_rhs(m, topo)
         assert not rhs.is_linear
         for seed in self.SEEDS:
             y = np.random.default_rng(seed).normal(size=7)
@@ -438,6 +431,17 @@ class TestLangevinForm:
         assert np.abs(direct.phi - langevin.phi).max() <= 1e-8 * scale
 
 
+# a junction 600 times the Josephson example's: the ladder step that 100
+# sections give resolves it too coarsely to keep the energy
+STIFF_JUNCTION_NETLIST = """\
+C 1 3 1.0
+J 1 2 300 1.0
+C 2 3 1.0
+L 2 3 1.0
+COUPLE 0.42857142857142855
+"""
+
+
 class TestLadderOracle:
     def test_decoupled_matches_cosine(self):
         model, topo, params = lc_model(g=1e-6 / (1.0 + 1e-6), alpha=2.0)
@@ -514,14 +518,24 @@ class TestLadderOracle:
             ladder_oracle(line, 50, 10.0, topo,
                           ReducedState(phi=[1.0], q=[0.0], q0=0.0), t)
 
-    def test_energy_drift_guard(self):
+    def test_cfl_guard(self):
         model, topo, params = lc_model()
         line = lc_line(params)
         t = np.linspace(0.0, 5 * params.t_r, 64)
-        with pytest.raises(NumericalPreconditionError, match="reduce dt|exceeds CFL"):
+        with pytest.raises(NumericalPreconditionError, match="exceeds CFL bound"):
             ladder_oracle(line, 150, 1.2 * line.v_p * 5 * params.t_r / 2, topo,
                           ReducedState(phi=[1.0], q=[0.0], q0=0.0), t,
                           dt=5.0)  # far beyond the CFL bound
+
+    def test_energy_drift_guard(self):
+        """A junction too stiff for 100 sections' step passes the CFL check
+        and is refused by the drift guard, which names the section count."""
+        topo = parse_netlist(STIFF_JUNCTION_NETLIST)
+        t = np.linspace(0.0, 5.0, 51)
+        with pytest.raises(NumericalPreconditionError, match=re.escape(
+                "ladder energy drift 0.0177 exceeds 0.01; raise n_sections (--n-sections)")):
+            ladder_oracle(line_params(2.0, 0.5), 100, 2.8, topo,
+                          ReducedState(phi=[1.0, 0.0], q=[0.0, 0.0], q0=0.0), t)
 
     def test_energy_conserved_tightly(self):
         model, topo, params = lc_model(g=0.3, alpha=2.0)
@@ -729,14 +743,6 @@ class TestLeapfrogKernel:
         for got, want in zip(merged, single):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_operators_write_into_out(self):
-        system = self.lc_system()
-        x = np.random.default_rng(8).normal(size=system.dim)
-        for op in (system.grad_potential, system.velocities):
-            buf = np.empty_like(x)
-            assert op(x, out=buf) is buf
-            assert np.array_equal(buf, op(x))
-
     def test_needs_a_step(self):
         system = self.lc_system()
         q = np.zeros(system.dim)
@@ -808,7 +814,11 @@ class TestLadderSamples:
     pytest.param(lambda m, topo, line: ReducedState(phi=[1.0, 2.0], q=[0.0], q0=0.0),
                  "phi and q must have the same length", id="state-lengths-differ"),
     pytest.param(lambda m, topo, line: assemble_rhs(m, np.eye(2)),
-                 "stiffness matrix must be 1x1", id="stiffness-shape")])
+                 "grad_u must be a CircuitTopology or a 1x1 stiffness matrix",
+                 id="stiffness-shape"),
+    pytest.param(lambda m, topo, line: assemble_rhs(m, lambda phi: phi),
+                 "grad_u must be a CircuitTopology or a 1x1 stiffness matrix",
+                 id="grad-u-callable")])
 def test_malformed_arguments_refused(call, message):
     model, topo, params = lc_model()
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
