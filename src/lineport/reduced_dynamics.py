@@ -566,30 +566,39 @@ class LadderSystem:
             raise ValidationError("leapfrog power requires a linear circuit "
                                   "(Josephson junctions present)")
         dim, n, l_inv = self.dim, self.n_circ, self._head_l_inv
-        s = np.eye(2 * dim)
         if steps == 0:
-            return s
+            return np.eye(2 * dim)
         if steps < 0:
             dt, steps = -dt, -steps
+        # in-place transforms and S allocated after eigh: S and two dim x dim
+        # arrays at most live at a time (V and V scaled, V and W, W and W scaled)
         root = np.sqrt(self.cells[1:])[:, None]
         a = self.grad_potential(np.eye(dim))  # K, then L^-1 K L^-T
-        a[:n + 1], a[n + 1:] = l_inv @ a[:n + 1], a[n + 1:] / root
-        a[:, :n + 1], a[:, n + 1:] = a[:, :n + 1] @ l_inv.T, a[:, n + 1:] / root.T
-        lam, modes = np.linalg.eigh(a)
+        a[:n + 1] = l_inv @ a[:n + 1]
+        np.divide(a[n + 1:], root, out=a[n + 1:])
+        a[:, :n + 1] = a[:, :n + 1] @ l_inv.T
+        np.divide(a[:, n + 1:], root.T, out=a[:, n + 1:])
+        lam, v = np.linalg.eigh(a)  # the modes Q, then V = L^-T Q
+        del a
         half = 0.5 * abs(dt) * np.sqrt(np.maximum(lam, 0.0))
         if not half.max() < 1.0:
             raise ValidationError(f"leapfrog unstable: dt={abs(dt):g} exceeds the "
                                   f"stability bound {2.0 / np.sqrt(lam.max()):g}")
-        v = np.vstack([l_inv.T @ modes[:n + 1], modes[n + 1:] / root])
-        w = self.momenta(v)
+        v[:n + 1] = l_inv.T @ v[:n + 1]
+        np.divide(v[n + 1:], root, out=v[n + 1:])
         theta = 2.0 * np.arcsin(half)
         sin_t, sin_nt = np.sin(theta), np.sin(steps * theta)
         ratio = np.divide(sin_nt, sin_t, out=np.full(dim, float(steps)), where=sin_t != 0.0)
-        cos_m1 = (v * (-2.0 * np.sin(0.5 * steps * theta) ** 2)) @ w.T
-        s[:dim, :dim] += cos_m1
-        s[dim:, dim:] += cos_m1.T
+        s = np.empty((2 * dim, 2 * dim))
         np.matmul(v * (dt * ratio), v.T, out=s[:dim, dim:])
-        np.matmul(w * (-sin_nt * sin_t / dt), w.T, out=s[dim:, :dim])
+        w = self.momenta(v)
+        corner = s[:dim, :dim]
+        v *= -2.0 * np.sin(0.5 * steps * theta) ** 2  # V C; V is not needed again
+        np.matmul(v, w.T, out=corner)
+        corner += 0.0  # I + V C W^T reads +0 off the diagonal where the product has -0
+        corner[np.diag_indices(dim)] += 1.0
+        s[dim:, dim:] = corner.T
+        np.matmul(np.multiply(w, -sin_nt * sin_t / dt, out=v), w.T, out=s[dim:, :dim])
         return s
 
     def cfl_dt(self) -> float:

@@ -8,6 +8,7 @@ from lineport import (GaussianMoments, HamiltonianSystem, LadderSystem,
                       ladder_oracle, langevin_weak, line_params, parse_netlist,
                       peak_envelope, propagate_gaussian, propagator_of, reduce_ground,
                       residual_report, stiffness_matrix)
+from lineport.quantum_checks import RESIDUAL_TILE
 from lineport.spectral import LcExampleParams
 
 from conftest import lc_model, lc_topology
@@ -123,6 +124,34 @@ def long_double_leapfrog_power(system, dt, steps):
     return power
 
 
+def former_leapfrog_power(system, dt, steps):
+    """The former ``LadderSystem.leapfrog_power`` body, which held the
+    identity, K, the modes, V, W and V C W^T alive together."""
+    dim, n, l_inv = system.dim, system.n_circ, system._head_l_inv
+    s = np.eye(2 * dim)
+    if steps == 0:
+        return s
+    if steps < 0:
+        dt, steps = -dt, -steps
+    root = np.sqrt(system.cells[1:])[:, None]
+    a = system.grad_potential(np.eye(dim))
+    a[:n + 1], a[n + 1:] = l_inv @ a[:n + 1], a[n + 1:] / root
+    a[:, :n + 1], a[:, n + 1:] = a[:, :n + 1] @ l_inv.T, a[:, n + 1:] / root.T
+    lam, modes = np.linalg.eigh(a)
+    half = 0.5 * abs(dt) * np.sqrt(np.maximum(lam, 0.0))
+    v = np.vstack([l_inv.T @ modes[:n + 1], modes[n + 1:] / root])
+    w = system.momenta(v)
+    theta = 2.0 * np.arcsin(half)
+    sin_t, sin_nt = np.sin(theta), np.sin(steps * theta)
+    ratio = np.divide(sin_nt, sin_t, out=np.full(dim, float(steps)), where=sin_t != 0.0)
+    cos_m1 = (v * (-2.0 * np.sin(0.5 * steps * theta) ** 2)) @ w.T
+    s[:dim, :dim] += cos_m1
+    s[dim:, dim:] += cos_m1.T
+    np.matmul(v * (dt * ratio), v.T, out=s[:dim, dim:])
+    np.matmul(w * (-sin_nt * sin_t / dt), w.T, out=s[dim:, :dim])
+    return s
+
+
 class TestLeapfrogPower:
     """The leapfrog map from the ladder's modes against powers of the
     one-step matrix and a long-double reference."""
@@ -134,6 +163,14 @@ class TestLeapfrogPower:
         want = np.linalg.matrix_power(system.one_step_matrix(dt), steps)
         got = system.leapfrog_power(dt, steps)
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    @pytest.mark.parametrize("steps", [-3, 1, 1000, 5000])
+    def test_equals_former_body_bit_for_bit(self, steps):
+        system, params = lc_ladder(n_sections=150, length=8.0)
+        dt = params.t_r / 1000.0
+        got, want = system.leapfrog_power(dt, steps), former_leapfrog_power(system, dt, steps)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
 
     def test_zero_steps_is_the_exact_identity(self):
         system, params = lc_ladder(n_sections=150, length=8.0)
@@ -192,6 +229,20 @@ class TestLeapfrogPower:
         prop = propagator_of(system, 5 * params.t_r, dt=params.t_r / 1000.0)
         assert commutator_residual(prop) <= 3e-13
 
+    def test_benchmark_size_traced_peak(self):
+        # S is 4 dim^2 float64 values; the propagator and its check peak at
+        # 6.2 dim^2 here, and the former dense products at 12.1 dim^2
+        import tracemalloc
+        system, params = lc_ladder(n_sections=300, length=20.0)
+        tracemalloc.start()
+        try:
+            prop = propagator_of(system, 5 * params.t_r, dt=params.t_r / 1000.0)
+            commutator_residual(prop)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * system.dim ** 2 * 8
+
     def test_unstable_dt_refused(self):
         system, _ = lc_ladder(n_sections=150, length=8.0)
         with pytest.raises(ValidationError, match="unstable"):
@@ -220,7 +271,10 @@ class TestCommutatorResidual:
 
     def test_half_product_form_matches_dense_j(self):
         rng = np.random.default_rng(11)
-        for d in (1, 2, 5, 30):
+        # half-dimensions either side of the residual's tile size, so that
+        # the tile edges cut the J diagonals at every offset
+        for d in (1, 2, 5, 30, RESIDUAL_TILE - 1, RESIDUAL_TILE, RESIDUAL_TILE + 1,
+                  2 * RESIDUAL_TILE + 1):
             for _ in range(5):
                 s = rng.normal(size=(2 * d, 2 * d))
                 j = canonical_j(d)
@@ -230,6 +284,20 @@ class TestCommutatorResidual:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValidationError, match="even"):
             commutator_residual(np.eye(5))
+
+    @pytest.mark.parametrize("s", [np.zeros((0, 0)), np.zeros(4), np.zeros((2, 2, 2)),
+                                   np.zeros((4, 6))],
+                             ids=["empty", "one-dimensional", "three-dimensional", "oblong"])
+    def test_non_matrix_rejected(self, s):
+        with pytest.raises(ValidationError, match="non-empty square matrix"):
+            commutator_residual(s)
+
+    @pytest.mark.parametrize("where", [(0, 0), (5, 300), (200, 7), (257, 257), (515, 515)])
+    def test_nan_anywhere_gives_nan(self, where):
+        # 2 * 258 rows: S_q and S_p both span tiles, and the last is partial
+        s = np.eye(2 * (2 * RESIDUAL_TILE + 2))
+        s[where] = np.nan
+        assert np.isnan(commutator_residual(s))
 
     def test_open_system_contraction(self):
         # the reduced model is open: Q0 contracts at rate 1/tau while its
