@@ -26,6 +26,8 @@ RUNS = {
     "impulse": ["impulse", "--n", "4096"],
     "impulse-near-double": ["impulse", "--g", "0.9368188312392204", "--alpha", "0.5"],
     "simulate-lc": ["simulate", "{tmp}/lc.net", *SIM_FLAGS],
+    "simulate-lc-pulse": ["simulate", "{tmp}/lc.net", *SIM_FLAGS,
+                          "--phi0-csv", "{tmp}/pulse.csv"],
     "simulate-josephson-pulse": ["simulate", "{tmp}/jj.net", *SIM_FLAGS,
                                  "--phi0-csv", "{tmp}/pulse.csv"],
 }
@@ -82,6 +84,14 @@ DIGESTS = {
             '98a66b3a43e4dce1f32729e691c7bc8888b988dc3841fea554d17a67bc510a94',
         'trajectory_reduced.csv':
             '8586c5cb514f3207827796e33adf03a8051e29767b662a70dc54b8bc59b5d187',
+    },
+    'simulate-lc-pulse': {
+        'simulate_summary.json':
+            '27537b5004c850dc7db6001f463a0cbd7ca230d34d6cbc79c264fe54e0bcabdf',
+        'trajectory_ladder.csv':
+            '5bd7986260f95628480d840e563131352a4c60f83f4978a6329d26d956fea3b7',
+        'trajectory_reduced.csv':
+            '5ea94981a449726871148e066f7e9ed7d27b2a00816f09159d99bcf058af253c',
     },
 }
 
