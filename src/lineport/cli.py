@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,11 +25,11 @@ from .errors import InputError, LineportError, NumericalPreconditionError, Valid
 from .inversion import (DEFAULT_IFFT_SAMPLES, MAX_IFFT_SAMPLES, MIN_IFFT_SAMPLES,
                         impulse_response_table)
 from .netlist import derive_reduced_model, invariant_report, parse_netlist_file
-from .reduced_dynamics import (MIN_LADDER_SECTIONS, ReducedState, assemble_rhs,
-                               integrate, ladder_oracle)
-from .signals import write_csv
+from .reduced_dynamics import (MIN_LADDER_SECTIONS, LadderSystem, ReducedState,
+                               assemble_rhs, integrate, ladder_oracle)
+from .signals import Signal, write_csv
 from .spectral import ENTRY_NAMES, pole_locus, transfer_matrix
-from .tline import LineInitialState, line_params, thevenin_source
+from .tline import LineInitialState, backward_wave, line_params
 
 OUT_DIR_ENV = "LINEPORT_OUT"
 INVARIANT_TOL = 1e-9
@@ -164,6 +166,56 @@ def _parse_vector(text, n, what):
     return out
 
 
+def _profile_flags(args):
+    return " and ".join(flag for flag, path in (("--phi0-csv", args.phi0_csv),
+                                                ("--q0-csv", args.q0_csv)) if path)
+
+
+def _line_profiles(args):
+    """The line's initial state from the profile files; a profile whose slope
+    is not finite is refused naming its flag."""
+    try:
+        return LineInitialState.from_csv(args.phi0_csv, args.q0_csv, extend="zero")
+    except NumericalPreconditionError as exc:
+        raise NumericalPreconditionError(f"{_profile_flags(args)}: {exc}") from None
+
+
+def _line_source(args, profiles, topology, line, t_grid, length):
+    """The line's source e0 = 2 v_bwd on ``t_grid``, before any stepping.
+    Profiles whose e0, or whose ladder energy with the circuit at rest, is not
+    finite in float64 are refused with the largest power of ten to scale them
+    by that keeps both finite, found by bisection on powers of two."""
+    system = LadderSystem(topology, line, args.n_sections, length)
+    n = topology.node_count
+    rest = ReducedState(phi=np.zeros(n), q=np.zeros(n), q0=0.0)
+
+    def not_finite(state):
+        """e0's samples and the names of what is not finite: e0, the energy."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            e0 = 2.0 * backward_wave(state, line, t_grid)
+            energy = system.hamiltonian(*system.initial_state(rest, state))
+        return e0, [what for what, value in (("source e0", e0), ("ladder energy", energy))
+                    if not np.isfinite(value).all()]
+
+    def fits(k):
+        """Whether the profiles scaled by 2^-k give a finite e0 and energy."""
+        return not not_finite(replace(profiles, phi0=np.ldexp(profiles.phi0, -k),
+                                      q0=np.ldexp(profiles.q0, -k)))[1]
+
+    e0, failed = not_finite(profiles)
+    if failed:
+        low, high = 0, 2 * 1075  # 2^-2150 scales every float64 to zero
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if fits(mid) else (mid, high)
+        raise NumericalPreconditionError(
+            f"{_profile_flags(args)}: the line profiles' {' and '.join(failed)} "
+            f"{'are' if len(failed) > 1 else 'is'} not finite in float64 with the circuit "
+            f"at rest; scale the profile values by 1e{math.floor(-high * math.log10(2.0))} "
+            "or less")
+    return Signal.from_samples(t_grid, e0)
+
+
 def cmd_simulate(args):
     topology = parse_netlist_file(args.netlist)
     if not (0.0 < args.ell * args.c_per_len < np.inf and 0.0 < args.ell / args.c_per_len < np.inf):
@@ -191,14 +243,14 @@ def cmd_simulate(args):
     line_initial = None
     e0 = None
     if args.phi0_csv or args.q0_csv:
-        line_initial = LineInitialState.from_csv(args.phi0_csv, args.q0_csv,
-                                                 extend="zero")
-        e0 = thevenin_source(line_initial, line, t_grid)
+        line_initial = _line_profiles(args)
     # default: no wave that starts on the circuit or inside the sampled
     # profiles returns from the open far end before t_max (12 % margin)
     x_max = line_initial.x_max if line_initial is not None else 0.0
     length = (args.length if args.length is not None
               else 1.12 * line.v_p * t_max / 2.0 + 0.56 * x_max)
+    if line_initial is not None:
+        e0 = _line_source(args, line_initial, topology, line, t_grid, length)
 
     rhs = assemble_rhs(model, topology, e0=e0)
     reduced = integrate(rhs, initial, t_grid)

@@ -57,6 +57,8 @@ PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 THETA_13 = 5.371920351148152
+#: columns per block of the sourced scan's passes (``_propagate_affine``)
+SCAN_BLOCK = 1024
 
 
 @dataclass
@@ -220,47 +222,77 @@ def _lti_step_operators(m, dt):
     return ew[:d, :d], ew[:d, d:2 * d], ew[:d, 2 * d:] / dt
 
 
-def _propagate_affine(flow, b_samples, u0, dt):
-    """Columns u_k of u_{k+1} = E u_k + F b_k + G (b_{k+1} - b_k) by a doubling
-    scan: column k starts as step k's input term (u0 for k = 0), and each
-    pass at shift s = 1, 2, 4, ... adds E^s times the column s to its left."""
+def _column_blocks(first, stop):
+    """(start, stop) of the blocks of columns first..stop-1, right to left, at
+    most SCAN_BLOCK wide; a lone column left over joins its neighbour, so a
+    block is one column wide only where all of them are (numpy takes a
+    one-column product through another BLAS call)."""
+    while stop > first:
+        start = stop - SCAN_BLOCK if stop - SCAN_BLOCK > first + 1 else first
+        yield start, stop
+        stop = start
+
+
+def _propagate_affine(flow, source, u0, dt, count):
+    """``count`` columns u_k of u_{k+1} = E u_k + F b_k + G (b_{k+1} - b_k),
+    b_k = s_k e_row for ``source`` = (row, samples s), b = 0 for None, by a
+    doubling scan: column k starts as step k's input term (u0 for k = 0), and
+    each pass at shift s = 1, 2, 4, ... adds E^s times the column s to its left.
+
+    The input terms are outer products of column ``row`` of F - G and of G
+    with the samples; +0.0 turns their -0 into the +0 of a matrix product
+    over zero rows. Each pass goes through the columns in blocks, right to
+    left, by way of one d x (SCAN_BLOCK + 1) buffer, so no block reads a
+    column that the pass has already updated."""
     e_step, f_op, g_op = _lti_step_operators(flow, dt)
-    us = np.empty((len(u0), b_samples.shape[1]))
+    us = np.empty((len(u0), count))
+    buf = np.empty((len(u0), min(SCAN_BLOCK + 1, count)))
     us[:, 0] = u0
-    np.matmul(f_op - g_op, b_samples[:, :-1], out=us[:, 1:])
-    us[:, 1:] += g_op @ b_samples[:, 1:]
+    if source is None:
+        us[:, 1:] = 0.0
+    else:
+        row, samples = source
+        np.multiply.outer(f_op[:, row] - g_op[:, row], samples[:-1], out=us[:, 1:])
+        us[:, 1:] += 0.0
+        for start, stop in _column_blocks(1, count):
+            np.multiply.outer(g_op[:, row], samples[start:stop], out=buf[:, :stop - start])
+            us[:, start:stop] += buf[:, :stop - start]
     shift = 1
-    while shift < us.shape[1]:
-        us[:, shift:] += e_step @ us[:, :-shift]
+    while shift < count:
+        for start, stop in _column_blocks(shift, count):
+            part = buf[:, :stop - start]
+            np.matmul(e_step, us[:, start - shift:stop - shift], out=part)
+            us[:, start:stop] += part
         e_step = e_step @ e_step
         shift *= 2
     return us
 
 
-def _rk4(f, b, y0, t_grid):
-    """Classic RK4 for y' = f(y) + b(t), b linear between its columns; the
-    columns from the first non-finite state on are NaN.
+def _rk4(f, source, y0, t_grid):
+    """Classic RK4 for y' = f(y) + b(t), b = s(t) e_row for ``source`` = (row,
+    samples s) and linear between the samples, b = 0 for None; the columns
+    from the first non-finite state on are NaN.
 
-    The loop reads b and stores the states by row, adds b into each fresh
-    f(y) in place, and keeps numpy's per-call overhead off the 2n+1-element
-    stage arithmetic: the step factors are 0-d arrays, which numpy takes
-    without the conversion a Python float costs, and 2 k is k + k; both are
-    the same products bit for bit."""
+    The loop adds each stage's input to its row alone, stores the states by
+    row, and keeps numpy's per-call overhead off the 2n+1-element stage
+    arithmetic: the step factors are 0-d arrays, which numpy takes without
+    the conversion a Python float costs, and 2 k is k + k; both are the same
+    products bit for bit."""
     dt = t_grid[1] - t_grid[0]
     half, step, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
-    b = np.ascontiguousarray(b.T)
-    b_mid = 0.5 * (b[:-1] + b[1:])
+    row, samples = source if source is not None else (0, np.zeros(len(t_grid)))
+    s, s_mid = samples.tolist(), (0.5 * (samples[:-1] + samples[1:])).tolist()
     out = np.empty((len(t_grid), len(y0)))
     out[0] = y = y0
     for k in range(len(t_grid) - 1):
         k1 = f(y)
-        k1 += b[k]
+        k1[row] += s[k]
         k2 = f(y + k1 * half)
-        k2 += b_mid[k]
+        k2[row] += s_mid[k]
         k3 = f(y + k2 * half)
-        k3 += b_mid[k]
+        k3[row] += s_mid[k]
         k4 = f(y + k3 * step)
-        k4 += b[k + 1]
+        k4[row] += s[k + 1]
         y = y + (k1 + (k2 + k2) + (k3 + k3) + k4) * sixth
         # y.y is finite only if y is; an overflowing y.y asks the full check
         if not (math.isfinite(y.dot(y)) or np.isfinite(y).all()):
@@ -270,16 +302,17 @@ def _rk4(f, b, y0, t_grid):
     return out.T
 
 
-def _evolve(model: ReducedModel, stiffness, flow, f, linear, b, y0, t_grid, method):
-    """Integrate y' = f(y) + b(t) on ``t_grid``, b sampled in its columns, by
-    'expm' on ``flow`` when f is ``linear`` (f(y) = flow @ y) or 'rk4' on f;
+def _evolve(model: ReducedModel, stiffness, flow, f, linear, source, y0, t_grid, method):
+    """Integrate y' = f(y) + b(t) on ``t_grid``, b = s(t) e_row for ``source`` =
+    (row, samples s on the grid) and 0 for None, by 'expm' on ``flow`` when f
+    is ``linear`` (f(y) = flow @ y) or 'rk4' on f;
     'auto' takes 'expm' when it can; ``stiffness`` (``_as_gradient``'s bound)
     bounds dt in a warning. Returns the columns and method."""
     dt = t_grid[1] - t_grid[0]
     if method == "auto":
         method = "expm" if linear else "rk4"
     # warn where accuracy depends on dt: all but the exact homogeneous stepper
-    if method != "expm" or b.any():
+    if method != "expm" or (source is not None and source[1].any()):
         # a root of each norm: their product may overflow or underflow to 0
         omega_max = (np.sqrt(np.linalg.norm(model.cb_inv, 2))
                      * np.sqrt(max(np.linalg.norm(stiffness, 2), 1e-300)))
@@ -292,7 +325,8 @@ def _evolve(model: ReducedModel, stiffness, flow, f, linear, b, y0, t_grid, meth
     if method == "expm" and not linear:
         raise ValidationError("matrix-exponential stepper requires a linear circuit")
     with np.errstate(over="ignore", invalid="ignore"):  # every column is checked below
-        ys = _propagate_affine(flow, b, y0, dt) if method == "expm" else _rk4(f, b, y0, t_grid)
+        ys = (_propagate_affine(flow, source, y0, dt, len(t_grid)) if method == "expm"
+              else _rk4(f, source, y0, t_grid))
     bad = ~np.isfinite(ys).all(axis=0)
     if bad.any():
         k = int(np.argmax(bad))
@@ -315,11 +349,9 @@ def integrate(rhs: ReducedRhs, initial: ReducedState, t_grid,
     t_grid, dt = uniform_grid(t_grid)
     model = rhs.model
     n = model.n_nodes
-    b = np.zeros((2 * n + 1, len(t_grid)))
-    if rhs.e0 is not None:
-        b[2 * n] = rhs.e0(t_grid) / model.z_c
-    ys, method = _evolve(model, rhs.bound_stiffness, rhs.flow_matrix, rhs, rhs.is_linear, b,
-                         initial.packed(), t_grid, method)
+    source = None if rhs.e0 is None else (2 * n, rhs.e0(t_grid) / model.z_c)
+    ys, method = _evolve(model, rhs.bound_stiffness, rhs.flow_matrix, rhs, rhs.is_linear,
+                         source, initial.packed(), t_grid, method)
     phi = ys[:n].T
     q = ys[n:2 * n].T
     q0 = ys[2 * n]
@@ -361,10 +393,8 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
             out[2 * n:3 * n] -= force
         return out
 
-    b = np.zeros((3 * n + 1, len(t_grid)))
-    if e0 is not None:
-        b[3 * n] = e0(t_grid) / model.tau
-    ys, method = _evolve(model, bound_stiffness, flow, rhs, forces is None, b, y0, t_grid,
+    source = None if e0 is None else (3 * n, e0(t_grid) / model.tau)
+    ys, method = _evolve(model, bound_stiffness, flow, rhs, forces is None, source, y0, t_grid,
                          method)
     phi = ys[:n].T
     q = ys[n:2 * n].T

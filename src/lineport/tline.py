@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ValidationError
+from .errors import InputError, NumericalPreconditionError, ValidationError
 from .signals import Signal
 
 
@@ -47,7 +47,8 @@ class LineInitialState:
     samples and an explicit out-of-domain policy ('error' or 'zero').
 
     phi0, q0 and the slope dphi0/dx are held as ``Signal``s in x, which
-    check dx > 0 and finite samples and do the interpolation."""
+    check dx > 0 and finite samples and do the interpolation; a slope that
+    is not finite in float64 is refused with ``NumericalPreconditionError``."""
 
     dx: float
     phi0: np.ndarray
@@ -64,7 +65,13 @@ class LineInitialState:
         self._phi = Signal(t0=0.0, dt=self.dx, samples=self.phi0)
         self._q = Signal(t0=0.0, dt=self.dx, samples=self.q0)
         # central differences inside, one-sided at the ends
-        self._phi_x = Signal(t0=0.0, dt=self.dx, samples=np.gradient(self.phi0, self.dx))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+            slope = np.gradient(self.phi0, self.dx)
+        if not np.isfinite(slope).all():
+            raise NumericalPreconditionError(
+                "the flux profile's slope dphi0/dx is not finite in float64; "
+                "scale the profile down or sample it more coarsely")
+        self._phi_x = Signal(t0=0.0, dt=self.dx, samples=slope)
 
     @property
     def x_max(self) -> float:

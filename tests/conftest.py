@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,17 @@ def lc_topology(g=0.3, alpha=2.0, omega_r=1.0, c_r=1.0):
 def lc_model(g=0.3, alpha=2.0, omega_r=1.0, c_r=1.0):
     topo, params = lc_topology(g, alpha, omega_r, c_r)
     return derive_reduced_model(topo, params.z_c), topo, params
+
+
+def traced_peak(fn):
+    """The peak of the memory that ``tracemalloc`` traces while ``fn()`` runs,
+    in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_topology(rng, n_max=20):

@@ -695,6 +695,47 @@ def test_simulate_refusal_raises_no_runtime_warning(tmp_path, capsys, name, netl
     assert "reduce dt" not in err
 
 
+def triangle_profile(height):
+    """A triangular profile of ``height`` on x in [0, 4], sampled every 0.25."""
+    values = (height * max(0.0, 1.0 - abs(0.25 * k - 2.0) / 2.0) for k in range(25))
+    return "x,value\n" + "".join(f"{0.25 * k!r},{v!r}\n" for k, v in enumerate(values))
+
+
+@pytest.mark.parametrize("flag, height, message", [
+    pytest.param("--phi0-csv", 1e308, "--phi0-csv: the line profiles' source e0 and ladder "
+                 "energy are not finite in float64 with the circuit at rest; scale the profile "
+                 "values by 1e-154 or less", id="phi0-e0-overflow"),
+    pytest.param("--phi0-csv", 5e307, "--phi0-csv: the line profiles' ladder energy is not "
+                 "finite in float64 with the circuit at rest; scale the profile values by "
+                 "1e-154 or less", id="phi0-energy-overflow"),
+    pytest.param("--q0-csv", 1e308, "--q0-csv: the line profiles' source e0 and ladder energy "
+                 "are not finite in float64 with the circuit at rest; scale the profile values "
+                 "by 1e-155 or less", id="q0-e0-overflow"),
+])
+def test_simulate_refuses_huge_line_profile(tmp_path, capsys, monkeypatch, flag, height,
+                                            message):
+    """A line profile whose source e0 or ladder energy overflows, with a zero
+    circuit state: exit 4 before any stepping, naming the flag and a scale;
+    the profile scaled by it runs."""
+    import lineport.cli as cli
+    net = tmp_path / "lc.net"
+    net.write_text(LC_NETLIST.format(couple=0.42857142857142855))
+    argv = ["simulate", str(net), *SIM_FLAGS, "--samples", "501", "--n-sections", "100",
+            flag, str(tmp_path / "profile.csv"), "--out", str(tmp_path / "out")]
+    (tmp_path / "profile.csv").write_text(triangle_profile(height))
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        patch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("stepped a refused profile"))
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "Warning" not in err
+    assert message in err
+    scale = float(err.rsplit("by ", 1)[1].split()[0])
+    (tmp_path / "profile.csv").write_text(triangle_profile(height * scale))
+    assert main(argv) == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, netlist, state", [
     pytest.param("jj.net", JOSEPHSON_NETLIST, "--phi=5.6144407542332695e+270,199.0",
                  id="josephson-squares-overflow"),
@@ -906,7 +947,7 @@ def profiles(draw, clean):
     elif kind == "repeated":
         i = draw(st.integers(1, n - 1))
         x[i] = x[i - 1]
-    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(-1.7e308, 1.7e308), min_size=n, max_size=n))
     has_nan = not clean and draw(st.booleans())
     if has_nan:
         values[draw(st.integers(0, n - 1))] = float("nan")

@@ -11,7 +11,7 @@ from lineport import (GaussianMoments, HamiltonianSystem, LadderSystem,
 from lineport.quantum_checks import RESIDUAL_TILE
 from lineport.spectral import LcExampleParams
 
-from conftest import lc_model, lc_topology
+from conftest import lc_model, lc_topology, traced_peak
 
 TR = 2.0 * np.pi
 
@@ -232,15 +232,9 @@ class TestLeapfrogPower:
     def test_benchmark_size_traced_peak(self):
         # S is 4 dim^2 float64 values; the propagator and its check peak at
         # 6.2 dim^2 here, and the former dense products at 12.1 dim^2
-        import tracemalloc
         system, params = lc_ladder(n_sections=300, length=20.0)
-        tracemalloc.start()
-        try:
-            prop = propagator_of(system, 5 * params.t_r, dt=params.t_r / 1000.0)
-            commutator_residual(prop)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: commutator_residual(
+            propagator_of(system, 5 * params.t_r, dt=params.t_r / 1000.0)))
         assert peak <= 7.5 * system.dim ** 2 * 8
 
     def test_unstable_dt_refused(self):

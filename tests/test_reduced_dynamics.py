@@ -1,6 +1,6 @@
 import re
-import tracemalloc
 import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -12,10 +12,10 @@ from lineport import (LadderSystem, LineInitialState, NumericalPreconditionError
                       find_poles, integrate, ladder_oracle, langevin_form,
                       line_params, parse_netlist, peak_envelope, reduce_ground,
                       stiffness_matrix, thevenin_source)
-from lineport.reduced_dynamics import _lti_step_operators, _propagate_affine
+from lineport.reduced_dynamics import SCAN_BLOCK, _lti_step_operators, _propagate_affine
 from lineport.signals import Signal
 
-from conftest import lc_model, random_topology
+from conftest import lc_model, random_topology, traced_peak
 
 
 def lc_line(params, v_p=1.0):
@@ -335,16 +335,32 @@ class TestSplitRhs:
 
 
 class TestPropagateAffine:
-    """The doubling scan against the per-sample loop it replaced; the sample
-    counts cover one and two passes and both sides of a power of two."""
+    """The one-row doubling scan against the per-sample loop it replaced and,
+    bit for bit, against the former scan of a d x T input matrix; the sample
+    counts cover one and two passes, both sides of a power of two and of the
+    column block, and a lone column left over after two blocks."""
 
     DT = 0.01
-    COUNTS = [2, 3, 5, 64, 65, 20001]
+    ROW = 6
+    COUNTS = [2, 3, 5, 64, 65, 20001,
+              SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1]
 
     @pytest.fixture
     def flow(self):
-        a = np.random.default_rng(7).standard_normal((7, 7))
-        return a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(7)
+        return self.stable_flow(np.random.default_rng(7), 7)
+
+    @staticmethod
+    def stable_flow(rng, d):
+        a = rng.standard_normal((d, d))
+        return a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(d)
+
+    @staticmethod
+    def input_matrix(source, d, n):
+        """The d x T input that ``source`` = (row, samples) stands for."""
+        b = np.zeros((d, n))
+        if source is not None:
+            b[source[0]] = source[1]
+        return b
 
     @staticmethod
     def per_sample_loop(flow, b, u0, dt):
@@ -357,24 +373,104 @@ class TestPropagateAffine:
         out[:, -1] = u
         return out
 
+    @staticmethod
+    def matrix_scan(flow, b, u0, dt):
+        """The former scan: products and passes over the whole d x T input."""
+        e_step, f_op, g_op = _lti_step_operators(flow, dt)
+        us = np.empty((len(u0), b.shape[1]))
+        us[:, 0] = u0
+        np.matmul(f_op - g_op, b[:, :-1], out=us[:, 1:])
+        us[:, 1:] += g_op @ b[:, 1:]
+        shift = 1
+        while shift < us.shape[1]:
+            us[:, shift:] += e_step @ us[:, :-shift]
+            e_step = e_step @ e_step
+            shift *= 2
+        return us
+
+    def repeated_step(self, flow, u0, n):
+        e_step = _lti_step_operators(flow, self.DT)[0]
+        ref = np.empty((len(u0), n))
+        ref[:, 0] = u0
+        for k in range(1, n):
+            ref[:, k] = e_step @ ref[:, k - 1]
+        return ref
+
     @pytest.mark.parametrize("n", COUNTS)
     def test_matches_per_sample_loop(self, flow, n):
         rng = np.random.default_rng(n)
-        b, u0 = rng.standard_normal((7, n)), rng.standard_normal(7)
-        ref = self.per_sample_loop(flow, b, u0, self.DT)
-        got = _propagate_affine(flow, b, u0, self.DT)
+        source, u0 = (self.ROW, rng.standard_normal(n)), rng.standard_normal(7)
+        ref = self.per_sample_loop(flow, self.input_matrix(source, 7, n), u0, self.DT)
+        got = _propagate_affine(flow, source, u0, self.DT, n)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n", COUNTS)
     def test_zero_source_is_repeated_step(self, flow, n):
         u0 = np.random.default_rng(n).standard_normal(7)
-        e_step = _lti_step_operators(flow, self.DT)[0]
-        ref = np.empty((7, n))
-        ref[:, 0] = u0
-        for k in range(1, n):
-            ref[:, k] = e_step @ ref[:, k - 1]
-        got = _propagate_affine(flow, np.zeros((7, n)), u0, self.DT)
+        ref = self.repeated_step(flow, u0, n)
+        got = _propagate_affine(flow, (self.ROW, np.zeros(n)), u0, self.DT, n)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_no_source_is_repeated_step(self, flow, n):
+        """No source adds no input terms: the zero source's columns exactly."""
+        u0 = np.random.default_rng(n).standard_normal(7)
+        got = _propagate_affine(flow, None, u0, self.DT, n)
+        ref = self.repeated_step(flow, u0, n)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        zero = _propagate_affine(flow, (self.ROW, np.zeros(n)), u0, self.DT, n)
+        assert np.array_equal(got, zero) and np.array_equal(np.signbit(got), np.signbit(zero))
+
+    @pytest.mark.parametrize("n", COUNTS)
+    @pytest.mark.parametrize("d", [2, 7, 10])
+    def test_bit_identical_to_matrix_scan(self, n, d):
+        """Random flows and rows, samples holding exact zeros and -0.0, a
+        state holding -0.0: every bit, signs of zero included, as the scan of
+        the d x T input matrix gave it."""
+        rng = np.random.default_rng([d, n])
+        flow = self.stable_flow(rng, d)
+        samples = rng.standard_normal(n)
+        samples[rng.random(n) < 0.3] = 0.0
+        samples[rng.random(n) < 0.2] = -0.0
+        u0 = rng.standard_normal(d)
+        u0[0] = -0.0
+        for source in ((int(rng.integers(d)), samples), None):
+            got = _propagate_affine(flow, source, u0, self.DT, n)
+            ref = self.matrix_scan(flow, self.input_matrix(source, d, n), u0, self.DT)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+# the benchmark's driven chain: three LC nodes, grounded through the last inductor
+CHAIN_NETLIST = """\
+C 1 4 1.0
+C 2 4 1.0
+C 3 4 1.0
+C 1 2 0.2
+L 1 2 1.0
+L 2 3 1.5
+L 3 4 2.0
+COUPLE 0.42857142857142855
+"""
+
+
+@pytest.mark.parametrize("form, d", [("integrate", 7), ("langevin_form", 10)])
+def test_sourced_expm_traced_peak(form, d):
+    """The sourced expm stepper holds its d x T state and little more: a
+    traced peak of at most twice the returned state's bytes on the driven
+    chain at T = 20001. A d x T input matrix and its full-width scan
+    temporaries came to about 2.9 times."""
+    topo = parse_netlist(CHAIN_NETLIST)
+    line = line_params(2.0, 0.5)
+    model, k = derive_reduced_model(topo, line.z_c), stiffness_matrix(topo)
+    t = np.linspace(0.0, 12.0 * np.pi, 20001)
+    e0 = gaussian_source(t, 8.0, 1.5)
+    initial = ReducedState(phi=np.zeros(3), q=np.zeros(3), q0=0.0)
+    if form == "integrate":
+        run = partial(integrate, assemble_rhs(model, k, e0=e0), initial, t, method="expm")
+    else:
+        run = partial(langevin_form, model, k, e0, initial, t, method="expm")
+    assert traced_peak(run) <= 2.0 * d * len(t) * 8
 
 
 class TestLangevinForm:
@@ -682,12 +778,9 @@ class TestLeapfrogKernel:
         dt = 0.5 * system.cfl_dt()
         acc = np.empty_like(q)
         first = system.drift_kick(q, u, dt, 2, acc)
-        tracemalloc.start()
-        try:
-            second = system.drift_kick(q, u, dt, 2, acc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        returned = []
+        peak = traced_peak(lambda: returned.append(system.drift_kick(q, u, dt, 2, acc)))
+        (second,) = returned
         assert peak < q.nbytes // 4
         assert second.base is first.base
         assert np.array_equal(second, np.diff(q[system.n_circ:]))
