@@ -11,20 +11,17 @@ from .netlist import (CircuitTopology, ReducedModel, build_capacitance_matrix,
                       parse_netlist_file, potential_energy, potential_gradient,
                       reduce_ground, stiffness_matrix)
 from .signals import Signal, Trajectory, peak_envelope, write_csv
-from .tline import (LineInitialState, LineParams, backward_wave, dalembert_eval,
-                    forward_wave, line_params, thevenin_source)
+from .tline import (LineInitialState, LineParams, backward_wave, line_params,
+                    thevenin_source)
 from .reduced_dynamics import (LadderSystem, ReducedState, StateSpace, assemble_rhs,
                                integrate, ladder_oracle, langevin_form)
 from .spectral import (LcExampleParams, PoleLocus, PoleSet, TransferMatrixSpec,
-                       char_poly, classify_modes, find_poles, pole_locus,
-                       poly_backward_residual, transfer_eval, transfer_matrix,
-                       weak_coupling)
+                       char_poly, find_poles, pole_locus, poly_backward_residual,
+                       transfer_matrix, weak_coupling)
 from .inversion import (SourceSpec, bromwich_ifft, impulse_response_table,
-                        invert_ifft, invert_partial_fractions, normalize_max_abs,
-                        residues, respond, sources_from_initial)
-from .quantum_checks import (GaussianMoments, HamiltonianSystem, OpenReducedSystem,
-                             Propagator, canonical_j, commutator_residual,
-                             langevin_weak, propagate_gaussian, propagator_of,
-                             residual_report)
+                        invert_ifft, invert_partial_fractions, residues, respond,
+                        sources_from_initial)
+from .quantum_checks import (GaussianMoments, canonical_j, commutator_residual,
+                             langevin_weak, propagate_gaussian, propagator_of)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

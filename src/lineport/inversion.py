@@ -304,18 +304,6 @@ def respond(spec: TransferMatrixSpec, f1: SourceSpec, f2: SourceSpec,
     return Signal.from_samples(t_grid, h11 + h12), Signal.from_samples(t_grid, h21 + h22)
 
 
-def normalize_max_abs(sig: Signal) -> Signal:
-    """Divide by the maximum absolute sample, recording the divisor and its
-    time (the convention used for presenting impulse responses)."""
-    peak = np.abs(sig.samples).max()
-    if peak == 0.0:
-        raise ValidationError("cannot normalize an all-zero signal")
-    k = int(np.argmax(np.abs(sig.samples)))
-    return Signal(t0=sig.t0, dt=sig.dt, samples=sig.samples / peak,
-                  normalization=(float(peak), float(sig.t_grid[k])),
-                  meta=dict(sig.meta))
-
-
 def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
     """All four entries by IFFT, on one contour, and by partial fractions on
     the IFFT grid, from one exp(s t) table, with the maximum pairwise

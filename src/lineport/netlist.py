@@ -14,7 +14,6 @@ port time constant tau = Z_c * C_p.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -151,28 +150,6 @@ class ReducedModel:
             "tau": float(self.tau),
             "z_c": float(self.z_c),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    @classmethod
-    def from_json_dict(cls, d) -> "ReducedModel":
-        p = np.asarray(d["p"], dtype=float)
-        n = len(p)
-        cb = np.asarray(d["cb"], dtype=float).reshape(n, n)
-        a = np.asarray(d["a"], dtype=float).reshape(n, n)
-        b = np.asarray(d["b"], dtype=float).reshape(n, n)
-        c_p = float(d["c_p"])
-        tau = float(d["tau"])
-        z_c = float(d["z_c"])
-        # 1/C_p = 1/C_c + p_1 recovers the coupling capacitor
-        c_c = 1.0 / (1.0 / c_p - p[0])
-        return cls(cb=cb, cb_inv=a + b, p=p, c_p=c_p, a=a, b=b, tau=tau,
-                   z_c=z_c, coupling_capacitance=c_c)
-
-    @classmethod
-    def from_json(cls, text) -> "ReducedModel":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _stamp_branches(size, branches) -> np.ndarray:

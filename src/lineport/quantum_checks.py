@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -37,22 +36,7 @@ def canonical_j(n_pairs: int) -> np.ndarray:
     return j
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """State-transition matrix on the stacked canonical state at time t."""
-
-    matrix: np.ndarray
-    t: float
-    kind: str
-    dt: float | None = None
-
-
-#: the closed flow on (q, p) and the reduced one-port flow on (Phi, Phi_0, Q, Q_0)
-HamiltonianSystem = StateSpace.closed
-OpenReducedSystem = partial(StateSpace.reduced, port_flux=True)
-
-
-def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
+def propagator_of(system, t: float, dt: float | None = None) -> np.ndarray:
     """State-transition matrix of a linear system at time t.
 
     Ladder systems take the leapfrog map of round(t/dt) steps of size dt
@@ -75,11 +59,10 @@ def propagator_of(system, t: float, dt: float | None = None) -> Propagator:
         steps = int(round(t / dt))
         if abs(steps * dt - t) > 1e-9 * max(abs(t), dt):
             raise ValidationError(f"t={t:g} is not a multiple of dt={dt:g}")
-        return Propagator(matrix=system.leapfrog_power(dt, steps), t=t,
-                          kind="ladder-leapfrog", dt=dt)
+        return system.leapfrog_power(dt, steps)
     if not isinstance(system, StateSpace):
         raise ValidationError(f"unsupported system type {type(system).__name__}")
-    return Propagator(matrix=system.propagator(t), t=t, kind=system.kind)
+    return system.propagator(t)
 
 
 #: rows and columns of one tile of S^T J S - J in ``commutator_residual``
@@ -96,7 +79,7 @@ def commutator_residual(prop) -> float:
     (the first product alone on the diagonal): the work of one X product,
     with two tiles held besides S.
     """
-    s = prop.matrix if isinstance(prop, Propagator) else np.asarray(prop, dtype=float)
+    s = np.asarray(prop, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 or not s.size:
         raise ValidationError("propagator must be a non-empty square matrix with even "
                               f"dimension, got shape {s.shape}")
@@ -120,17 +103,6 @@ def _add_on_diagonal(tile, k: int, value: float) -> None:
     """Add ``value`` to the entries (r, r + k) of ``tile`` that exist."""
     r = np.arange(max(0, -k), min(tile.shape[0], tile.shape[1] - k))
     tile[r, r + k] += value
-
-
-def residual_report(prop: Propagator) -> dict:
-    """Symplectic-residual record, JSON-serializable with the fixed keys
-    symplectic_residual / t / dt / system."""
-    return {
-        "symplectic_residual": commutator_residual(prop),
-        "t": float(prop.t),
-        "dt": None if prop.dt is None else float(prop.dt),
-        "system": prop.kind,
-    }
 
 
 @dataclass
@@ -162,9 +134,10 @@ class GaussianMoments:
         return float(eigs.min())
 
 
-def propagate_gaussian(moments: GaussianMoments, prop: Propagator,
+def propagate_gaussian(moments: GaussianMoments, prop: np.ndarray,
                        noise_free: bool = False) -> GaussianMoments:
-    """Propagate Gaussian moments: mean -> S mean, cov -> S cov S^T.
+    """Propagate Gaussian moments by the state-transition matrix S = ``prop``
+    (``propagator_of``): mean -> S mean, cov -> S cov S^T.
 
     Only the deterministic part is implemented; the vacuum-noise injection
     of the line source e0 is out of scope, so the caller must acknowledge
@@ -175,8 +148,7 @@ def propagate_gaussian(moments: GaussianMoments, prop: Propagator,
             "propagate_gaussian covers the deterministic part only; the "
             "vacuum-noise injection from the line source e0 is out of scope. "
             "Set noise_free=True to acknowledge.")
-    s = prop.matrix
-    return GaussianMoments(mean=s @ moments.mean, cov=s @ moments.cov @ s.T)
+    return GaussianMoments(mean=prop @ moments.mean, cov=prop @ moments.cov @ prop.T)
 
 
 def langevin_weak(params: LcExampleParams, drive: Signal | None,

@@ -147,11 +147,9 @@ class ReducedRhs:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """A linear flow x' = A x, the one builder of the lumped flow matrices;
-    ``kind`` names the system in a propagator record."""
+    """A linear flow x' = A x, the one builder of the lumped flow matrices."""
 
     a: np.ndarray
-    kind: str | None = None
 
     @classmethod
     def reduced(cls, model: ReducedModel, stiffness, port_flux: bool = False) -> StateSpace:
@@ -168,7 +166,7 @@ class StateSpace:
         if port_flux:
             a = np.insert(np.insert(a, n, 0.0, axis=1), n,
                           np.r_[np.zeros(n + 1), model.p, 1.0 / model.c_p], axis=0)
-        return cls(a, "reduced-open")
+        return cls(a)
 
     @classmethod
     def closed(cls, mass, stiffness) -> StateSpace:
@@ -177,7 +175,7 @@ class StateSpace:
         a = np.zeros((2 * d, 2 * d))
         a[:d, d:] = np.linalg.inv(mass)
         a[d:, :d] = -np.asarray(stiffness, dtype=float)
-        return cls(a, "closed-exact")
+        return cls(a)
 
     def propagator(self, t: float) -> np.ndarray:
         """exp(A t) by scaling and squaring (``_expm``)."""
@@ -311,6 +309,10 @@ def _evolve(model: ReducedModel, stiffness, flow, f, linear, source, y0, t_grid,
     dt = t_grid[1] - t_grid[0]
     if method == "auto":
         method = "expm" if linear else "rk4"
+    if method not in ("expm", "rk4"):
+        raise ValidationError(f"unknown integration method {method!r}")
+    if method == "expm" and not linear:
+        raise ValidationError("matrix-exponential stepper requires a linear circuit")
     # warn where accuracy depends on dt: all but the exact homogeneous stepper
     if method != "expm" or (source is not None and source[1].any()):
         # a root of each norm: their product may overflow or underflow to 0
@@ -320,10 +322,6 @@ def _evolve(model: ReducedModel, stiffness, flow, f, linear, source, y0, t_grid,
         if dt > limit:
             warnings.warn(f"dt={dt:.3g} does not resolve the fastest scale; "
                           f"recommended dt <= {limit:.3g}", stacklevel=3)
-    if method not in ("expm", "rk4"):
-        raise ValidationError(f"unknown integration method {method!r}")
-    if method == "expm" and not linear:
-        raise ValidationError("matrix-exponential stepper requires a linear circuit")
     with np.errstate(over="ignore", invalid="ignore"):  # every column is checked below
         ys = (_propagate_affine(flow, source, y0, dt, len(t_grid)) if method == "expm"
               else _rk4(f, source, y0, t_grid))

@@ -200,15 +200,13 @@ def uniform_grid(t_grid):
 class Signal:
     """Real signal sampled on a uniform time grid.
 
-    ``normalization`` records the divisor and its time when the signal was
-    produced by :func:`lineport.inversion.normalize_max_abs`; ``meta`` holds
-    method diagnostics (for example the IFFT inversion quality metrics).
+    ``meta`` holds method diagnostics (for example the IFFT inversion
+    quality metrics).
     """
 
     t0: float
     dt: float
     samples: np.ndarray
-    normalization: tuple[float, float] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):

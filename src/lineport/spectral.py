@@ -305,14 +305,6 @@ def find_poles(coeffs, omega_r: float = 1.0, where: str | None = None) -> PoleSe
     return PoleSet(poles=poles[0], omega_r=omega_r, flags=tuple(flags))
 
 
-def classify_modes(ps: PoleSet) -> list[str]:
-    """Label each pole 'aperiodic' (real) or 'oscillatory' (conjugate pair)."""
-    labels = []
-    for s in ps.poles:
-        labels.append("aperiodic" if s.imag == 0.0 else "oscillatory")
-    return labels
-
-
 @dataclass(frozen=True)
 class TransferMatrixSpec:
     """H(s) over the shared denominator p(x), x = s/omega_r: in ``ENTRY_NAMES``
@@ -369,19 +361,6 @@ def transfer_matrix(g, alpha, omega_r: float = 1.0) -> TransferMatrixSpec:
     scales = np.array([1.0 / omega_r ** 2, g / omega_r, -alpha * g / omega_r, 1.0])
     return TransferMatrixSpec(g=g, alpha=alpha, omega_r=omega_r, den=den,
                               numerators=numerators, scales=scales)
-
-
-def transfer_eval(spec: TransferMatrixSpec, s) -> np.ndarray:
-    """Evaluate H(s) as a 2x2 complex matrix; rejects evaluation at a pole."""
-    x = complex(s) / spec.omega_r
-    p = np.polyval(spec.den, x)
-    if poly_backward_residual(spec.den, x) <= 1e-12:
-        poles = spec.poles.poles
-        nearest = poles[np.argmin(np.abs(poles - complex(s)))]
-        raise ValidationError(f"evaluation at a pole of H: s={complex(s):g} "
-                              f"matches pole {nearest:g}")
-    return np.array([scale * np.polyval(num, x) / p
-                     for scale, num in zip(spec.scales, spec.numerators)]).reshape(2, 2)
 
 
 def weak_coupling(g, alpha, omega_r: float = 1.0) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Semi-infinite transmission line: parameters, d'Alembert waves, one-port source.
+"""Semi-infinite transmission line: parameters, the incoming wave, one-port source.
 
 The line carries a flux field phi(t;x) obeying the wave equation with speed
 v_p = 1/sqrt(ell*c) and characteristic impedance Z_c = sqrt(ell/c). Seen from
@@ -142,30 +142,14 @@ def backward_wave(initial: LineInitialState, params: LineParams, t):
             + 0.5 * params.v_p * initial.phi_x_at(x))
 
 
-def forward_wave(initial: LineInitialState, params: LineParams, eta):
-    """Forward voltage wave v_fwd(eta) for retarded argument eta <= 0."""
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta > 1e-12):
-        raise ValidationError("forward wave from initial data is defined for eta <= 0 only")
-    x = -params.v_p * eta
-    return (initial.q_at(x) / (2.0 * params.c_per_len)
-            - 0.5 * params.v_p * initial.phi_x_at(x))
-
-
 def thevenin_source(initial: LineInitialState, params: LineParams, t_grid) -> Signal:
-    """One-port source e0(t) = 2 v_bwd(t) sampled on ``t_grid``."""
+    """One-port source e0(t) = 2 v_bwd(t) sampled on ``t_grid``; profiles whose
+    e0 is not finite in float64 are refused with ``NumericalPreconditionError``."""
     t_grid = np.asarray(t_grid, dtype=float)
-    return Signal.from_samples(t_grid, 2.0 * backward_wave(initial, params, t_grid))
-
-
-def dalembert_eval(v_fwd: Signal, v_bwd: Signal, params: LineParams, x, t):
-    """Voltage and current at (x, t) from the two traveling voltage waves.
-
-    v = v_fwd(t - x/v_p) + v_bwd(t + x/v_p);
-    i = (v_fwd(t - x/v_p) - v_bwd(t + x/v_p)) / Z_c.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    vf = v_fwd(t - x / params.v_p)
-    vb = v_bwd(t + x / params.v_p)
-    return vf + vb, (vf - vb) / params.z_c
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        e0 = 2.0 * backward_wave(initial, params, t_grid)
+    if not np.isfinite(e0).all():
+        raise NumericalPreconditionError(
+            "the line profiles' source e0 is not finite in float64; "
+            "scale the profile values down")
+    return Signal.from_samples(t_grid, e0)

@@ -878,8 +878,8 @@ k = lineport.stiffness_matrix(topo)
 lineport.integrate(lineport.assemble_rhs(model, topo), initial, grid, method="expm")
 lineport.langevin_form(model, topo, None, initial, grid)
 mass = lineport.reduce_ground(lineport.build_capacitance_matrix(topo), topo.ground)
-lineport.propagator_of(lineport.HamiltonianSystem(mass=mass, stiffness=k), 1.0)
-lineport.propagator_of(lineport.OpenReducedSystem(model=model, stiffness=k), 1.0)
+lineport.propagator_of(lineport.StateSpace.closed(mass, k), 1.0)
+lineport.propagator_of(lineport.StateSpace.reduced(model, k, port_flux=True), 1.0)
 """
 
 

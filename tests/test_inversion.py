@@ -5,9 +5,9 @@ import pytest
 
 from lineport import (NumericalPreconditionError, ReducedState, Signal,
                       SourceSpec, ValidationError, assemble_rhs, bromwich_ifft,
-                      integrate, invert_ifft, invert_partial_fractions,
-                      normalize_max_abs, peak_envelope, residues, respond,
-                      sources_from_initial, stiffness_matrix, transfer_matrix)
+                      integrate, invert_ifft, invert_partial_fractions, peak_envelope,
+                      residues, respond, sources_from_initial, stiffness_matrix,
+                      transfer_matrix)
 from lineport.inversion import MAX_IFFT_SAMPLES, impulse_response_table
 from lineport.spectral import ENTRY_NAMES, LcExampleParams, find_poles
 
@@ -208,9 +208,8 @@ class TestAgainstPartialFractions:
         spec = transfer_matrix(0.3, 2.0)
         via_ifft = invert_ifft(spec, t_max=10 * TR, n_samples=16384)[2]
         via_pf = invert_partial_fractions(spec, via_ifft.t_grid)[2]
-        a = normalize_max_abs(via_pf)
-        scale = a.normalization[0]
-        assert np.abs(via_ifft.samples / scale - a.samples).max() <= 1e-6
+        scale = np.abs(via_pf.samples).max()
+        assert np.abs(via_ifft.samples / scale - via_pf.samples / scale).max() <= 1e-6
 
 
 class TestAccuracy:
@@ -291,11 +290,9 @@ class TestDecayAndOscillation:
     def test_h22_shape_invariance_under_omega_scaling(self):
         lam = 3.7
         t1 = np.linspace(0.0, 10 * TR, 4001)
-        h_a = normalize_max_abs(invert_partial_fractions(
-            transfer_matrix(0.3, 2.0, omega_r=1.0), t1)[3])
-        h_b = normalize_max_abs(invert_partial_fractions(
-            transfer_matrix(0.3, 2.0, omega_r=lam), t1 / lam)[3])
-        assert np.abs(h_a.samples - h_b.samples).max() <= 1e-8
+        h_a, h_b = (invert_partial_fractions(transfer_matrix(0.3, 2.0, omega_r=w), t1 / w)[3]
+                    .samples for w in (1.0, lam))
+        assert np.abs(h_a / np.abs(h_a).max() - h_b / np.abs(h_b).max()).max() <= 1e-8
 
 
 class TestRespond:
@@ -369,29 +366,3 @@ class TestRespond:
         f1b, f2b = sources_from_initial(params, q0=1.0 / params.z_c)
         assert f1b.delta_coef == pytest.approx(0.0, abs=1e-15)
         assert f2b.delta_coef == pytest.approx(1.0, rel=1e-12)
-
-
-class TestNormalize:
-    def test_constant_signal(self):
-        sig = Signal.from_samples(np.linspace(0, 1, 11), np.full(11, 3.0))
-        out = normalize_max_abs(sig)
-        assert np.all(out.samples == 1.0)
-        assert out.normalization[0] == 3.0
-
-    def test_damped_cosine_peaks_at_origin(self):
-        t = np.linspace(0.0, 5.0, 2001)
-        sig = Signal.from_samples(t, np.exp(-t) * np.cos(10 * t))
-        out = normalize_max_abs(sig)
-        assert out.normalization == (1.0, 0.0)
-
-    def test_sign_preserved_and_extremum_hit(self):
-        spec = transfer_matrix(0.3, 2.0)
-        sig = invert_partial_fractions(spec, np.linspace(0.0, 10 * TR, 2001))[2]
-        out = normalize_max_abs(sig)
-        assert out.samples.min() >= -1.0 and out.samples.max() <= 1.0
-        assert np.abs(out.samples).max() == 1.0
-
-    def test_zero_signal_rejected(self):
-        sig = Signal.from_samples(np.linspace(0, 1, 8), np.zeros(8))
-        with pytest.raises(ValidationError, match="all-zero"):
-            normalize_max_abs(sig)

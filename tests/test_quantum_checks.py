@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from lineport import (GaussianMoments, HamiltonianSystem, LadderSystem,
-                      OpenReducedSystem, ReducedState, Signal, StateSpace, ValidationError,
-                      assemble_rhs, build_capacitance_matrix, canonical_j,
+from lineport import (GaussianMoments, LadderSystem, ReducedState, Signal, StateSpace,
+                      ValidationError, assemble_rhs, build_capacitance_matrix, canonical_j,
                       commutator_residual, derive_reduced_model, integrate,
                       ladder_oracle, langevin_weak, line_params, parse_netlist,
                       peak_envelope, propagate_gaussian, propagator_of, reduce_ground,
-                      residual_report, stiffness_matrix)
+                      stiffness_matrix)
 from lineport.quantum_checks import RESIDUAL_TILE
 from lineport.spectral import LcExampleParams
 
@@ -26,17 +25,17 @@ class TestPropagator:
     def test_identity_at_time_zero(self):
         system, params = lc_ladder()
         prop = propagator_of(system, 0.0, dt=params.t_r / 1000)
-        assert np.allclose(prop.matrix, np.eye(2 * system.dim), atol=0)
+        assert np.allclose(prop, np.eye(2 * system.dim), atol=0)
 
     def test_harmonic_quarter_period_rotation(self):
         c_r, l_r = 2.0, 0.5
         omega = 1.0 / np.sqrt(l_r * c_r)
-        system = HamiltonianSystem(mass=np.array([[c_r]]),
+        system = StateSpace.closed(mass=np.array([[c_r]]),
                                    stiffness=np.array([[1.0 / l_r]]))
         prop = propagator_of(system, (np.pi / 2.0) / omega)
         expected = np.array([[0.0, 1.0 / (c_r * omega)], [-c_r * omega, 0.0]])
-        assert np.allclose(prop.matrix, expected, atol=1e-12)
-        assert np.linalg.det(prop.matrix) == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(prop, expected, atol=1e-12)
+        assert np.linalg.det(prop) == pytest.approx(1.0, rel=1e-12)
 
     def test_closed_ladder_symplectic(self):
         system, params = lc_ladder()
@@ -73,7 +72,7 @@ class TestPropagator:
         state = np.concatenate(system.initial_state(initial))
         n, dim = system.n_circ, system.dim
         for k in (1, 7, 40):
-            mapped = propagator_of(system, k * dt_out, dt=dt).matrix @ state
+            mapped = propagator_of(system, k * dt_out, dt=dt) @ state
             for got, want in ((mapped[:n], traj.phi), (mapped[dim:dim + n], traj.q)):
                 assert np.abs(got - want[k]).max() <= 1e-12 * np.abs(want).max()
 
@@ -95,8 +94,8 @@ class TestPropagator:
     def test_negative_time_is_the_backward_map(self):
         system, params = lc_ladder(n_sections=150, length=8.0)
         dt = params.t_r / 1000.0
-        forward = propagator_of(system, 0.3 * params.t_r, dt=dt).matrix
-        backward = propagator_of(system, -0.3 * params.t_r, dt=dt).matrix
+        forward = propagator_of(system, 0.3 * params.t_r, dt=dt)
+        backward = propagator_of(system, -0.3 * params.t_r, dt=dt)
         assert np.abs(forward @ backward - np.eye(2 * system.dim)).max() <= 1e-12
 
 
@@ -298,7 +297,7 @@ class TestCommutatorResidual:
         # partner Phi0 does not, so the dominant pairing defect grows like
         # 1 - exp(-t/tau) and saturates at 1
         model, topo, params = lc_model(g=0.05, alpha=1.0)
-        system = OpenReducedSystem(model=model, stiffness=stiffness_matrix(topo))
+        system = StateSpace.reduced(model, stiffness_matrix(topo), port_flux=True)
         tau = model.tau
         fractions = np.array([0.1, 0.5, 1.0, 3.0])
         residuals = []
@@ -309,19 +308,6 @@ class TestCommutatorResidual:
         assert residuals == pytest.approx(1.0 - np.exp(-fractions), rel=0.05)
         late = commutator_residual(propagator_of(system, 10.0 * tau))
         assert late == pytest.approx(1.0, rel=0.01)
-
-
-class TestResidualReport:
-    def test_json_fields(self):
-        import json
-        system, params = lc_ladder(n_sections=150, length=10.0)
-        from lineport import residual_report
-        prop = propagator_of(system, params.t_r, dt=params.t_r / 200.0)
-        rep = residual_report(prop)
-        assert set(rep) == {"symplectic_residual", "t", "dt", "system"}
-        assert rep["system"] == "ladder-leapfrog"
-        assert rep["symplectic_residual"] <= 1e-10
-        json.dumps(rep)
 
 
 CHAIN_NETLIST = """\
@@ -350,7 +336,7 @@ def former_reduced_flow(model, k):
 
 
 def former_closed_flow(mass, stiffness):
-    """The flow ``propagator_of`` formerly built for a ``HamiltonianSystem``."""
+    """The flow ``propagator_of`` formerly built for the closed system."""
     m_inv = np.linalg.inv(mass)
     d = len(mass)
     flow = np.zeros((2 * d, 2 * d))
@@ -360,7 +346,7 @@ def former_closed_flow(mass, stiffness):
 
 
 def former_open_flow(model, stiffness):
-    """The flow ``propagator_of`` formerly built for an ``OpenReducedSystem``:
+    """The flow ``propagator_of`` formerly built for the open reduced system:
     the reduced flow embedded in (Phi, Phi0, Q, Q0), plus dPhi0/dt = V0."""
     n = model.n_nodes
     keep = np.r_[0:n, n + 1:2 * n + 2]
@@ -390,24 +376,13 @@ class TestStateSpaceCore:
         k = stiffness_matrix(topo)
         mass = reduce_ground(build_capacitance_matrix(topo), topo.ground)
         assert np.array_equal(assemble_rhs(model, k).flow_matrix, former_reduced_flow(model, k))
-        closed = HamiltonianSystem(mass=mass, stiffness=k)
-        open_system = OpenReducedSystem(model=model, stiffness=k)
+        closed = StateSpace.closed(mass=mass, stiffness=k)
+        open_system = StateSpace.reduced(model, k, port_flux=True)
         for t in (0.1, 1.7, 13.0):
-            assert np.array_equal(propagator_of(closed, t).matrix,
+            assert np.array_equal(propagator_of(closed, t),
                                   StateSpace(former_closed_flow(mass, k)).propagator(t))
-            assert np.array_equal(propagator_of(open_system, t).matrix,
+            assert np.array_equal(propagator_of(open_system, t),
                                   StateSpace(former_open_flow(model, k)).propagator(t))
-
-    def test_residual_report_names_each_system(self):
-        model, topo = lumped_circuit("lc")
-        k = stiffness_matrix(topo)
-        ladder, params = lc_ladder(n_sections=150, length=10.0)
-        systems = {"ladder-leapfrog": ladder,
-                   "closed-exact": HamiltonianSystem(mass=np.array([[1.0]]), stiffness=k),
-                   "reduced-open": OpenReducedSystem(model=model, stiffness=k)}
-        for kind, system in systems.items():
-            dt = params.t_r / 200.0 if kind == "ladder-leapfrog" else None
-            assert residual_report(propagator_of(system, params.t_r, dt=dt))["system"] == kind
 
 
 class TestGaussian:
@@ -421,7 +396,7 @@ class TestGaussian:
 
     def test_vacuum_mean_stays_zero(self):
         c = np.array([[1.0]])
-        prop = propagator_of(HamiltonianSystem(mass=c, stiffness=c), 0.7)
+        prop = propagator_of(StateSpace.closed(mass=c, stiffness=c), 0.7)
         moments = GaussianMoments(mean=np.zeros(2), cov=0.5 * np.eye(2))
         out = propagate_gaussian(moments, prop, noise_free=True)
         assert np.all(out.mean == 0.0)
@@ -429,7 +404,7 @@ class TestGaussian:
     def test_mean_follows_classical_trajectory(self):
         model, topo, params = lc_model(g=0.3, alpha=2.0)
         k = stiffness_matrix(topo)
-        system = OpenReducedSystem(model=model, stiffness=k)
+        system = StateSpace.reduced(model, k, port_flux=True)
         t_grid = np.linspace(0.0, 3 * params.t_r, 16)
         traj = integrate(assemble_rhs(model, k),
                          ReducedState(phi=[0.7], q=[-0.4], q0=0.2), t_grid)
@@ -447,13 +422,13 @@ class TestGaussian:
     def test_phase_space_volume_preserved_closed_system(self):
         system, params = lc_ladder(n_sections=150, length=12.0)
         prop = propagator_of(system, params.t_r, dt=params.t_r / 500.0)
-        sign, logdet = np.linalg.slogdet(prop.matrix)
+        sign, logdet = np.linalg.slogdet(prop)
         assert sign == 1.0 and abs(logdet) <= 1e-8
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 6))
         cov = np.eye(6) + 0.1 * (a + a.T) @ (a + a.T).T
         # restrict to the circuit block via a small closed system instead
-        small = HamiltonianSystem(mass=np.diag([1.0, 2.0, 3.0]),
+        small = StateSpace.closed(mass=np.diag([1.0, 2.0, 3.0]),
                                   stiffness=np.diag([2.0, 1.0, 0.5]))
         sp = propagator_of(small, 1.3)
         out = propagate_gaussian(GaussianMoments(np.zeros(6), cov), sp,
@@ -482,7 +457,7 @@ class TestGaussian:
         assert squeezed_too_far.uncertainty_defect(hbar=1.0) < -0.1
         # symplectic evolution preserves the defect of the vacuum boundary
         c = np.array([[1.0]])
-        prop = propagator_of(HamiltonianSystem(mass=c, stiffness=c), 0.9)
+        prop = propagator_of(StateSpace.closed(mass=c, stiffness=c), 0.9)
         out = propagate_gaussian(vacuum, prop, noise_free=True)
         assert out.uncertainty_defect(hbar=1.0) >= -1e-12
 

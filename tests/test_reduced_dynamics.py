@@ -918,6 +918,33 @@ def test_malformed_arguments_refused(call, message):
         call(model, topo, lc_line(params))
 
 
+@pytest.mark.parametrize("form", [integrate, langevin_form], ids=["direct", "langevin"])
+@pytest.mark.parametrize("junction, method, message", [
+    pytest.param(False, "bogus", "unknown integration method 'bogus'", id="unknown-method"),
+    pytest.param(True, "expm", "matrix-exponential stepper requires a linear circuit",
+                 id="expm-nonlinear")])
+def test_refused_method_warns_nothing(form, junction, method, message):
+    """A refused method raises before the dt check: at dt = 5, which does
+    not resolve the circuit, a driven run warns nothing first."""
+    from lineport import CircuitTopology
+    if junction:
+        topo = CircuitTopology(node_count=1, capacitors=((1, 2, 1.0),),
+                               junctions=((1, 2, 0.8, 1.0),), coupling_capacitance=0.4)
+        model = derive_reduced_model(topo, 1.5)
+    else:
+        model, topo, _ = lc_model()
+    t = 5.0 * np.arange(11)
+    e0 = gaussian_source(t, 20.0, 5.0)
+    initial = ReducedState(phi=[0.3], q=[0.0], q0=0.0)
+    with warnings.catch_warnings(), pytest.raises(ValidationError,
+                                                  match=f"^{re.escape(message)}$"):
+        warnings.simplefilter("error")
+        if form is integrate:
+            integrate(assemble_rhs(model, topo, e0=e0), initial, t, method=method)
+        else:
+            langevin_form(model, topo, e0, initial, t, method=method)
+
+
 class TestTimeGridChecked:
     """A bad time grid is refused before any stepping or ladder assembly."""
 

@@ -95,7 +95,9 @@ def test_rounding_tie_takes_the_exact_path(tmp_path):
     pytest.param(lambda: Signal(t0=0.0, dt=1.0, samples=np.zeros((2, 2))),
                  "signal samples must be one-dimensional", id="samples-2d"),
     pytest.param(lambda: Signal(t0=0.0, dt=1.0, samples=np.zeros(3))(0.5, extend="wrap"),
-                 "unknown extend policy 'wrap'", id="unknown-extend")])
+                 "unknown extend policy 'wrap'", id="unknown-extend"),
+    pytest.param(lambda: Signal(t0=0.0, dt=0.1, samples=np.ones(11))(2.0),
+                 r"time 2 outside signal domain \[0, 1\]", id="out-of-domain")])
 def test_malformed_arguments_refused(call, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         call()
