@@ -24,4 +24,18 @@ from .inversion import (SourceSpec, bromwich_ifft, impulse_response_table,
 from .quantum_checks import (GaussianMoments, canonical_j, commutator_residual,
                              langevin_weak, propagate_gaussian, propagator_of)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CircuitTopology", "GaussianMoments", "InputError", "LadderSystem", "LcExampleParams",
+    "LineInitialState", "LineParams", "LineportError", "NetlistParseError",
+    "NumericalPreconditionError", "PoleLocus", "PoleSet", "ReducedModel", "ReducedState",
+    "Signal", "SourceSpec", "StateSpace", "Trajectory", "TransferMatrixSpec",
+    "ValidationError", "assemble_rhs", "backward_wave", "bromwich_ifft",
+    "build_capacitance_matrix", "canonical_j", "char_poly", "commutator_residual",
+    "derive_reduced_model", "find_poles", "impulse_response_table", "integrate",
+    "invariant_report", "invert_ifft", "invert_partial_fractions", "ladder_oracle",
+    "langevin_form", "langevin_weak", "line_params", "parse_netlist", "parse_netlist_file",
+    "peak_envelope", "pole_locus", "poly_backward_residual", "potential_energy",
+    "potential_gradient", "propagate_gaussian", "propagator_of", "reduce_ground", "residues",
+    "respond", "sources_from_initial", "stiffness_matrix", "thevenin_source",
+    "transfer_matrix", "weak_coupling", "write_csv",
+]

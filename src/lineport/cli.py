@@ -29,7 +29,7 @@ from .reduced_dynamics import (MIN_LADDER_SECTIONS, LadderSystem, ReducedState,
                                assemble_rhs, integrate, ladder_oracle)
 from .signals import Signal, write_csv
 from .spectral import ENTRY_NAMES, pole_locus, transfer_matrix
-from .tline import LineInitialState, backward_wave, line_params
+from .tline import LineInitialState, line_params, thevenin_samples
 
 OUT_DIR_ENV = "LINEPORT_OUT"
 INVARIANT_TOL = 1e-9
@@ -191,8 +191,8 @@ def _line_source(args, profiles, topology, line, t_grid, length):
 
     def not_finite(state):
         """e0's samples and the names of what is not finite: e0, the energy."""
+        e0 = thevenin_samples(state, line, t_grid)
         with np.errstate(over="ignore", invalid="ignore"):
-            e0 = 2.0 * backward_wave(state, line, t_grid)
             energy = system.hamiltonian(*system.initial_state(rest, state))
         return e0, [what for what, value in (("source e0", e0), ("ladder energy", energy))
                     if not np.isfinite(value).all()]

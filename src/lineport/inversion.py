@@ -44,6 +44,7 @@ ALIAS_TARGET = 1e-14  # exp(-(sigma + slowest decay) T), the alias error the con
 _LOG_INV_EPS = math.log(1.0 / ALIAS_TARGET)
 MARKOV_TERMS = 4  # subtracted large-s terms; the remainder is C^(MARKOV_TERMS - 1)
 _LOG_LIMIT = math.log(np.finfo(float).max / 16.0)  # a sum of 16 such terms still fits
+_NUMPY_ELIDE_BYTES = 256 * 1024  # numpy reuses a temporary operand of this size or more
 
 
 def _proper_parts(num, den):
@@ -114,15 +115,40 @@ def _refuse_t_max(coeff_rows, poles, t_max, n_samples):
         f"in the float range; {advice}")
 
 
+def _polyval_into(out, p, x):
+    """``np.polyval(p, x)`` for a complex ``x``, evaluated in ``out``: polyval's
+    Horner steps y = y * x + c in its order, so its bits. Its first step,
+    0 * x + p[0], is p[0] + 0j for a finite x and a nonzero p[0]; it starts
+    there then, and from polyval's zeros otherwise."""
+    skip = int(p[0] != 0)
+    out[...] = p[0] if skip else 0.0
+    for c in p[skip:]:
+        out *= x
+        out += c
+    return out
+
+
+def _times_inverse(out, inverse):
+    """``out`` times 1/(s + mu), in place, in the operand order of the former
+    ``inverse * np.polyval(...)``. A complex product's bits depend on that
+    order, and numpy computes such a product into the polyval temporary, as
+    polyval * inverse, once the temporary holds _NUMPY_ELIDE_BYTES or more."""
+    if out.nbytes >= _NUMPY_ELIDE_BYTES:
+        out *= inverse
+    else:
+        np.multiply(inverse, out, out=out)
+
+
 def bromwich_ifft(nums, den, poles, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
     """Numerically invert each row of ``nums``, a stack of numerators over
     the shared strictly proper denominator ``den`` whose roots are ``poles``,
     on [0, t_max]; one ``Signal`` per row.
 
-    The rows share one contour: den(s), 1/(s+mu) and the
-    exp(sigma t), exp(-mu t) and alias-tail factors are built once, while each
-    row keeps its own subtraction, FFT and products, so every row equals a
-    one-row stack bit for bit.
+    The rows share one contour: s, den(s), 1/(s+mu) and the exp(sigma t),
+    exp(-mu t) and alias-tail factors are built once, and every row reuses two
+    contour buffers, one for H and one for the Markov sum and then the FFT.
+    Each row keeps its own subtraction, FFT and products, so every row equals
+    a one-row stack bit for bit.
 
     The FFT period is T = 4 t_max and sigma = -(slowest pole decay) +
     ln(1/ALIAS_TARGET)/T; mu is the fastest decay but at least 1/t_max.
@@ -149,22 +175,27 @@ def bromwich_ifft(nums, den, poles, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
     mu = max(max_decay, 1.0 / t_max)
     markov = [_markov_parameters(*part, mu) for part in parts]
 
-    omega = 2.0 * np.pi * np.fft.fftfreq(n_samples, d=dt)
-    s = sigma + 1j * omega
-    den_on_contour = np.polyval(den, s)
-    inverse = 1.0 / (s + mu)
-    t_all = dt * np.arange(n_samples)
-    t = t_all[:n_samples // 4 + 1]  # the last is t_max
+    s = np.empty(n_samples, dtype=complex)  # sigma + i omega_k
+    s.real = sigma
+    s.imag = np.fft.fftfreq(n_samples, d=dt)
+    s.imag *= 2.0 * np.pi
+    den_on_contour = _polyval_into(np.empty_like(s), den, s)
+    inverse = np.add(s, mu)
+    np.divide(1.0, inverse, out=inverse)  # 1/(s + mu)
+    h_on_contour, g = np.empty_like(s), np.empty_like(s)
+    t = dt * np.arange(n_samples // 4 + 1)  # the last is t_max
     head_decay = np.exp(-mu * t)
     tail_start = int(0.9 * n_samples)
     damp = np.exp(sigma * t)
-    tail_growth = np.exp(sigma * t_all[tail_start:])
+    tail_growth = np.exp(sigma * (dt * np.arange(tail_start, n_samples)))
     signals = []
     for row, c in zip(rows, markov):
-        h_on_contour = np.polyval(row, s)
+        _polyval_into(h_on_contour, row, s)
         h_on_contour /= den_on_contour
-        h_on_contour -= inverse * np.polyval(c[::-1], inverse)  # sum_k c_k (s + mu)^-k
-        g = np.fft.ifft(h_on_contour)
+        _polyval_into(g, c[::-1], inverse)
+        _times_inverse(g, inverse)  # sum_k c_k (s + mu)^-k
+        h_on_contour -= g
+        np.fft.ifft(h_on_contour, out=g)
         g /= dt
         tail = np.abs(tail_growth * g.real[tail_start:])
         alias_bound = float(tail.max() * ALIAS_TARGET / (1.0 - ALIAS_TARGET))

@@ -289,10 +289,9 @@ def potential_gradient(topology: CircuitTopology, phi) -> np.ndarray:
     return junction_forces(topology, phi, grad)
 
 
-def junction_forces(topology: CircuitTopology, phi: np.ndarray, grad=None) -> np.ndarray:
-    """Junction part of grad U at the flux vector ``phi`` (shape (N,)), added
-    to ``grad``, a list over the nodes and ground, when given; the rest of
-    grad U is K phi, K the stiffness matrix of the circuit without junctions."""
+def _junction_sums(topology: CircuitTopology, phi: np.ndarray, grad=None) -> list:
+    """``grad``, a list over the nodes and ground (zeros when not given), plus
+    the junction part of grad U at the flux vector ``phi`` (shape (N,))."""
     flux = phi.tolist()
     flux.append(0.0)  # ground carries zero flux
     grad = [0.0] * len(flux) if grad is None else grad
@@ -303,7 +302,26 @@ def junction_forces(topology: CircuitTopology, phi: np.ndarray, grad=None) -> np
             raise _flux_overflow(phi) from None
         grad[i] += force
         grad[j] -= force
-    return np.array(grad[:-1])
+    return grad
+
+
+def junction_forces(topology: CircuitTopology, phi: np.ndarray, grad=None) -> np.ndarray:
+    """Junction part of grad U at the flux vector ``phi`` (shape (N,)), added
+    to ``grad``, a list over the nodes and ground, when given; the rest of
+    grad U is K phi, K the stiffness matrix of the circuit without junctions."""
+    return np.array(_junction_sums(topology, phi, grad)[:-1])
+
+
+def subtract_junction_forces(topology: CircuitTopology, phi: np.ndarray, out: np.ndarray,
+                             starts) -> None:
+    """out[start:start + N] -= junction_forces(topology, phi) for each start in
+    ``starts``, with the same bits and without the force array. It writes node
+    by node, and skips a node whose force is +0.0 (a sum that starts from +0.0
+    is never -0.0), as x - 0.0 is x."""
+    for k, force in enumerate(_junction_sums(topology, phi)[:-1]):
+        if force:
+            for start in starts:
+                out[start + k] -= force
 
 
 def potential_energy(topology: CircuitTopology, phi):

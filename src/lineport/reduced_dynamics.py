@@ -41,7 +41,7 @@ import numpy as np
 from .errors import NumericalPreconditionError, ValidationError
 from .netlist import (CircuitTopology, ReducedModel, _stamp_branches,
                       build_capacitance_matrix, junction_forces, potential_energy,
-                      reduce_ground, stiffness_matrix)
+                      reduce_ground, stiffness_matrix, subtract_junction_forces)
 from .signals import Signal, Trajectory, uniform_grid
 from .tline import LineInitialState, LineParams
 
@@ -140,8 +140,7 @@ class ReducedRhs:
     def __call__(self, y):
         out = self.flow_matrix.dot(y)
         if self.forces is not None:
-            n = self.n
-            out[n:2 * n] -= self.forces(y[:n])
+            subtract_junction_forces(self.grad_u, y[:self.n], out, (self.n,))
         return out
 
 
@@ -386,9 +385,7 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
     def rhs(y):
         out = flow @ y
         if forces is not None:
-            force = forces(y[:n])
-            out[n:2 * n] -= force
-            out[2 * n:3 * n] -= force
+            subtract_junction_forces(grad_u, y[:n], out, (n, 2 * n))
         return out
 
     source = None if e0 is None else (3 * n, e0(t_grid) / model.tau)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -8,10 +9,11 @@ from lineport import (NumericalPreconditionError, ReducedState, Signal,
                       integrate, invert_ifft, invert_partial_fractions, peak_envelope,
                       residues, respond, sources_from_initial, stiffness_matrix,
                       transfer_matrix)
-from lineport.inversion import MAX_IFFT_SAMPLES, impulse_response_table
+from lineport.inversion import (_LOG_INV_EPS, ALIAS_TARGET, MAX_IFFT_SAMPLES,
+                                _markov_parameters, _proper_parts, impulse_response_table)
 from lineport.spectral import ENTRY_NAMES, LcExampleParams, find_poles
 
-from conftest import lc_model
+from conftest import lc_model, traced_peak
 
 TR = 2.0 * np.pi
 
@@ -135,6 +137,99 @@ class TestBromwichIfft:
             assert isinstance(single, Signal)
             assert np.array_equal(sig.samples, single.samples)
             assert (sig.t0, sig.dt, sig.meta) == (single.t0, single.dt, single.meta)
+
+
+def former_bromwich_ifft(nums, den, poles, t_max, n_samples):
+    """``bromwich_ifft`` as it was before it held its contour buffers, one new
+    array per Horner step, product and FFT; its refusals are left out, as it
+    only runs on accepted input here."""
+    rows = np.asarray(nums, dtype=float)
+    parts = [_proper_parts(row, den) for row in rows]
+    poles = np.asarray(poles)
+    min_decay, max_decay = -poles.real.max(), -poles.real.min()
+    period = 4.0 * t_max
+    dt = period / n_samples
+    sigma = -min_decay + _LOG_INV_EPS / period
+    mu = max(max_decay, 1.0 / t_max)
+    markov = [_markov_parameters(*part, mu) for part in parts]
+
+    omega = 2.0 * np.pi * np.fft.fftfreq(n_samples, d=dt)
+    s = sigma + 1j * omega
+    den_on_contour = np.polyval(den, s)
+    inverse = 1.0 / (s + mu)
+    t_all = dt * np.arange(n_samples)
+    t = t_all[:n_samples // 4 + 1]
+    head_decay = np.exp(-mu * t)
+    tail_start = int(0.9 * n_samples)
+    damp = np.exp(sigma * t)
+    tail_growth = np.exp(sigma * t_all[tail_start:])
+    signals = []
+    for row, c in zip(rows, markov):
+        h_on_contour = np.polyval(row, s)
+        h_on_contour /= den_on_contour
+        h_on_contour -= inverse * np.polyval(c[::-1], inverse)
+        g = np.fft.ifft(h_on_contour)
+        g /= dt
+        tail = np.abs(tail_growth * g.real[tail_start:])
+        alias_bound = float(tail.max() * ALIAS_TARGET / (1.0 - ALIAS_TARGET))
+        head = np.polyval([ck / math.factorial(k) for k, ck in enumerate(c)][::-1], t)
+        h_vals = damp * g.real[:len(t)] + head_decay * head
+        imag_residual = float(np.abs(damp * g.imag[:len(t)]).max())
+        signals.append(Signal(t0=0.0, dt=dt, samples=h_vals,
+                              meta={"sigma": float(sigma), "period": float(period),
+                                    "n_samples": n_samples, "mu": float(mu),
+                                    "imag_residual": imag_residual,
+                                    "alias_bound": alias_bound}))
+    return signals
+
+
+def assert_same_bits(got, want):
+    """Equal samples, grid and ``meta``, bit for bit: a signed zero counts as
+    a difference."""
+    assert np.array_equal(got.samples.view(np.uint64), want.samples.view(np.uint64))
+    assert (got.t0, got.dt) == (want.t0, want.dt)
+    assert {k: v.hex() if isinstance(v, float) else v for k, v in got.meta.items()} == \
+        {k: v.hex() if isinstance(v, float) else v for k, v in want.meta.items()}
+
+
+class TestHeldContourBuffers:
+    """``bromwich_ifft`` evaluates H, the Markov sum and the FFT in contour
+    buffers that all rows share, with the bits of the former fresh arrays."""
+
+    @pytest.mark.parametrize("n", [1024, 16384, 65536])
+    @pytest.mark.parametrize("g, alpha", [(0.3, 2.0), (0.8, 2.0), (0.5, 0.5), (0.97, 20.0),
+                                          (0.9368188312392204, 0.5)])
+    def test_bits_of_the_former_inversion(self, g, alpha, n):
+        """Both sides of numpy's 256 KiB temporary reuse, which sets the
+        operand order of the Markov product (``_times_inverse``), and the
+        near-double point."""
+        spec = transfer_matrix(g, alpha)
+        nums, den = spec.physical
+        got = bromwich_ifft(nums, den, spec.poles.poles, 10 * TR, n_samples=n)
+        want = former_bromwich_ifft(nums, den, spec.poles.poles, 10 * TR, n)
+        assert len(got) == len(want) == 4
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    def test_each_row_of_a_four_row_stack_is_a_one_row_call(self, n):
+        spec = transfer_matrix(0.3, 2.0)
+        nums, den = spec.physical
+        stacked = bromwich_ifft(nums, den, spec.poles.poles, 10 * TR, n_samples=n)
+        for k, sig in enumerate(stacked):
+            (single,) = bromwich_ifft(nums[k:k + 1], den, spec.poles.poles, 10 * TR,
+                                      n_samples=n)
+            assert_same_bits(sig, single)
+
+    def test_traced_peak_of_a_four_row_stack(self):
+        """The inversion holds 6.36 contour arrays (16 n bytes each) at its
+        peak, against 8.86 when every step made a new array."""
+        n = 65536
+        spec = transfer_matrix(0.3, 2.0)
+        nums, den = spec.physical
+        peak = traced_peak(lambda: bromwich_ifft(nums, den, spec.poles.poles, 10 * TR,
+                                                 n_samples=n))
+        assert peak <= 6.5 * 16 * n
 
 
 def assert_same_signal(got, want):

@@ -16,15 +16,13 @@ PUBLIC = [
     "Signal", "SourceSpec", "StateSpace", "Trajectory", "TransferMatrixSpec",
     "ValidationError", "assemble_rhs", "backward_wave", "bromwich_ifft",
     "build_capacitance_matrix", "canonical_j", "char_poly", "commutator_residual",
-    "derive_reduced_model", "errors", "find_poles", "impulse_response_table", "integrate",
-    "invariant_report", "inversion", "invert_ifft", "invert_partial_fractions",
-    "ladder_oracle", "langevin_form", "langevin_weak", "line_params", "netlist",
-    "parse_netlist", "parse_netlist_file", "peak_envelope", "pole_locus",
-    "poly_backward_residual", "potential_energy", "potential_gradient",
-    "propagate_gaussian", "propagator_of", "quantum_checks", "reduce_ground",
-    "reduced_dynamics", "residues", "respond", "signals", "sources_from_initial",
-    "spectral", "stiffness_matrix", "thevenin_source", "tline", "transfer_matrix",
-    "weak_coupling", "write_csv",
+    "derive_reduced_model", "find_poles", "impulse_response_table", "integrate",
+    "invariant_report", "invert_ifft", "invert_partial_fractions", "ladder_oracle",
+    "langevin_form", "langevin_weak", "line_params", "parse_netlist", "parse_netlist_file",
+    "peak_envelope", "pole_locus", "poly_backward_residual", "potential_energy",
+    "potential_gradient", "propagate_gaussian", "propagator_of", "reduce_ground", "residues",
+    "respond", "sources_from_initial", "stiffness_matrix", "thevenin_source",
+    "transfer_matrix", "weak_coupling", "write_csv",
 ]
 
 

@@ -24,6 +24,7 @@ RUNS = {
     "reduce-lc": ["reduce", "{tmp}/lc.net"],
     "poles": ["poles", "--g-step", "0.01"],
     "impulse": ["impulse", "--n", "4096"],
+    "impulse-65536": ["impulse", "--n", "65536"],
     "impulse-near-double": ["impulse", "--g", "0.9368188312392204", "--alpha", "0.5"],
     "simulate-lc": ["simulate", "{tmp}/lc.net", *SIM_FLAGS],
     "simulate-lc-pulse": ["simulate", "{tmp}/lc.net", *SIM_FLAGS,
@@ -46,6 +47,20 @@ DIGESTS = {
             '6907d6b5a1566fa934d894255d5ec1530468a5e8cda266345c6777aac4e742e2',
         'impulse_g0.8_alpha2_pf.csv':
             '4989e657fd8d856968e11b86fd6f9880b463ebe35c3492ebd496a994a5c97279',
+    },
+    'impulse-65536': {
+        'impulse_g0.3_alpha2.csv':
+            'f018653f3b8703ac6c66d56713c60f8268f8e27ba82be7d20bbda5ff4821d53f',
+        'impulse_g0.3_alpha2.json':
+            'db652de762a5d6915495a777afe86ccc7f92684b3d41edeaa96e681f94606504',
+        'impulse_g0.3_alpha2_pf.csv':
+            'e7c72635acada2ed619550f094bd034a3faefcc8dfccb49cb978538be801fcbe',
+        'impulse_g0.8_alpha2.csv':
+            '531c3681d8d97b6c028fbca9a92abf7ba2a1f8e53f484bcaf94facf1011d84fa',
+        'impulse_g0.8_alpha2.json':
+            '372af55adb6b0b1baf42cca2c842ddf9300fd924457b4603c873debf88ed6018',
+        'impulse_g0.8_alpha2_pf.csv':
+            '90b54aafb0d32ce078af1481fd637aed972212d56c2c3d39f900fcff7fcc7b46',
     },
     'impulse-near-double': {
         'impulse_g0.936819_alpha0.5.csv':
