@@ -25,8 +25,8 @@ from .errors import InputError, LineportError, NumericalPreconditionError, Valid
 from .inversion import (DEFAULT_IFFT_SAMPLES, MAX_IFFT_SAMPLES, MIN_IFFT_SAMPLES,
                         impulse_response_table)
 from .netlist import derive_reduced_model, invariant_report, parse_netlist_file
-from .reduced_dynamics import (MIN_LADDER_SECTIONS, LadderSystem, ReducedState,
-                               assemble_rhs, integrate, ladder_oracle)
+from .reduced_dynamics import (MAX_LADDER_SECTIONS, MIN_LADDER_SECTIONS, LadderSystem,
+                               ReducedState, assemble_rhs, integrate, ladder_oracle)
 from .signals import Signal, write_csv
 from .spectral import ENTRY_NAMES, pole_locus, transfer_matrix
 from .tline import LineInitialState, line_params, thevenin_samples
@@ -34,6 +34,8 @@ from .tline import LineInitialState, line_params, thevenin_samples
 OUT_DIR_ENV = "LINEPORT_OUT"
 INVARIANT_TOL = 1e-9
 MAX_G_POINTS = 10 ** 6
+#: most ``simulate`` output samples: 10^6 keeps each trajectory column at 8 MB
+MAX_SAMPLES = 10 ** 6
 
 
 def _out_dir(args):
@@ -79,6 +81,13 @@ def _check_g(values):
             raise InputError(f"g values must lie in (0, 1), got {g}")
 
 
+def _check_count(flag, value, low, high):
+    """Refuse a count flag's value outside [low, high], naming the bound it breaks."""
+    if not low <= value <= high:
+        bound = f"at least {low}" if value < low else f"at most {high}"
+        raise InputError(f"{flag} must be {bound}, got {value}")
+
+
 def cmd_poles(args):
     _check_g((args.g_start, args.g_stop))
     alphas = args.alpha if args.alpha else [0.5, 1.0, 2.0]
@@ -112,10 +121,7 @@ def cmd_impulse(args):
     gs = args.g if args.g else [0.3, 0.8]
     _check_g(gs)
     n = args.n
-    if n < MIN_IFFT_SAMPLES:
-        raise InputError(f"--n must be at least {MIN_IFFT_SAMPLES}, got {n}")
-    if n > MAX_IFFT_SAMPLES:
-        raise InputError(f"--n must be at most {MAX_IFFT_SAMPLES}, got {n}")
+    _check_count("--n", n, MIN_IFFT_SAMPLES, MAX_IFFT_SAMPLES)
     omega_r = args.omega_r
     if n & (n - 1):
         n = 1 << (n - 1).bit_length()
@@ -217,6 +223,9 @@ def _line_source(args, profiles, topology, line, t_grid, length):
 
 
 def cmd_simulate(args):
+    # the counts first: an absurd one is refused before any work
+    _check_count("--samples", args.samples, 2, MAX_SAMPLES)
+    _check_count("--n-sections", args.n_sections, MIN_LADDER_SECTIONS, MAX_LADDER_SECTIONS)
     topology = parse_netlist_file(args.netlist)
     if not (0.0 < args.ell * args.c_per_len < np.inf and 0.0 < args.ell / args.c_per_len < np.inf):
         raise NumericalPreconditionError(
@@ -232,11 +241,6 @@ def cmd_simulate(args):
     q = _parse_vector(args.q, n, "q")
     initial = ReducedState(phi=phi, q=q, q0=args.q0)
 
-    if args.samples < 2:
-        raise InputError(f"--samples must be at least 2, got {args.samples}")
-    if args.n_sections < MIN_LADDER_SECTIONS:
-        raise InputError(f"--n-sections must be at least {MIN_LADDER_SECTIONS}, "
-                         f"got {args.n_sections}")
     t_max = args.t_max
     t_grid = np.linspace(0.0, t_max, args.samples)
 

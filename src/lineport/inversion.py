@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NumericalPreconditionError, ValidationError
 from .signals import Signal, uniform_grid
-from .spectral import ENTRY_NAMES, TransferMatrixSpec
+from .spectral import ENTRY_NAMES, TransferMatrixSpec, _polyval_into
 
 MIN_IFFT_SAMPLES = 1024
 MAX_IFFT_SAMPLES = 2 ** 20
@@ -113,19 +113,6 @@ def _refuse_t_max(coeff_rows, poles, t_max, n_samples):
         f"{n_samples} keeps the fastest pole (|s| = {fastest:.3g}) below its Nyquist frequency "
         f"pi n/(4 t_max), and itself (up to |s| = {math.exp(reach):.3g}), H and exp(sigma t) "
         f"in the float range; {advice}")
-
-
-def _polyval_into(out, p, x):
-    """``np.polyval(p, x)`` for a complex ``x``, evaluated in ``out``: polyval's
-    Horner steps y = y * x + c in its order, so its bits. Its first step,
-    0 * x + p[0], is p[0] + 0j for a finite x and a nonzero p[0]; it starts
-    there then, and from polyval's zeros otherwise."""
-    skip = int(p[0] != 0)
-    out[...] = p[0] if skip else 0.0
-    for c in p[skip:]:
-        out *= x
-        out += c
-    return out
 
 
 def _times_inverse(out, inverse):

@@ -286,7 +286,7 @@ def potential_gradient(topology: CircuitTopology, phi) -> np.ndarray:
         force = (flux[i - 1] - flux[j - 1]) / l
         grad[i - 1] += force
         grad[j - 1] -= force
-    return junction_forces(topology, phi, grad)
+    return np.array(_junction_sums(topology, phi, grad)[:-1])
 
 
 def _junction_sums(topology: CircuitTopology, phi: np.ndarray, grad=None) -> list:
@@ -305,11 +305,11 @@ def _junction_sums(topology: CircuitTopology, phi: np.ndarray, grad=None) -> lis
     return grad
 
 
-def junction_forces(topology: CircuitTopology, phi: np.ndarray, grad=None) -> np.ndarray:
-    """Junction part of grad U at the flux vector ``phi`` (shape (N,)), added
-    to ``grad``, a list over the nodes and ground, when given; the rest of
-    grad U is K phi, K the stiffness matrix of the circuit without junctions."""
-    return np.array(_junction_sums(topology, phi, grad)[:-1])
+def junction_forces(topology: CircuitTopology, phi: np.ndarray) -> np.ndarray:
+    """Junction part of grad U at the flux vector ``phi`` (shape (N,)); the
+    rest of grad U is K phi, K the stiffness matrix of the circuit without
+    junctions."""
+    return np.array(_junction_sums(topology, phi)[:-1])
 
 
 def subtract_junction_forces(topology: CircuitTopology, phi: np.ndarray, out: np.ndarray,

@@ -25,16 +25,15 @@ Three independent formulations of the same physics live here:
   the closed Hamiltonian system with symplectic leapfrog; with the far end
   open and the no-echo time window it is an independent oracle for the
   reduced model. Each output sample, its energy included, is read off the
-  leapfrog kernel's own buffers, and the kernel allocates nothing after its
-  first call. The N-step map that the commutator check certifies comes from
-  one symmetric eigendecomposition (``LadderSystem.leapfrog_power``).
+  leapfrog kernel's own buffers, which it builds once per run; it allocates
+  nothing per substep. The N-step map that the commutator check certifies
+  comes from one symmetric eigendecomposition (``LadderSystem.leapfrog_power``).
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -47,6 +46,8 @@ from .tline import LineInitialState, LineParams
 
 DT_SAFETY_FACTOR = 20.0
 MIN_LADDER_SECTIONS = 100
+#: most ladder sections: 10^6 keeps a run's O(n_sections) arrays near 8 MB each
+MAX_LADDER_SECTIONS = 10 ** 6
 #: the ladder's leapfrog step as a fraction of its CFL bound
 LADDER_COURANT = 0.5
 #: largest relative energy drift a ladder run may show
@@ -85,11 +86,11 @@ class ReducedState:
 
 
 def _as_gradient(grad_u, n):
-    """grad U as (linear stiffness K, junction forces or None, the stiffness
-    that bounds dt: K plus each junction's small-signal E_J/phi0^2 stamped as
-    an inductor) from a ``CircuitTopology`` or an n x n K, nothing else. A
-    circuit whose K or bound is not finite is refused before any step."""
-    forces = None
+    """grad U as (linear stiffness K, the topology if it has junctions else
+    None, the stiffness that bounds dt: K plus each junction's E_J/phi0^2
+    stamped as an inductor) from a ``CircuitTopology`` or an n x n K, nothing
+    else. A circuit whose K or bound is not finite is refused before any step."""
+    junctions = None
     if isinstance(grad_u, CircuitTopology):
         with np.errstate(over="ignore"):  # refused below if not finite
             k = stiffness_matrix(replace(grad_u, junctions=()))  # the linear inductors
@@ -100,7 +101,7 @@ def _as_gradient(grad_u, n):
             if not np.isfinite(m).all():
                 raise NumericalPreconditionError(
                     f"{stiffness} is not finite; rescale the {units} units")
-        forces = None if grad_u.is_linear else partial(junction_forces, grad_u)
+        junctions = None if grad_u.is_linear else grad_u
     else:
         try:
             k = bound = np.asarray(grad_u, dtype=float)
@@ -108,39 +109,39 @@ def _as_gradient(grad_u, n):
             k = np.empty(0)
     if k.shape != (n, n):
         raise ValidationError(f"grad_u must be a CircuitTopology or a {n}x{n} stiffness matrix")
-    return k, forces, bound
+    return k, junctions, bound
 
 
 @dataclass
 class ReducedRhs:
-    """Autonomous part f(y) = flow_matrix @ y - forces(phi) on the q rows of
-    the reduced equations on the packed state y = [phi, q, q0], whose q0 row
-    takes the input e0/Z_c; ``assemble_rhs`` is its constructor. ``grad_u``
-    is a ``CircuitTopology`` (inductor stiffness K in the flow, junction
-    forces) or a stiffness matrix K (no forces). Without forces the exact
-    expm stepper applies."""
+    """Autonomous part f(y) = flow_matrix @ y less the junction forces on the
+    q rows of the reduced equations on the packed state y = [phi, q, q0],
+    whose q0 row takes the input e0/Z_c; ``assemble_rhs`` is its constructor.
+    ``grad_u`` is a ``CircuitTopology`` (inductor stiffness K in the flow;
+    ``junctions``, the topology if it has any) or a stiffness matrix K.
+    Without junctions the exact expm stepper applies."""
 
     model: ReducedModel
     grad_u: CircuitTopology | np.ndarray
     e0: Signal | None = None
-    forces: object = field(init=False)
+    junctions: CircuitTopology | None = field(init=False)
     bound_stiffness: np.ndarray = field(init=False)  # see _as_gradient
     flow_matrix: np.ndarray = field(init=False)
     n: int = field(init=False)  # circuit nodes
 
     def __post_init__(self):
         self.n = self.model.n_nodes
-        k, self.forces, self.bound_stiffness = _as_gradient(self.grad_u, self.n)
+        k, self.junctions, self.bound_stiffness = _as_gradient(self.grad_u, self.n)
         self.flow_matrix = StateSpace.reduced(self.model, k).a
 
     @property
     def is_linear(self) -> bool:
-        return self.forces is None
+        return self.junctions is None
 
     def __call__(self, y):
         out = self.flow_matrix.dot(y)
-        if self.forces is not None:
-            subtract_junction_forces(self.grad_u, y[:self.n], out, (self.n,))
+        if self.junctions is not None:
+            subtract_junction_forces(self.junctions, y[:self.n], out, (self.n,))
         return out
 
 
@@ -368,7 +369,7 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
     """
     t_grid, dt = uniform_grid(t_grid)
     n = model.n_nodes
-    stiffness, forces, bound_stiffness = _as_gradient(grad_u, n)
+    stiffness, junctions, bound_stiffness = _as_gradient(grad_u, n)
     v0_init = initial.v0(model)
     y0 = np.concatenate([initial.phi, initial.q, np.zeros(n), [v0_init]])
     cpp = model.c_p * model.p
@@ -384,13 +385,13 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
 
     def rhs(y):
         out = flow @ y
-        if forces is not None:
-            subtract_junction_forces(grad_u, y[:n], out, (n, 2 * n))
+        if junctions is not None:
+            subtract_junction_forces(junctions, y[:n], out, (n, 2 * n))
         return out
 
     source = None if e0 is None else (3 * n, e0(t_grid) / model.tau)
-    ys, method = _evolve(model, bound_stiffness, flow, rhs, forces is None, source, y0, t_grid,
-                         method)
+    ys, method = _evolve(model, bound_stiffness, flow, rhs, junctions is None, source, y0,
+                         t_grid, method)
     phi = ys[:n].T
     q = ys[n:2 * n].T
     v0 = ys[2 * n:3 * n].T @ model.p + ys[3 * n]
@@ -412,8 +413,9 @@ class LadderSystem:
 
     def __init__(self, topology: CircuitTopology, line: LineParams,
                  n_sections: int, length: float):
-        if n_sections < MIN_LADDER_SECTIONS:
-            raise ValidationError(f"ladder oracle needs n_sections >= {MIN_LADDER_SECTIONS}")
+        if not MIN_LADDER_SECTIONS <= n_sections <= MAX_LADDER_SECTIONS:
+            raise ValidationError(f"ladder oracle needs n_sections in [{MIN_LADDER_SECTIONS}, "
+                                  f"{MAX_LADDER_SECTIONS}], got {n_sections}")
         if length <= 0:
             raise ValidationError("ladder length must be positive")
         self.topology = topology
@@ -448,8 +450,7 @@ class LadderSystem:
         self._head_l_inv = np.linalg.inv(l_head)
         self._head_inv = self._head_l_inv.T @ self._head_l_inv
         self._k_line = 1.0 / (line.ell * self.dx)
-        self._k_circ, self._forces, _ = _as_gradient(topology, n)
-        self._kernel = self._diff = None
+        self._k_circ = _as_gradient(topology, n)[0]
         self.dim = n + 1 + self.n_sections
 
     # -- Hamiltonian structure ------------------------------------------------
@@ -462,8 +463,8 @@ class LadderSystem:
         n = self.n_circ
         out = np.empty_like(q)
         np.matmul(self._k_circ, q[:n], out=out[:n])
-        if self._forces is not None:
-            out[:n] += self._forces(q[:n])
+        if not self.topology.is_linear:
+            out[:n] += junction_forces(self.topology, q[:n])
         line = out[n:]
         np.subtract(q[n + 1:], q[n:-1], out=line[1:])
         np.negative(line[1:2], out=line[:1])
@@ -497,29 +498,22 @@ class LadderSystem:
     def hamiltonian(self, q, p):
         return 0.5 * float(p @ self.velocities(p)) + self.potential(q)
 
-    def drift_kick(self, q, u, dt, steps, acc):
-        """``steps`` leapfrog substeps in displacement form, in place: the
-        drift q += u, then the kick u -= acc with acc = dt^2 M^-1 grad U(q),
-        u being the step displacement dt M^-1 p at the half step. ``acc`` is
-        left holding the last kick. Returns d = diff(q_line) at the final q,
-        the system's buffer, which the next call overwrites.
+    def drift_kick(self, q, u, dt, acc):
+        """The leapfrog substep loop on the arrays q, u and acc, in
+        displacement form: ``loop(steps)`` runs ``steps`` substeps in place,
+        each the drift q += u, then the kick u -= acc with acc = dt^2 M^-1
+        grad U(q), u being the step displacement dt M^-1 p at the half step.
+        ``acc`` is left holding the last kick. ``loop`` returns d =
+        diff(q_line) at the final q, its own buffer, which its next call
+        overwrites.
 
         Line node j gets dt^2 k_line / cell_j (d_{j-1} - d_j), d_ns = 0 past
         the far node; the head block dt^2 head_inv @ [K q_circ + forces;
         -k_line d_0] is A @ q[:n+2] with K folded into A, plus the junction
-        forces, if any, through A's head_inv part. A, the line factors and
-        the views of q, u and acc are built on the first call for a dt and
-        those arrays and kept, so a run of calls on one state sets up nothing
-        after its first; d is allocated once per state shape.
+        forces, if any, through A's head_inv part. A, the line factors, d and
+        the views of q, u and acc are built here, once, so the loop allocates
+        nothing state-sized; the system keeps none of them.
         """
-        kernel = self._kernel
-        if not (kernel and kernel[0] is q and kernel[1] is u and kernel[2] is acc
-                and kernel[3] == dt):
-            kernel = self._kernel = (q, u, acc, dt, self._kick_loop(q, u, dt, acc))
-        return kernel[4](steps)
-
-    def _kick_loop(self, q, u, dt, acc):
-        """``drift_kick``'s loop, bound to its operators and views."""
         n = self.n_circ
         head = dt * dt * self._head_inv
         head[:, n] *= -self._k_line
@@ -528,19 +522,19 @@ class LadderSystem:
         fold[:, n], fold[:, n + 1] = -head[:, n], head[:, n]
         force_head = np.ascontiguousarray(head[:, :n])
         line_inv = (dt * dt * self._k_line / self.cells[1:]).reshape((-1,) + (1,) * (q.ndim - 1))
-        if self._diff is None or self._diff.shape[1:] != q.shape[1:]:
-            self._diff = np.zeros((self.n_sections + 1,) + q.shape[1:])
-        d, d_next = self._diff[:-1], self._diff[1:]
+        diff = np.zeros((self.n_sections + 1,) + q.shape[1:])
+        d, d_next = diff[:-1], diff[1:]
         q_circ, q_head, q_line, q_next = q[:n], q[:n + 2], q[n:-1], q[n + 1:]
         acc_head, acc_line = acc[:n + 1], acc[n + 1:]
-        forces = self._forces
+        topology, linear = self.topology, self.topology.is_linear
 
         def loop(steps):  # in-place ufuncs: an augmented assignment would rebind
             for _ in range(steps):
                 np.add(q, u, out=q)
                 fold.dot(q_head, out=acc_head)
-                if forces is not None:
-                    np.add(acc_head, force_head.dot(forces(q_circ)), out=acc_head)
+                if not linear:
+                    np.add(acc_head, force_head.dot(junction_forces(topology, q_circ)),
+                           out=acc_head)
                 np.subtract(q_next, q_line, out=d)
                 np.subtract(d, d_next, out=acc_line)
                 np.multiply(acc_line, line_inv, out=acc_line)
@@ -558,7 +552,7 @@ class LadderSystem:
         q = q.copy()
         u = dt * self.velocities(p - (0.5 * dt) * grad)  # the opening half-kick
         acc = np.empty_like(u)
-        self.drift_kick(q, u, dt, steps, acc)
+        self.drift_kick(q, u, dt, acc)(steps)
         p = self.momenta(u + 0.5 * acc)  # the last kick undone by half
         p /= dt
         return q, p, self.grad_potential(q)
@@ -566,7 +560,7 @@ class LadderSystem:
     def one_step_matrix(self, dt: float) -> np.ndarray:
         """Linear map of one leapfrog step on the stacked state [q, p]: the
         step applied to the identity columns."""
-        if self._forces is not None:
+        if not self.topology.is_linear:
             raise ValidationError("one-step matrix requires a linear circuit")
         s = np.eye(2 * self.dim)
         q, p = s[:self.dim], s[self.dim:]
@@ -587,7 +581,7 @@ class LadderSystem:
         cancellation. lam is clipped at 0, so the free line-shift mode gets
         theta = 0 and sin N theta / sin theta its limit N.
         """
-        if self._forces is not None:
+        if not self.topology.is_linear:
             raise ValidationError("leapfrog power requires a linear circuit "
                                   "(Josephson junctions present)")
         dim, n, l_inv = self.dim, self.n_circ, self._head_l_inv
@@ -710,9 +704,10 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
         q_circ, w_head, w_line = q_pos[:n], w[:n + 1], w[n + 1:]
         cells_line, cells_w = cells[1:], np.empty_like(w_line)
         half = np.array(0.5)  # a 0-d factor skips numpy's conversion of a float
+        kick = system.drift_kick(q_pos, u, dt, acc)
         phi_out[0] = q_circ
         for k in range(1, n_out):
-            d = system.drift_kick(q_pos, u, dt, n_sub, acc)
+            d = kick(n_sub)
             np.multiply(acc, half, out=w)
             w += u  # dt M^-1 p: the last kick undone by half
             np.multiply(cells_line, w_line, out=cells_w)

@@ -125,7 +125,6 @@ class PoleSet:
     and s2 the least negative."""
 
     poles: np.ndarray
-    omega_r: float = 1.0
     flags: tuple = ()
 
     @property
@@ -141,21 +140,28 @@ class PoleSet:
         return self.poles[2] if len(self.poles) > 2 else self.poles[1]
 
 
-def _polyval_rows(coeffs, x):
-    """``np.polyval`` of each coefficient row at the matching row of ``x``,
-    in its operation order (so every value equals it bit for bit)."""
-    y = np.zeros_like(x)
-    for column in coeffs.T[:, :, None]:
-        y = y * x + column
-    return y
+def _polyval_into(out, p, x):
+    """``np.polyval(p, x)`` evaluated in ``out``: polyval's Horner steps
+    y = y * x + c in its order, so its bits. Its first step, 0 * x + p[0], is
+    p[0] (+ 0j for a complex x) for a finite x and a nonzero p[0]; it starts
+    there when every p[0] is nonzero, and from polyval's zeros otherwise. For
+    coefficient rows ``work`` (m, n+1) and points x (m, k), p = work.T[:, :, None]
+    evaluates each row at its own points."""
+    skip = int(np.all(p[0] != 0))
+    out[...] = p[0] if skip else 0.0
+    for c in p[skip:]:
+        out *= x
+        out += c
+    return out
 
 
 def _newton_step(work, roots):
     """One Newton step for every root; a root where p' vanishes stays put."""
     n = work.shape[1] - 1
-    deriv = _polyval_rows(work[:, :-1] * np.arange(n, 0, -1), roots)
-    step = np.divide(_polyval_rows(work, roots), deriv, out=np.zeros_like(roots),
-                     where=np.abs(deriv) > 0)
+    slopes = work[:, :-1] * np.arange(n, 0, -1)
+    deriv = _polyval_into(np.empty_like(roots), slopes.T[:, :, None], roots)
+    value = _polyval_into(np.empty_like(roots), work.T[:, :, None], roots)
+    step = np.divide(value, deriv, out=np.zeros_like(roots), where=np.abs(deriv) > 0)
     return roots - step
 
 
@@ -244,14 +250,15 @@ def _backward_residuals(work, roots):
     """``poly_backward_residual`` of each root in ``roots`` (m, n) against
     its row of ``work`` (m, n+1): |p(x)| over the larger of the largest term
     max_j |a_j| |x|^(n-j) and the largest coefficient. p(x) comes from
-    ``_polyval_rows``, the largest term from its Horner recurrence on
+    ``_polyval_into``, the largest term from its Horner recurrence on
     magnitudes, so neither leaves the float range where the range check in
     ``_poles_of_rows`` has passed."""
     size, magnitudes = np.abs(roots), np.abs(work)
     largest = magnitudes[:, :1]
     for m in magnitudes.T[1:, :, None]:
         largest = np.maximum(largest * size, m)
-    return abs(_polyval_rows(work, roots)) / np.maximum(largest, magnitudes.max(1, keepdims=True))
+    value = _polyval_into(np.empty_like(roots), work.T[:, :, None], roots)
+    return abs(value) / np.maximum(largest, magnitudes.max(1, keepdims=True))
 
 
 def _refuse_far_root(row, omega_r, log_limit):
@@ -302,7 +309,7 @@ def find_poles(coeffs, omega_r: float = 1.0, where: str | None = None) -> PoleSe
         flags.append("near-double-root")
     if all_real[0] and len(coeffs) == 4:
         flags.append("aperiodic-triple")
-    return PoleSet(poles=poles[0], omega_r=omega_r, flags=tuple(flags))
+    return PoleSet(poles=poles[0], flags=tuple(flags))
 
 
 @dataclass(frozen=True)

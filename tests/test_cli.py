@@ -17,8 +17,9 @@ import lineport.cli
 import lineport.errors
 import lineport.inversion
 import lineport.spectral
-from lineport.cli import MAX_G_POINTS, main
+from lineport.cli import MAX_G_POINTS, MAX_SAMPLES, main
 from lineport.inversion import MAX_IFFT_SAMPLES
+from lineport.reduced_dynamics import MAX_LADDER_SECTIONS
 from lineport.signals import FLOAT_FMT
 
 LC_NETLIST = """\
@@ -494,6 +495,30 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, names):
     assert rc == 2
     assert "Traceback" not in err
     assert names in err
+
+
+@pytest.mark.parametrize("flag, cap, value", [
+    pytest.param("--samples", MAX_SAMPLES, MAX_SAMPLES + 1, id="samples-cap-plus-1"),
+    pytest.param("--samples", MAX_SAMPLES, 10 ** 20, id="samples-1e20"),
+    pytest.param("--n-sections", MAX_LADDER_SECTIONS, MAX_LADDER_SECTIONS + 1,
+                 id="n-sections-cap-plus-1"),
+    pytest.param("--n-sections", MAX_LADDER_SECTIONS, 10 ** 20, id="n-sections-1e20"),
+])
+def test_simulate_counts_beyond_cap_refused_first(tmp_path, capsys, monkeypatch, flag, cap,
+                                                  value):
+    """A count beyond its cap exits 2 naming the flag and the cap, before the
+    netlist is read: no traceback, no output directory, no allocation."""
+    def fail(path):
+        raise AssertionError("netlist read before the counts were checked")
+    monkeypatch.setattr(lineport.cli, "parse_netlist_file", fail)
+    out = tmp_path / "out"
+    rc = main(["simulate", str(write_netlist(tmp_path)), *SIM_FLAGS, flag, str(value),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert f"{flag} must be at most {cap}, got {value}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, names", [

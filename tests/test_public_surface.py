@@ -1,4 +1,5 @@
-"""The package's public names, and no unused import in its modules."""
+"""The package's public names, no unused import in its modules, and no
+private module-level name that the package never reads."""
 import ast
 from pathlib import Path
 
@@ -42,9 +43,11 @@ def imported_names(tree):
     return names
 
 
-def used_names(tree):
-    """The names that the module reads, those in quoted annotations included."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def used_names(tree, ctx=ast.expr_context):
+    """The names that the module reads, those in quoted annotations included;
+    with ``ctx`` ast.Load, only the names it loads."""
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ctx)}
     for node in ast.walk(tree):
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -55,7 +58,7 @@ def used_names(tree):
             annotations.append(node.annotation)
         for ann in annotations:
             if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                names |= used_names(ast.parse(ann.value, mode="eval"))
+                names |= used_names(ast.parse(ann.value, mode="eval"), ctx)
     return names
 
 
@@ -64,3 +67,30 @@ def used_names(tree):
 def test_module_uses_every_import(module):
     tree = ast.parse((SRC / module).read_text())
     assert sorted(imported_names(tree) - used_names(tree)) == []
+
+
+def private_definitions(tree):
+    """The module-level private functions, classes and constants, dunders
+    excepted."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_is_read():
+    """A private helper that no module of the package loads, by name or as
+    an attribute, is dead code: a merged-away helper must go with its merge."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= used_names(tree, ast.Load)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    defined = {(module, name) for module, tree in trees.items()
+               for name in private_definitions(tree)}
+    assert defined  # the walk finds the package's helpers
+    assert sorted(f"{module}: {name}" for module, name in defined if name not in read) == []

@@ -331,7 +331,7 @@ class TestSplitRhs:
         with np.errstate(over="ignore"), pytest.raises(
                 NumericalPreconditionError,
                 match="junction flux difference overflows at flux size 1e"):
-            system.drift_kick(q, u, 0.5 * system.cfl_dt(), 1, acc)
+            system.drift_kick(q, u, 0.5 * system.cfl_dt(), acc)(1)
 
 
 class TestPropagateAffine:
@@ -740,10 +740,10 @@ class TestLeapfrogKernel:
         u0 *= 1e-3
         dt = 0.5 * system.cfl_dt()
         q, u, acc = q0.copy(), u0.copy(), np.empty_like(q0)
-        system.drift_kick(q, u, dt, 5, acc)
+        system.drift_kick(q, u, dt, acc)(5)
         for j in range(3):
             qj, uj, accj = q0[:, j].copy(), u0[:, j].copy(), np.empty(system.dim)
-            system.drift_kick(qj, uj, dt, 5, accj)
+            system.drift_kick(qj, uj, dt, accj)(5)
             for got, want in ((q[:, j], qj), (u[:, j], uj), (acc[:, j], accj)):
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -757,9 +757,9 @@ class TestLeapfrogKernel:
         u *= 1e-3
         dt = 0.5 * system.cfl_dt()
         acc = np.empty_like(q)
-        system.drift_kick(q, u, dt, 6, acc)
+        system.drift_kick(q, u, dt, acc)(6)
         u_before = u.copy()
-        system.drift_kick(q, u, dt, 1, acc)
+        system.drift_kick(q, u, dt, acc)(1)
         want = dt * dt * system.velocities(system.grad_potential(q))
         assert np.abs(acc - want).max() <= 1e-14 * np.abs(want).max()
         assert np.array_equal(u, u_before - acc)
@@ -768,35 +768,62 @@ class TestLeapfrogKernel:
         pytest.param(lc_model(g=0.3, alpha=2.0)[1], id="lc"),
         pytest.param(parse_netlist(LADDER_JOSEPHSON_NETLIST), id="josephson")])
     def test_second_call_allocates_no_state(self, topo):
-        """The kernel's d buffer is kept on the system per state shape: a
-        second call allocates nothing state-sized and returns the same
-        buffer, holding diff(q_line) at the final q."""
+        """The returned loop holds its d buffer: a second call allocates
+        nothing state-sized and returns the same d, holding diff(q_line) at
+        the final q."""
         system = LadderSystem(topo, line_params(2.0, 0.5), 4000, 10.0)
         rng = np.random.default_rng(12)
         q, u = rng.normal(size=(2, system.dim))
         u *= 1e-3
         dt = 0.5 * system.cfl_dt()
         acc = np.empty_like(q)
-        first = system.drift_kick(q, u, dt, 2, acc)
+        loop = system.drift_kick(q, u, dt, acc)
+        first = loop(2)
         returned = []
-        peak = traced_peak(lambda: returned.append(system.drift_kick(q, u, dt, 2, acc)))
+        peak = traced_peak(lambda: returned.append(loop(2)))
         (second,) = returned
         assert peak < q.nbytes // 4
-        assert second.base is first.base
+        assert second is first
         assert np.array_equal(second, np.diff(q[system.n_circ:]))
 
+    @pytest.mark.parametrize("topo", [
+        pytest.param(lc_model(g=0.3, alpha=2.0)[1], id="lc"),
+        pytest.param(parse_netlist(LADDER_JOSEPHSON_NETLIST), id="josephson")])
+    def test_stepping_sets_no_system_state(self, topo):
+        """The kernel, the step wrapper and the step maps leave the system's
+        attributes as ``__init__`` set them: the same names bound to the same
+        objects. A Josephson system refuses the maps and still keeps them."""
+        system = LadderSystem(topo, line_params(2.0, 0.5), 150, 10.0)
+        before = dict(vars(system))
+        rng = np.random.default_rng(13)
+        q, u = rng.normal(size=(2, system.dim))
+        u *= 1e-3
+        dt = 0.5 * system.cfl_dt()
+        system.drift_kick(q, u, dt, np.empty_like(q))(3)
+        system.leapfrog_step(q, u, system.grad_potential(q), dt, steps=2)
+        for step_map in (lambda: system.one_step_matrix(dt),
+                         lambda: system.leapfrog_power(dt, 3)):
+            if topo.is_linear:
+                step_map()
+            else:
+                with pytest.raises(ValidationError, match="linear circuit"):
+                    step_map()
+        after = vars(system)
+        assert list(after) == list(before)
+        assert all(after[name] is value for name, value in before.items())
+
     def test_kick_operators_follow_dt(self):
-        """The dt-scaled kick operators are kept between calls: a second dt
-        on the same system steps as on a fresh one."""
+        """The dt-scaled kick operators follow dt: a second dt on a used
+        system steps as on a fresh one."""
         rng = np.random.default_rng(11)
         q0, u0 = rng.normal(size=(2, self.lc_system().dim))
         dt = 0.5 * self.lc_system().cfl_dt()
         used = self.lc_system()
-        used.drift_kick(q0.copy(), u0.copy(), dt, 3, np.empty_like(q0))
+        used.drift_kick(q0.copy(), u0.copy(), dt, np.empty_like(q0))(3)
         got = [q0.copy(), u0.copy(), np.empty_like(q0)]
-        used.drift_kick(*got[:2], 0.5 * dt, 3, got[2])
+        used.drift_kick(*got[:2], 0.5 * dt, got[2])(3)
         want = [q0.copy(), u0.copy(), np.empty_like(q0)]
-        self.lc_system().drift_kick(*want[:2], 0.5 * dt, 3, want[2])
+        self.lc_system().drift_kick(*want[:2], 0.5 * dt, want[2])(3)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
@@ -872,7 +899,7 @@ class TestLadderSamples:
         u = dt * system.velocities(p - 0.5 * dt * system.grad_potential(q))
         acc = np.empty_like(u)
         for _ in range(100):
-            system.drift_kick(q, u, dt, n_sub, acc)
+            system.drift_kick(q, u, dt, acc)(n_sub)
             energy.append(system.hamiltonian(q, system.momenta(u + 0.5 * acc) / dt))
         energy = np.array(energy)
         drift = np.abs(energy - energy[0]).max() / abs(energy[0])

@@ -7,7 +7,7 @@ import pytest
 from lineport import (NumericalPreconditionError, ValidationError, char_poly,
                       find_poles, pole_locus, poly_backward_residual, transfer_matrix,
                       weak_coupling)
-from lineport.spectral import LcExampleParams, _poles_of_rows, _track_branches
+from lineport.spectral import LcExampleParams, _poles_of_rows, _polyval_into, _track_branches
 
 
 class TestCharPoly:
@@ -131,6 +131,49 @@ class TestBackwardResidual:
             for x in points:
                 got, want = poly_backward_residual(coeffs, x), former_backward_residual(coeffs, x)
                 assert abs(got - want) <= 64 * eps
+
+
+def former_polyval_rows(coeffs, x):
+    """The former ``spectral._polyval_rows``: ``np.polyval`` of each
+    coefficient row at the matching row of ``x``, out of place."""
+    y = np.zeros_like(x)
+    for column in coeffs.T[:, :, None]:
+        y = y * x + column
+    return y
+
+
+class TestPolyvalInto:
+    """The one in-place Horner, on a stack of coefficient rows, against the
+    former out-of-place row Horner and each row's ``np.polyval``, bit for bit."""
+
+    @staticmethod
+    def rows(rng, kind, m, degree):
+        """m real coefficient rows of ``degree`` and, per row, its roots and
+        random points: real roots and points, or a complex pair per row."""
+        roots = rng.normal(size=(m, degree)) * np.exp(rng.uniform(-3.0, 3.0, size=(m, 1)))
+        if kind != "real":
+            roots = roots.astype(complex)
+            roots[:, 1] = roots[:, 0].real + 1j * np.abs(rng.normal(size=m))
+            roots[:, 0] = roots[:, 1].conj()
+        work = np.array([np.poly(r).real for r in roots]) * rng.uniform(0.5, 2.0, size=(m, 1))
+        points = rng.normal(size=(m, 4)) * 10.0
+        if kind != "real":
+            points = points + 1j * rng.normal(size=(m, 4))
+        if kind == "zero-lead":
+            work[m // 2, 0] = 0.0
+        return work, np.concatenate((roots, points), axis=1)
+
+    @pytest.mark.parametrize("degree", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero-lead"])
+    def test_stack_equals_former_horner(self, rng, kind, degree):
+        for _ in range(20):
+            work, x = self.rows(rng, kind, 16, degree)
+            got = _polyval_into(np.empty_like(x), work.T[:, :, None], x)
+            want = former_polyval_rows(work, x)
+            assert got.dtype == want.dtype == x.dtype
+            assert got.tobytes() == want.tobytes()
+            for row, points, values in zip(work, x, got):
+                assert values.tobytes() == np.polyval(row, points).tobytes()
 
 
 class TestClassify:
