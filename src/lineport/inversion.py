@@ -11,13 +11,16 @@ the first MARKOV_TERMS = 4 terms of the large-s expansion are therefore
 subtracted as c_m/(s+mu)^m on the contour and added back in closed form,
 which leaves a C^3 remainder and restores fast convergence without
 windowing. T is 4 t_max, and sigma puts the alias error at ALIAS_TARGET
-(Dubner & Abate, J. ACM 15, 1968; Crump, J. ACM 23, 1976). The entries of a
+(Dubner & Abate, J. ACM 15, 1968; Crump, J. ACM 23, 1976). h is real, so
+H(conj s) = conj H(s), bit for bit in float arithmetic: H is evaluated on
+the contour's bins 0..n/2 and mirrored onto the rest. The entries of a
 transfer matrix share its denominator, poles (``TransferMatrixSpec.poles``)
 and contour, while each keeps its own arithmetic.
 
 ``invert_partial_fractions`` is the independent oracle: residue calculus on
 simple poles, exact up to root-finding precision, from one exp(s t) table
-per matrix.
+per matrix; at a near-double pole it falls back to the IFFT inversion that
+``impulse_response_table`` hands it, at the caller's n.
 
 ``respond`` assembles (Phi_1, V_0) from the two source terms, each of the
 form  c' * delta_dot(t) + c * delta(t) + regular(t); delta parts contribute
@@ -115,12 +118,14 @@ def _refuse_t_max(coeff_rows, poles, t_max, n_samples):
         f"in the float range; {advice}")
 
 
-def _times_inverse(out, inverse):
+def _times_inverse(out, inverse, contour_bytes):
     """``out`` times 1/(s + mu), in place, in the operand order of the former
-    ``inverse * np.polyval(...)``. A complex product's bits depend on that
-    order, and numpy computes such a product into the polyval temporary, as
-    polyval * inverse, once the temporary holds _NUMPY_ELIDE_BYTES or more."""
-    if out.nbytes >= _NUMPY_ELIDE_BYTES:
+    ``inverse * np.polyval(...)`` on the whole contour. A complex product's
+    bits depend on that order, and numpy computed such a product into the
+    polyval temporary, as polyval * inverse, once that temporary held
+    _NUMPY_ELIDE_BYTES or more; ``contour_bytes`` is its size, 16 n bytes,
+    whatever the size of ``out``."""
+    if contour_bytes >= _NUMPY_ELIDE_BYTES:
         out *= inverse
     else:
         np.multiply(inverse, out, out=out)
@@ -131,11 +136,15 @@ def bromwich_ifft(nums, den, poles, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
     the shared strictly proper denominator ``den`` whose roots are ``poles``,
     on [0, t_max]; one ``Signal`` per row.
 
-    The rows share one contour: s, den(s), 1/(s+mu) and the exp(sigma t),
-    exp(-mu t) and alias-tail factors are built once, and every row reuses two
-    contour buffers, one for H and one for the Markov sum and then the FFT.
-    Each row keeps its own subtraction, FFT and products, so every row equals
-    a one-row stack bit for bit.
+    The rows share one contour, built once: s, den(s) and 1/(s+mu) on the
+    bins k = 0..n/2 alone (fftfreq's frequencies k * (1/(n dt)), the last the
+    Nyquist bin at -pi/dt), and the exp(sigma t), exp(-mu t) and alias-tail
+    factors. Every row reuses one n-bin spectrum and a half-length Markov
+    buffer: H minus the Markov sum fills bins 0..n/2, bins n/2+1..n-1 get the
+    exact conjugates of bins n/2-1..1, the bits a full-contour evaluation
+    gives, and the inverse FFT runs in place. Each row keeps its own
+    subtraction, FFT and products, so every row equals a one-row stack bit
+    for bit.
 
     The FFT period is T = 4 t_max and sigma = -(slowest pole decay) +
     ln(1/ALIAS_TARGET)/T; mu is the fastest decay but at least 1/t_max.
@@ -162,14 +171,17 @@ def bromwich_ifft(nums, den, poles, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
     mu = max(max_decay, 1.0 / t_max)
     markov = [_markov_parameters(*part, mu) for part in parts]
 
-    s = np.empty(n_samples, dtype=complex)  # sigma + i omega_k
+    half = n_samples // 2 + 1  # bins 0..n/2; bin n/2 is the Nyquist bin at -pi/dt
+    s = np.empty(half, dtype=complex)  # sigma + i omega_k
     s.real = sigma
-    s.imag = np.fft.fftfreq(n_samples, d=dt)
+    s.imag = np.arange(half) * (1.0 / (n_samples * dt))  # fftfreq's k * (1/(n dt))
+    s.imag[-1] *= -1.0
     s.imag *= 2.0 * np.pi
     den_on_contour = _polyval_into(np.empty_like(s), den, s)
     inverse = np.add(s, mu)
     np.divide(1.0, inverse, out=inverse)  # 1/(s + mu)
-    h_on_contour, g = np.empty_like(s), np.empty_like(s)
+    g, markov_sum = np.empty(n_samples, dtype=complex), np.empty_like(s)
+    h_on_contour = g[:half]
     t = dt * np.arange(n_samples // 4 + 1)  # the last is t_max
     head_decay = np.exp(-mu * t)
     tail_start = int(0.9 * n_samples)
@@ -179,10 +191,11 @@ def bromwich_ifft(nums, den, poles, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
     for row, c in zip(rows, markov):
         _polyval_into(h_on_contour, row, s)
         h_on_contour /= den_on_contour
-        _polyval_into(g, c[::-1], inverse)
-        _times_inverse(g, inverse)  # sum_k c_k (s + mu)^-k
-        h_on_contour -= g
-        np.fft.ifft(h_on_contour, out=g)
+        _polyval_into(markov_sum, c[::-1], inverse)
+        _times_inverse(markov_sum, inverse, g.nbytes)  # sum_k c_k (s + mu)^-k
+        h_on_contour -= markov_sum
+        np.conjugate(g[half - 2:0:-1], out=g[half:])  # bin n - k holds conj(bin k)
+        np.fft.ifft(g, out=g)
         g /= dt
         tail = np.abs(tail_growth * g.real[tail_start:])
         alias_bound = float(tail.max() * ALIAS_TARGET / (1.0 - ALIAS_TARGET))
@@ -214,13 +227,15 @@ def residues(spec: TransferMatrixSpec):
     return s, np.array([np.polyval(num, s) / slope for num in nums])
 
 
-def invert_partial_fractions(spec: TransferMatrixSpec, t_grid):
+def invert_partial_fractions(spec: TransferMatrixSpec, t_grid, via_ifft=None):
     """Analytic inversion by residue calculus (simple poles) of the four
     entries from one exp(s t) table, one ``Signal`` each in ``ENTRY_NAMES``
     order; each carries its poles and residues in ``meta``.
 
     A near-double root makes the residue representation ill-conditioned; in
-    that case the result falls back to the IFFT inversion with a warning, and
+    that case the result falls back, with a warning, to the IFFT inversion
+    ``via_ifft`` (``invert_ifft``'s four signals, made here at
+    DEFAULT_IFFT_SAMPLES when not given) on ``t_grid``, and
     ``meta["ifft_fallback"]`` is true: no independent oracle ran.
     """
     for name in ENTRY_NAMES:
@@ -233,7 +248,7 @@ def invert_partial_fractions(spec: TransferMatrixSpec, t_grid):
     if fallback:
         warnings.warn("near-double pole: partial fractions ill-conditioned, "
                       "falling back to IFFT inversion", stacklevel=2)
-        sigs = invert_ifft(spec, float(t_grid[-1]))
+        sigs = invert_ifft(spec, float(t_grid[-1])) if via_ifft is None else via_ifft
         out = [Signal.from_samples(t_grid, np.interp(t_grid, sig.t_grid, sig.samples))
                for sig in sigs]
     else:
@@ -326,10 +341,10 @@ def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=DEFAULT_IF
     """All four entries by IFFT, on one contour, and by partial fractions on
     the IFFT grid, from one exp(s t) table, with the maximum pairwise
     discrepancy (used by the CLI); None when the partial fractions fell back
-    to the IFFT, so that no oracle ran."""
+    to this same IFFT inversion, so that no oracle ran."""
     via_ifft = invert_ifft(spec, t_max, n_samples=n_samples)
     t_ref = via_ifft[0].t_grid
-    via_pf = invert_partial_fractions(spec, t_ref)
+    via_pf = invert_partial_fractions(spec, t_ref, via_ifft)
     table = dict(zip(ENTRY_NAMES, zip(via_ifft, via_pf)))
     discrepancy = None if via_pf[0].meta["ifft_fallback"] else max(
         0.0, *(float(np.abs(a.samples - b.samples).max()) for a, b in table.values()))

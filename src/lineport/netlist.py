@@ -306,9 +306,15 @@ def _junction_sums(topology: CircuitTopology, phi: np.ndarray, grad=None) -> lis
 
 
 def junction_forces(topology: CircuitTopology, phi: np.ndarray) -> np.ndarray:
-    """Junction part of grad U at the flux vector ``phi`` (shape (N,)); the
-    rest of grad U is K phi, K the stiffness matrix of the circuit without
-    junctions."""
+    """Junction part of grad U at the flux vector ``phi`` (shape (N,)), or at
+    each column of a stack of them (shape (N, B)), column by column, so with
+    the bits of a 1-D call; the rest of grad U is K phi, K the stiffness
+    matrix of the circuit without junctions."""
+    if phi.ndim == 2:
+        out = np.empty(phi.shape)
+        for k, column in enumerate(phi.T):
+            out[:, k] = junction_forces(topology, column)
+        return out
     return np.array(_junction_sums(topology, phi)[:-1])
 
 

@@ -301,6 +301,19 @@ class TestImpulse:
         assert "near-double-root" in sidecar["pole_flags"]
         assert (tmp_path / f"{stem}.csv").exists() and (tmp_path / f"{stem}_pf.csv").exists()
 
+    def test_near_double_fallback_keeps_the_callers_n(self, tmp_path, capsys):
+        """The fallback reuses the inversion at --n: at --n 65536 and a t_max
+        that 16384 samples refuse, it exits 0 and the _pf.csv is the IFFT
+        file, byte for byte (a re-inversion at 16384 samples exited 4)."""
+        with pytest.warns(UserWarning, match="near-double pole"):
+            rc = main(["impulse", "--g", "0.9368188312392204", "--alpha", "0.5",
+                       "--n", "65536", "--t-max", "10000", "--out", str(tmp_path)])
+        assert rc == 0
+        stem = "impulse_g0.936819_alpha0.5"
+        assert (tmp_path / f"{stem}_pf.csv").read_bytes() == \
+            (tmp_path / f"{stem}.csv").read_bytes()
+        assert json.loads((tmp_path / f"{stem}.json").read_text())["n_samples"] == 65536
+
 
 class TestSimulate:
     def test_decoupled_limit(self, tmp_path, capsys):

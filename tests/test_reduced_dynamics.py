@@ -12,6 +12,7 @@ from lineport import (LadderSystem, LineInitialState, NumericalPreconditionError
                       find_poles, integrate, ladder_oracle, langevin_form,
                       line_params, parse_netlist, peak_envelope, reduce_ground,
                       stiffness_matrix, thevenin_source)
+from lineport.netlist import junction_forces
 from lineport.reduced_dynamics import SCAN_BLOCK, _lti_step_operators, _propagate_affine
 from lineport.signals import Signal
 
@@ -746,6 +747,36 @@ class TestLeapfrogKernel:
             system.drift_kick(qj, uj, dt, accj)(5)
             for got, want in ((q[:, j], qj), (u[:, j], uj), (acc[:, j], accj)):
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_josephson_stack_equals_column_calls(self):
+        """A (dim, B) stack on a junction ladder: each column of the junction
+        forces and of grad U has the bits of its 1-D call, drift_kick and
+        leapfrog_step agree with column calls as on the LC ladder, and an
+        overflowing column is refused at its own flux size."""
+        topo = parse_netlist(LADDER_JOSEPHSON_NETLIST)
+        system = LadderSystem(topo, line_params(2.0, 0.5), 150, 10.0)
+        n = system.n_circ
+        rng = np.random.default_rng(11)
+        q0, u0 = rng.normal(size=(2, system.dim, 3))
+        u0 *= 1e-3
+        dt = 0.5 * system.cfl_dt()
+        forces, grad = junction_forces(topo, q0[:n]), system.grad_potential(q0)
+        q, u, acc = q0.copy(), u0.copy(), np.empty_like(q0)
+        system.drift_kick(q, u, dt, acc)(5)
+        stepped = system.leapfrog_step(q0, u0, grad, dt, steps=3)
+        for j in range(3):
+            assert forces[:, j].tobytes() == junction_forces(topo, q0[:n, j]).tobytes()
+            assert grad[:, j].tobytes() == system.grad_potential(q0[:, j]).tobytes()
+            qj, uj, accj = q0[:, j].copy(), u0[:, j].copy(), np.empty(system.dim)
+            system.drift_kick(qj, uj, dt, accj)(5)
+            column = system.leapfrog_step(q0[:, j], u0[:, j], grad[:, j], dt, steps=3)
+            for got, want in ((q[:, j], qj), (u[:, j], uj), (acc[:, j], accj),
+                              *((a[:, j], b) for a, b in zip(stepped, column))):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        q0[:n, 1] = [1e308, -1e308]
+        with pytest.raises(NumericalPreconditionError,
+                           match="junction flux difference overflows at flux size 1e\\+308"):
+            junction_forces(topo, q0[:n])
 
     @pytest.mark.parametrize("topo", [
         pytest.param(lc_model(g=0.3, alpha=2.0)[1], id="lc"),

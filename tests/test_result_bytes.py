@@ -26,6 +26,9 @@ RUNS = {
     "impulse": ["impulse", "--n", "4096"],
     "impulse-65536": ["impulse", "--n", "65536"],
     "impulse-near-double": ["impulse", "--g", "0.9368188312392204", "--alpha", "0.5"],
+    # the fallback at the caller's n, where a 16384-sample re-inversion was refused
+    "impulse-near-double-65536": ["impulse", "--g", "0.9368188312392204", "--alpha", "0.5",
+                                  "--n", "65536", "--t-max", "10000"],
     "simulate-lc": ["simulate", "{tmp}/lc.net", *SIM_FLAGS],
     "simulate-lc-pulse": ["simulate", "{tmp}/lc.net", *SIM_FLAGS,
                           "--phi0-csv", "{tmp}/pulse.csv"],
@@ -69,6 +72,14 @@ DIGESTS = {
             '6ad29e29add91d00cdcf1a98cea808d716441c76723626f0dba1694440d362ac',
         'impulse_g0.936819_alpha0.5_pf.csv':
             '8053abca72f7ee905d42b78287910e85bb3e50e3197b84324aba17789cb96fb1',
+    },
+    'impulse-near-double-65536': {
+        'impulse_g0.936819_alpha0.5.csv':
+            'a1de8a412a760c9b902a5d3708d3bfbc299d9ce04d9523ae2ba4555312d51e6f',
+        'impulse_g0.936819_alpha0.5.json':
+            '7f02db80aa2e98702fe0327cf838ee7e9e053f526ef61bc32b0af1c3241302f8',
+        'impulse_g0.936819_alpha0.5_pf.csv':
+            'a1de8a412a760c9b902a5d3708d3bfbc299d9ce04d9523ae2ba4555312d51e6f',
     },
     'poles': {
         'poles_alpha0.5.csv':
