@@ -26,8 +26,12 @@ Three independent formulations of the same physics live here:
   open and the no-echo time window it is an independent oracle for the
   reduced model. Each output sample, its energy included, is read off the
   leapfrog kernel's own buffers, which it builds once per run; it allocates
-  nothing per substep. The N-step map that the commutator check certifies
-  comes from one symmetric eigendecomposition (``LadderSystem.leapfrog_power``).
+  nothing per substep. Every view a substep writes starts a 64-byte cache
+  line (``_cache_aligned``): numpy's vector loops run about twice as slow on
+  an output that starts mid-line, and malloc only promises 16 bytes, so an
+  unaligned run's time would hang on where the heap happened to place it.
+  The N-step map that the commutator check certifies comes from one
+  symmetric eigendecomposition (``LadderSystem.leapfrog_power``).
 """
 from __future__ import annotations
 
@@ -60,6 +64,8 @@ PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 THETA_13 = 5.371920351148152
 #: columns per block of the sourced scan's passes (``_propagate_affine``)
 SCAN_BLOCK = 1024
+#: bytes per cache line, the alignment of the leapfrog kernel's written views
+CACHE_LINE = 64
 
 
 @dataclass
@@ -83,6 +89,21 @@ class ReducedState:
 
     def packed(self) -> np.ndarray:
         return np.concatenate([self.phi, self.q, [self.q0]])
+
+
+def _cache_aligned(shape, fill=None, at=0):
+    """A float64 array of ``shape``, set to ``fill`` if given, whose row
+    ``at`` (element ``at`` of a 1-D array) starts a CACHE_LINE-byte line.
+    It is cut from one byte buffer CACHE_LINE bytes longer than the array,
+    so nothing is copied and only those bytes are kept beyond it."""
+    shape = tuple(np.atleast_1d(shape))
+    size, row = math.prod(shape), 8 * math.prod(shape[1:])
+    raw = np.empty(8 * size + CACHE_LINE, dtype=np.uint8)
+    start = -(raw.ctypes.data + at * row) % CACHE_LINE
+    out = raw[start:start + 8 * size].view(np.float64).reshape(shape)
+    if fill is not None:
+        out[...] = fill
+    return out
 
 
 def _as_gradient(grad_u, n):
@@ -512,7 +533,11 @@ class LadderSystem:
         -k_line d_0] is A @ q[:n+2] with K folded into A, plus the junction
         forces, if any, through A's head_inv part. A, the line factors, d and
         the views of q, u and acc are built here, once, so the loop allocates
-        nothing state-sized; the system keeps none of them.
+        nothing state-sized; the system keeps none of them. d and the line
+        factors start a cache line (``_cache_aligned``); the loop is fastest
+        when the caller's q and u do at element 0 and acc at element n + 1,
+        the start of the kick's line output acc[n + 1:], as ``ladder_oracle``
+        allocates them. Layout never changes a bit of the result.
         """
         n = self.n_circ
         head = dt * dt * self._head_inv
@@ -521,24 +546,26 @@ class LadderSystem:
         np.matmul(head[:, :n], self._k_circ, out=fold[:, :n])
         fold[:, n], fold[:, n + 1] = -head[:, n], head[:, n]
         force_head = np.ascontiguousarray(head[:, :n])
-        line_inv = (dt * dt * self._k_line / self.cells[1:]).reshape((-1,) + (1,) * (q.ndim - 1))
-        diff = np.zeros((self.n_sections + 1,) + q.shape[1:])
+        line_inv = np.divide(dt * dt * self._k_line, self.cells[1:],
+                             out=_cache_aligned(self.n_sections))
+        line_inv = line_inv.reshape((-1,) + (1,) * (q.ndim - 1))
+        diff = _cache_aligned((self.n_sections + 1,) + q.shape[1:], 0.0)
         d, d_next = diff[:-1], diff[1:]
         q_circ, q_head, q_line, q_next = q[:n], q[:n + 2], q[n:-1], q[n + 1:]
         acc_head, acc_line = acc[:n + 1], acc[n + 1:]
         topology, linear = self.topology, self.topology.is_linear
+        add, subtract, multiply, dot = np.add, np.subtract, np.multiply, fold.dot
 
         def loop(steps):  # in-place ufuncs: an augmented assignment would rebind
             for _ in range(steps):
-                np.add(q, u, out=q)
-                fold.dot(q_head, out=acc_head)
+                add(q, u, q)
+                dot(q_head, acc_head)
                 if not linear:
-                    np.add(acc_head, force_head.dot(junction_forces(topology, q_circ)),
-                           out=acc_head)
-                np.subtract(q_next, q_line, out=d)
-                np.subtract(d, d_next, out=acc_line)
-                np.multiply(acc_line, line_inv, out=acc_line)
-                np.subtract(u, acc, out=u)
+                    add(acc_head, force_head.dot(junction_forces(topology, q_circ)), acc_head)
+                subtract(q_next, q_line, d)
+                subtract(d, d_next, acc_line)
+                multiply(acc_line, line_inv, acc_line)
+                subtract(u, acc, u)
             return d
         return loop
 
@@ -652,6 +679,29 @@ class LadderSystem:
         return q_pos, self.momenta(vel)
 
 
+def _check_dt_squared(dt, substeps):
+    """Refuse a ladder step whose square is not a normal float64: the kick
+    factors scale with dt^2 and the energy divides by it, so a step that
+    squares to a subnormal or 0 (or to inf) breaks both, and more sections
+    only shorten it. The step is t_max / ``substeps``, a count that scaling
+    the time axis (t_max, and the line length with it) leaves alone, so the
+    message names the power of ten to take t_max to."""
+    info = np.finfo(float)
+    if info.tiny <= dt * dt <= info.max:
+        return
+    if dt * dt < info.tiny:
+        low = math.sqrt(info.tiny)
+        raise NumericalPreconditionError(
+            f"ladder step dt={dt:.3g} squares below the smallest normal float64, which "
+            f"needs dt >= {low:.3g}; raise t_max (--t-max) to "
+            f"1e{math.ceil(math.log10(substeps * low))} or more")
+    high = math.sqrt(info.max)
+    raise NumericalPreconditionError(
+        f"ladder step dt={dt:.3g} squares beyond the largest float64, which needs "
+        f"dt <= {high:.3g}; lower t_max (--t-max) to "
+        f"1e{math.floor(math.log10(substeps * high))} or less")
+
+
 def ladder_oracle(line: LineParams, n_sections: int, length: float,
                   topology: CircuitTopology, initial: ReducedState, t_grid,
                   line_initial: LineInitialState | None = None,
@@ -679,9 +729,10 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
         raise NumericalPreconditionError(
             f"leapfrog unstable: dt={dt:g} exceeds CFL bound {system.cfl_dt():g}; "
             "decrease dt or the output spacing")
-
-    q_pos, p = system.initial_state(initial, line_initial)
     n_out = len(t_grid)
+    _check_dt_squared(dt, n_sub * (n_out - 1))
+
+    q, p = system.initial_state(initial, line_initial)
     n = system.n_circ
     head, cells = system._head, system.cells
     # per sample k >= 1, the loop keeps the node fluxes, the head of
@@ -694,17 +745,20 @@ def ladder_oracle(line: LineParams, n_sections: int, length: float,
 
     # every state the loop makes is checked through its energy below
     with np.errstate(over="ignore", invalid="ignore"):
-        energy[0] = system.hamiltonian(q_pos, p)
+        energy[0] = system.hamiltonian(q, p)
         if not np.isfinite(energy[0]):
             raise NumericalPreconditionError(
                 "ladder integration diverged; reduce the initial state: "
                 "its energy is not finite")
-        u = dt * system.velocities(p - (0.5 * dt) * system.grad_potential(q_pos))
-        acc, w = np.empty_like(u), np.empty_like(u)
-        q_circ, w_head, w_line = q_pos[:n], w[:n + 1], w[n + 1:]
-        cells_line, cells_w = cells[1:], np.empty_like(w_line)
+        # the kernel's buffers, each written view on a cache line (see drift_kick)
+        u = np.multiply(dt, system.velocities(p - (0.5 * dt) * system.grad_potential(q)),
+                        out=_cache_aligned(system.dim))
+        q = _cache_aligned(system.dim, q)
+        acc, w = _cache_aligned(system.dim, at=n + 1), _cache_aligned(system.dim)
+        q_circ, w_head, w_line = q[:n], w[:n + 1], w[n + 1:]
+        cells_line, cells_w = cells[1:], _cache_aligned(system.n_sections)
         half = np.array(0.5)  # a 0-d factor skips numpy's conversion of a float
-        kick = system.drift_kick(q_pos, u, dt, acc)
+        kick = system.drift_kick(q, u, dt, acc)
         phi_out[0] = q_circ
         for k in range(1, n_out):
             d = kick(n_sub)

@@ -733,6 +733,40 @@ def test_simulate_refusal_raises_no_runtime_warning(tmp_path, capsys, name, netl
     assert "reduce dt" not in err
 
 
+TINY_STEP = "squares below the smallest normal float64, which needs dt >= 1.49e-154; "
+
+
+@pytest.mark.parametrize("netlist, t_max, sections, message", [
+    *(pytest.param(netlist, "1e-200", sections, f"dt={dt} {TINY_STEP}raise t_max (--t-max) "
+                   f"to 1e{power} or more\n", id=f"{name}-tiny-{sections}")
+      for name, netlist in (("lc", LC_NETLIST.format(couple=0.42857142857142855)),
+                            ("josephson", JOSEPHSON_NETLIST))
+      for sections, dt, power in ((100, "2.78e-203", -151), (1000, "2.79e-204", -150),
+                                  (10000, "2.8e-205", -149))),
+    # only on the LC circuit: a Josephson circuit's RK4 overflows first
+    pytest.param(LC_NETLIST.format(couple=0.42857142857142855), "1e200", 100,
+                 "dt=2.78e+197 squares beyond the largest float64, which needs "
+                 "dt <= 1.34e+154; lower t_max (--t-max) to 1e156 or less\n", id="lc-huge-100")])
+def test_simulate_refuses_a_ladder_step_whose_square_is_not_normal(
+        tmp_path, capsys, netlist, t_max, sections, message):
+    """The ladder step follows t_max; one that squares to a subnormal, 0 or
+    inf would zero the kicks and break the energy, which divides by dt^2.
+    It is refused before stepping with exit 4, naming --t-max and the power
+    of ten to take it to, not --n-sections, which only shortens the step;
+    no result file is written and no numpy warning escapes."""
+    path = tmp_path / "circuit.net"
+    path.write_text(netlist)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["simulate", str(path), "--ell", "2", "--c-per-len", "0.5", "--t-max", t_max,
+                   "--samples", "11", "--n-sections", str(sections),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err == f"error: ladder step {message}"
+    assert not (tmp_path / "out").exists()
+
+
 def triangle_profile(height):
     """A triangular profile of ``height`` on x in [0, 4], sampled every 0.25."""
     values = (height * max(0.0, 1.0 - abs(0.25 * k - 2.0) / 2.0) for k in range(25))

@@ -13,7 +13,8 @@ from lineport import (LadderSystem, LineInitialState, NumericalPreconditionError
                       line_params, parse_netlist, peak_envelope, reduce_ground,
                       stiffness_matrix, thevenin_source)
 from lineport.netlist import junction_forces
-from lineport.reduced_dynamics import SCAN_BLOCK, _lti_step_operators, _propagate_affine
+from lineport.reduced_dynamics import (CACHE_LINE, SCAN_BLOCK, _cache_aligned,
+                                       _lti_step_operators, _propagate_affine)
 from lineport.signals import Signal
 
 from conftest import lc_model, random_topology, traced_peak
@@ -624,6 +625,27 @@ class TestLadderOracle:
                           ReducedState(phi=[1.0], q=[0.0], q0=0.0), t,
                           dt=5.0)  # far beyond the CFL bound
 
+    @pytest.mark.parametrize("t_max, samples, message", [
+        (1e-200, 11, "dt=2.78e-203 squares below the smallest normal float64, which needs "
+                     "dt >= 1.49e-154; raise t_max (--t-max) to 1e-151 or more"),
+        (1e-320, 3, "dt=2.96e-323 squares below the smallest normal float64, which needs "
+                    "dt >= 1.49e-154; raise t_max (--t-max) to 1e-151 or more"),
+        (1e200, 11, "dt=2.78e+197 squares beyond the largest float64, which needs "
+                    "dt <= 1.34e+154; lower t_max (--t-max) to 1e156 or less")])
+    def test_step_squared_must_be_normal(self, monkeypatch, t_max, samples, message):
+        """A step that squares outside the normal float64 range is refused
+        before the kernel is built. The power of ten named for t_max follows
+        from the substep count, so it holds where dt itself is subnormal
+        (2.96e-323, six ulps, stands for 1e-320 over 2 x 169 substeps)."""
+        def fail(*args, **kwargs):
+            raise AssertionError("ladder stepped with a step whose square is not normal")
+        monkeypatch.setattr(LadderSystem, "drift_kick", fail)
+        _, topo, _ = lc_model()
+        t = np.linspace(0.0, t_max, samples)
+        with pytest.raises(NumericalPreconditionError, match=re.escape(message)):
+            ladder_oracle(line_params(2.0, 0.5), 100, 0.56 * t_max, topo,
+                          ReducedState(phi=[1.0], q=[0.0], q0=0.0), t)
+
     def test_energy_drift_guard(self):
         """A junction too stiff for 100 sections' step passes the CFL check
         and is refused by the drift guard, which names the section count."""
@@ -954,6 +976,93 @@ class TestLadderSamples:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert all(c <= 2 for c in counts[0].values()), counts[0]
+
+
+def shifted(values, offset):
+    """A copy of ``values`` whose first byte sits ``offset`` bytes past a
+    cache line."""
+    raw = np.empty(values.nbytes + 2 * CACHE_LINE, dtype=np.uint8)
+    start = -raw.ctypes.data % CACHE_LINE + offset
+    out = raw[start:start + values.nbytes].view(np.float64).reshape(values.shape)
+    out[...] = values
+    return out
+
+
+def on_a_line(view):
+    return view.ctypes.data % CACHE_LINE == 0
+
+
+class TestCacheAlignedBuffers:
+    """Every view the leapfrog kernel writes starts a cache line, and where
+    a buffer sits never changes a bit of what the kernel computes."""
+
+    SYSTEMS = [
+        pytest.param(lc_model(g=0.3, alpha=2.0)[1], 150, id="lc"),
+        pytest.param(parse_netlist(LADDER_JOSEPHSON_NETLIST), 151, id="josephson"),
+        pytest.param(parse_netlist(CHAIN_NETLIST), 400, id="chain"),
+    ]
+
+    @pytest.mark.parametrize("shape, at", [((1,), 0), ((1001,), 0), ((1001,), 3),
+                                           ((4003,), 2), ((7, 3), 0), ((153, 3), 2),
+                                           ((402, 1), 4), ((5, 2, 3), 1)])
+    def test_helper_aligns_the_requested_row_and_keeps_the_values(self, shape, at):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[0] + at)
+        values = rng.normal(size=shape)
+        values.flat[:3] = [-0.0, 5e-324, np.nan][:values.size]
+        for _ in range(8):  # each call may land anywhere in a line
+            out = _cache_aligned(shape, values, at=at)
+            assert out.shape == shape and out.dtype == np.float64
+            assert out.flags.c_contiguous and out.flags.writeable
+            assert on_a_line(out[at:])
+            assert out.tobytes() == values.tobytes()
+            root = out
+            while root.base is not None:
+                root = root.base
+            assert root.nbytes == out.nbytes + CACHE_LINE
+        assert _cache_aligned(shape).shape == shape
+        assert not _cache_aligned(shape, 0.0).any()
+
+    @pytest.mark.parametrize("topo, n_sections", SYSTEMS)
+    def test_oracle_hands_the_kernel_aligned_buffers(self, topo, n_sections, monkeypatch):
+        """The q and u that ``ladder_oracle`` gives ``drift_kick`` start a
+        line at element 0, acc at element n + 1 (the kick's line output),
+        and so does the d buffer that the kernel's loop returns."""
+        seen = []
+        drift_kick = LadderSystem.drift_kick
+
+        def captured(system, q, u, dt, acc):
+            loop = drift_kick(system, q, u, dt, acc)
+
+            def stepped(steps):
+                d = loop(steps)
+                seen.append((system.n_circ, q, u, acc, d))
+                return d
+            return stepped
+        monkeypatch.setattr(LadderSystem, "drift_kick", captured)
+        line = line_params(2.0, 0.5)
+        t = np.linspace(0.0, 2 * np.pi, 21)
+        n = topo.node_count
+        initial = ReducedState(phi=np.linspace(0.8, -0.3, n), q=np.zeros(n), q0=0.05)
+        ladder_oracle(line, n_sections, 1.12 * line.v_p * t[-1] / 2, topo, initial, t)
+        assert len(seen) == 20
+        for n, q, u, acc, d in seen:
+            assert on_a_line(q) and on_a_line(u) and on_a_line(acc[n + 1:]) and on_a_line(d)
+
+    @pytest.mark.parametrize("topo, n_sections", SYSTEMS)
+    def test_layout_never_changes_bits(self, topo, n_sections):
+        """drift_kick on one state copied into buffers that start 0, 8, ...,
+        56 bytes past a line: q, u, acc and d keep every bit."""
+        system = LadderSystem(topo, line_params(2.0, 0.5), n_sections, 10.0)
+        rng = np.random.default_rng(n_sections)
+        q0, u0 = rng.normal(size=(2, system.dim))
+        u0 *= 1e-3
+        dt = 0.5 * system.cfl_dt()
+        runs = []
+        for offset in range(0, CACHE_LINE, 8):
+            q, u, acc = shifted(q0, offset), shifted(u0, offset), shifted(q0, offset)
+            d = system.drift_kick(q, u, dt, acc)(7)
+            runs.append([a.tobytes() for a in (q, u, acc, d)])
+        assert all(run == runs[0] for run in runs[1:])
 
 
 @pytest.mark.parametrize("call, message", [

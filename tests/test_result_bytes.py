@@ -30,6 +30,10 @@ RUNS = {
     "impulse-near-double-65536": ["impulse", "--g", "0.9368188312392204", "--alpha", "0.5",
                                   "--n", "65536", "--t-max", "10000"],
     "simulate-lc": ["simulate", "{tmp}/lc.net", *SIM_FLAGS],
+    # the ladder benchmark's shape: 1000 sections, 1001 samples over 10 T_r
+    "simulate-lc-1000": ["simulate", "{tmp}/lc.net", "--ell", "2.0", "--c-per-len", "0.5",
+                         "--t-max", "62.83185307179586", "--samples", "1001",
+                         "--n-sections", "1000"],
     "simulate-lc-pulse": ["simulate", "{tmp}/lc.net", *SIM_FLAGS,
                           "--phi0-csv", "{tmp}/pulse.csv"],
     "simulate-josephson-pulse": ["simulate", "{tmp}/jj.net", *SIM_FLAGS,
@@ -110,6 +114,14 @@ DIGESTS = {
             '98a66b3a43e4dce1f32729e691c7bc8888b988dc3841fea554d17a67bc510a94',
         'trajectory_reduced.csv':
             '8586c5cb514f3207827796e33adf03a8051e29767b662a70dc54b8bc59b5d187',
+    },
+    'simulate-lc-1000': {
+        'simulate_summary.json':
+            'ec0858b0de67e8262cf36c8b246e9c2db5ec9ce50d7a0b63ec9772f9cddb65bd',
+        'trajectory_ladder.csv':
+            '7ecd8e1c4eb782071cb61f7c902b35565cebd3bffb7731bd380566e792989589',
+        'trajectory_reduced.csv':
+            '65883c26427aa5df5a769297cbce012dda4e86ca2b23f98df02f6d46492ac264',
     },
     'simulate-lc-pulse': {
         'simulate_summary.json':
