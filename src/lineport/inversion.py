@@ -17,26 +17,25 @@ the contour's bins 0..n/2 and mirrored onto the rest. The entries of a
 transfer matrix share its denominator, poles (``TransferMatrixSpec.poles``)
 and contour, while each keeps its own arithmetic.
 
-``invert_partial_fractions`` is the independent oracle: residue calculus on
-simple poles, exact up to root-finding precision, from one exp(s t) table
-per matrix; at a near-double pole it falls back to the IFFT inversion that
-``impulse_response_table`` hands it, at the caller's n.
+``invert_partial_fractions`` is the independent oracle: the residue sum
+over the poles, which ``_confluent_rows`` takes as a divided difference, so
+that nothing cancels as two poles meet; it shares only the poles with the
+contour inversion.
 
 ``respond`` assembles (Phi_1, V_0) from the two source terms, each of the
 form  c' * delta_dot(t) + c * delta(t) + regular(t); delta parts contribute
-h * c, delta-dot parts dh/dt * c' evaluated from the residue representation
-(never by numerical differentiation), and regular parts a trapezoid
-convolution.
+h * c, delta-dot parts dh/dt * c' from the same evaluator (never by numerical
+differentiation), and regular parts a trapezoid convolution.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalPreconditionError, ValidationError
+from .reduced_dynamics import _expm
 from .signals import Signal, uniform_grid
 from .spectral import ENTRY_NAMES, TransferMatrixSpec, _polyval_into
 
@@ -47,7 +46,6 @@ ALIAS_TARGET = 1e-14  # exp(-(sigma + slowest decay) T), the alias error the con
 _LOG_INV_EPS = math.log(1.0 / ALIAS_TARGET)
 MARKOV_TERMS = 4  # subtracted large-s terms; the remainder is C^(MARKOV_TERMS - 1)
 _LOG_LIMIT = math.log(np.finfo(float).max / 16.0)  # a sum of 16 such terms still fits
-_NUMPY_ELIDE_BYTES = 256 * 1024  # numpy reuses a temporary operand of this size or more
 
 
 def _proper_parts(num, den):
@@ -118,19 +116,6 @@ def _refuse_t_max(coeff_rows, poles, t_max, n_samples):
         f"in the float range; {advice}")
 
 
-def _times_inverse(out, inverse, contour_bytes):
-    """``out`` times 1/(s + mu), in place, in the operand order of the former
-    ``inverse * np.polyval(...)`` on the whole contour. A complex product's
-    bits depend on that order, and numpy computed such a product into the
-    polyval temporary, as polyval * inverse, once that temporary held
-    _NUMPY_ELIDE_BYTES or more; ``contour_bytes`` is its size, 16 n bytes,
-    whatever the size of ``out``."""
-    if contour_bytes >= _NUMPY_ELIDE_BYTES:
-        out *= inverse
-    else:
-        np.multiply(inverse, out, out=out)
-
-
 def bromwich_ifft(nums, den, poles, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
     """Numerically invert each row of ``nums``, a stack of numerators over
     the shared strictly proper denominator ``den`` whose roots are ``poles``,
@@ -192,7 +177,7 @@ def bromwich_ifft(nums, den, poles, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
         _polyval_into(h_on_contour, row, s)
         h_on_contour /= den_on_contour
         _polyval_into(markov_sum, c[::-1], inverse)
-        _times_inverse(markov_sum, inverse, g.nbytes)  # sum_k c_k (s + mu)^-k
+        markov_sum *= inverse  # sum_k c_k (s + mu)^-k
         h_on_contour -= markov_sum
         np.conjugate(g[half - 2:0:-1], out=g[half:])  # bin n - k holds conj(bin k)
         np.fft.ifft(g, out=g)
@@ -227,36 +212,56 @@ def residues(spec: TransferMatrixSpec):
     return s, np.array([np.polyval(num, s) / slope for num in nums])
 
 
-def invert_partial_fractions(spec: TransferMatrixSpec, t_grid, via_ifft=None):
-    """Analytic inversion by residue calculus (simple poles) of the four
-    entries from one exp(s t) table, one ``Signal`` each in ``ENTRY_NAMES``
-    order; each carries its poles and residues in ``meta``.
+def _confluent_rows(spec: TransferMatrixSpec, t_grid, orders=(0,)):
+    """The k-th time derivative of the four entries on the uniform ``t_grid``,
+    one (4, len(t_grid)) array per k in ``orders``, rows in ``ENTRY_NAMES``
+    order; an improper entry is refused.
 
-    A near-double root makes the residue representation ill-conditioned; in
-    that case the result falls back, with a warning, to the IFFT inversion
-    ``via_ifft`` (``invert_ifft``'s four signals, made here at
-    DEFAULT_IFFT_SAMPLES when not given) on ``t_grid``, and
-    ``meta["ifft_fallback"]`` is true: no independent oracle ran.
+    In x = s/omega_r, with den = a_3 (x - x_1)(x - x_2)(x - x_3), an entry
+    scale * num(x)/den(x) has h(t) = scale omega_r f(omega_r t), where the
+    residue sum f(tau) = sum_k num(x_k) exp(x_k tau)/den'(x_k) is the divided
+    difference of num exp(tau .) over the poles, over a_3. That is the (1, 3)
+    entry of num(Z) exp(tau Z)/a_3 for any Z whose resolvent has the (1, 3)
+    entry 1/((z - x_1)(z - x_2)(z - x_3)) (Opitz, Z. Angew. Math. Mech. 44,
+    T52, 1964; Higham, Functions of Matrices, 2008, 1.2). Z is real here: the
+    pair x_2, x_3, complex or real, is the block [[a, 1], [c, a]] with
+    a = (x_2 + x_3)/2 and c = ((x_2 - x_3)/2)^2, then x_1, the two blocks
+    linked by a one. Nothing divides by a pole gap, so a double or near-double
+    pair is no special case; d^k h/dt^k takes k more factors of omega_r Z. The
+    columns exp(tau_j Z) e_3 come from exp(tau_0 Z) e_3 by powers of one
+    exp(dtau Z), the filled columns doubled per pass.
     """
     for name in ENTRY_NAMES:
         if spec.relative_degree(name) <= 0:
             raise ValidationError(
                 f"{name} is improper: split off the polynomial part before inversion")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid, dt = uniform_grid(t_grid)
+    w = spec.omega_r
+    x1, x2, x3 = spec.poles.poles / w
+    a, half_gap = ((x2 + x3) / 2).real, (x2 - x3) / 2
+    z = np.array([[a, 1.0, 0.0], [(half_gap * half_gap).real, a, 1.0], [0.0, 0.0, x1.real]])
+    powers = [np.linalg.matrix_power(z, k)[0] for k in range(spec.numerators.shape[1])]
+    weights = spec.numerators[:, ::-1] @ np.array(powers)  # e_1^T num(Z), one row per entry
+    weights *= (spec.scales * w / spec.den[0])[:, None]
+    columns = np.empty((3, len(t_grid)))
+    columns[:, 0] = _expm(w * t_grid[0] * z)[:, 2]
+    step, done = _expm(w * dt * z), 1
+    while done < len(t_grid):
+        k = min(done, len(t_grid) - done)
+        columns[:, done:done + k] = step @ columns[:, :k]
+        step, done = step @ step, done + k
+    return [weights @ np.linalg.matrix_power(w * z, k) @ columns for k in orders]
+
+
+def invert_partial_fractions(spec: TransferMatrixSpec, t_grid):
+    """The analytic oracle: the four entries on the uniform ``t_grid`` from
+    their poles alone (``_confluent_rows``), one ``Signal`` each in
+    ``ENTRY_NAMES`` order; each carries its poles and residues in ``meta``."""
     s, rs = residues(spec)
-    fallback = "near-double-root" in spec.poles.flags
-    if fallback:
-        warnings.warn("near-double pole: partial fractions ill-conditioned, "
-                      "falling back to IFFT inversion", stacklevel=2)
-        sigs = invert_ifft(spec, float(t_grid[-1])) if via_ifft is None else via_ifft
-        out = [Signal.from_samples(t_grid, np.interp(t_grid, sig.t_grid, sig.samples))
-               for sig in sigs]
-    else:
-        growth = np.exp(np.outer(t_grid, s))
-        out = [Signal.from_samples(t_grid, np.real(growth @ r)) for r in rs]
-    for sig, r in zip(out, rs):
-        sig.meta.update(poles=s, residues=r, ifft_fallback=fallback)
-    return out
+    signals = [Signal.from_samples(t_grid, row) for row in _confluent_rows(spec, t_grid)[0]]
+    for sig, r in zip(signals, rs):
+        sig.meta.update(poles=s, residues=r)
+    return signals
 
 
 @dataclass
@@ -297,55 +302,42 @@ def _convolve_trapezoid(h, f, dt):
 
 
 def _entry_response(spec: TransferMatrixSpec, entry, name, src: SourceSpec,
-                    residue, growth, t_grid, dt):
-    """Response of one ``entry``, with residues ``residue`` at the poles
-    whose exp(s t) table on ``t_grid`` is ``growth``, to the source ``name``:
-    its delta and delta-dot terms from the residues, its regular part by a
-    trapezoid convolution."""
+                    h, dh, t_grid, dt):
+    """Response of one ``entry``, with samples ``h`` and dh/dt ``dh`` on
+    ``t_grid``, to the source ``name``: its delta and delta-dot terms from
+    those, its regular part by a trapezoid convolution."""
     if src.ddelta_coef != 0.0 and spec.relative_degree(entry) < 2:
         raise ValidationError(
             f"delta-dot source in {name} is inadmissible: {entry} has "
             f"relative degree {spec.relative_degree(entry)} < 2")
-    has_regular = src.regular is not None and src.regular.samples.any()
-    if src.delta_coef != 0.0 or has_regular:
-        h_vals = np.real(growth @ residue)
-    total = np.zeros(len(t_grid))
-    if src.delta_coef != 0.0:
-        total += src.delta_coef * h_vals
-    if src.ddelta_coef != 0.0:  # dh/dt = sum R s exp(s t)
-        total += src.ddelta_coef * np.real(growth @ (residue * spec.poles.poles))
-    if has_regular:
-        total += _convolve_trapezoid(h_vals, src.regular(t_grid, extend="zero"), dt)
+    total = src.delta_coef * h + src.ddelta_coef * dh
+    if src.regular is not None and src.regular.samples.any():
+        total += _convolve_trapezoid(h, src.regular(t_grid, extend="zero"), dt)
     return total
 
 
 def respond(spec: TransferMatrixSpec, f1: SourceSpec, f2: SourceSpec,
             t_grid) -> tuple[Signal, Signal]:
     """Responses Phi_1 = h11*f1 + h12*f2 and V_0 = h21*f1 + h22*f2, from
-    one set of residues and one exp(s t) table for the four entries.
+    the four entries and their time derivatives (``_confluent_rows``).
 
     A delta-dot coefficient is admissible only against entries of relative
     degree >= 2 (so that dh/dt exists as a function); the line source f2
     meets h22 of relative degree one and therefore must not carry one.
     """
     t_grid, dt = uniform_grid(t_grid)
-    s, rs = residues(spec)
-    growth = np.exp(np.outer(t_grid, s))
+    hs, dhs = _confluent_rows(spec, t_grid, (0, 1))
     sources = (("f1", f1), ("f2", f2)) * 2  # the columns of h11, h12, h21, h22
-    h11, h12, h21, h22 = (_entry_response(spec, entry, name, src, r, growth, t_grid, dt)
-                          for entry, r, (name, src) in zip(ENTRY_NAMES, rs, sources))
+    h11, h12, h21, h22 = (_entry_response(spec, entry, name, src, h, dh, t_grid, dt)
+                          for entry, h, dh, (name, src) in zip(ENTRY_NAMES, hs, dhs, sources))
     return Signal.from_samples(t_grid, h11 + h12), Signal.from_samples(t_grid, h21 + h22)
 
 
 def impulse_response_table(spec: TransferMatrixSpec, t_max, n_samples=DEFAULT_IFFT_SAMPLES):
     """All four entries by IFFT, on one contour, and by partial fractions on
-    the IFFT grid, from one exp(s t) table, with the maximum pairwise
-    discrepancy (used by the CLI); None when the partial fractions fell back
-    to this same IFFT inversion, so that no oracle ran."""
-    via_ifft = invert_ifft(spec, t_max, n_samples=n_samples)
-    t_ref = via_ifft[0].t_grid
-    via_pf = invert_partial_fractions(spec, t_ref, via_ifft)
-    table = dict(zip(ENTRY_NAMES, zip(via_ifft, via_pf)))
-    discrepancy = None if via_pf[0].meta["ifft_fallback"] else max(
-        0.0, *(float(np.abs(a.samples - b.samples).max()) for a, b in table.values()))
+    the IFFT grid, with the maximum pairwise discrepancy (used by the CLI)."""
+    by_ifft = invert_ifft(spec, t_max, n_samples=n_samples)
+    t_ref = by_ifft[0].t_grid
+    table = dict(zip(ENTRY_NAMES, zip(by_ifft, invert_partial_fractions(spec, t_ref))))
+    discrepancy = max(float(np.abs(a.samples - b.samples).max()) for a, b in table.values())
     return t_ref, table, discrepancy

@@ -444,6 +444,13 @@ class LadderSystem:
         self.n_sections = int(n_sections)
         self.length = float(length)
         self.dx = self.length / self.n_sections
+        if not (self.dx / line.v_p > 0.0 and line.ell * self.dx > 0.0):
+            shortest = math.sqrt(np.finfo(float).tiny) * line.v_p  # dx/v_p squares to normal
+            raise NumericalPreconditionError(
+                f"ladder sections of length {self.length:.3g} / {self.n_sections} underflow to "
+                f"{self.dx:.3g}, below the {shortest:.3g} whose leapfrog step dx/v_p squares to a "
+                f"normal float64; lengthen the line (--length, which --t-max sets by default) "
+                f"to at least {self.n_sections * shortest:.3g}")
         self.n_circ = topology.node_count
 
         cb = reduce_ground(build_capacitance_matrix(topology), topology.ground)

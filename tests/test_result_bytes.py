@@ -26,7 +26,7 @@ RUNS = {
     "impulse": ["impulse", "--n", "4096"],
     "impulse-65536": ["impulse", "--n", "65536"],
     "impulse-near-double": ["impulse", "--g", "0.9368188312392204", "--alpha", "0.5"],
-    # the fallback at the caller's n, where a 16384-sample re-inversion was refused
+    # a near-double pole at a t_max that 16384 samples refuse
     "impulse-near-double-65536": ["impulse", "--g", "0.9368188312392204", "--alpha", "0.5",
                                   "--n", "65536", "--t-max", "10000"],
     "simulate-lc": ["simulate", "{tmp}/lc.net", *SIM_FLAGS],
@@ -43,47 +43,47 @@ RUNS = {
 DIGESTS = {
     'impulse': {
         'impulse_g0.3_alpha2.csv':
-            'bfbe2db76bd3693613cebd720a8f05ed516720093116ced3ed7764d73571c20d',
+            '8c74009b94fabebf990997ad041780b95355ed8367a326c8b590e06c732d88ad',
         'impulse_g0.3_alpha2.json':
-            '29b20019f792dd16ffeae018cca5ecad8f7d886ecc149bab8eb059f21cd9e674',
+            'e7a031a1271387f237ee9632260c9b57f2103f19b1f90c26ccf12ce8ac1e26dd',
         'impulse_g0.3_alpha2_pf.csv':
-            '6061f6d0ddf3570b85b2f4e666722ad03949e1393ef6f0cbf16782e8c08ee6c7',
+            '800a7d59ee340f220b73e86b48521c86b0e282c056ec6f597a1b06fe8dc42ded',
         'impulse_g0.8_alpha2.csv':
-            '7f074b375e7b18e3ae047fbbe144a477feae371c15d0e3467e81c53b29a57e29',
+            'efc338e08be1c789faee9842c7eee8ffbcd1b6a5168904a1261c237411a48f4e',
         'impulse_g0.8_alpha2.json':
-            '6907d6b5a1566fa934d894255d5ec1530468a5e8cda266345c6777aac4e742e2',
+            '9dc9e615d5a13408255777a2b405eddf512d37bbaae86b1e47362d1d656186c2',
         'impulse_g0.8_alpha2_pf.csv':
-            '4989e657fd8d856968e11b86fd6f9880b463ebe35c3492ebd496a994a5c97279',
+            '3f687c9d137cb8b34fcf434162c2e37716d34c405a18a0e3610431f74de61931',
     },
     'impulse-65536': {
         'impulse_g0.3_alpha2.csv':
             'f018653f3b8703ac6c66d56713c60f8268f8e27ba82be7d20bbda5ff4821d53f',
         'impulse_g0.3_alpha2.json':
-            'db652de762a5d6915495a777afe86ccc7f92684b3d41edeaa96e681f94606504',
+            'c5362ad6fedf2ff6a588ffc455c922c8b90cc6ce63f92ec87ce541a3dca92aba',
         'impulse_g0.3_alpha2_pf.csv':
-            'e7c72635acada2ed619550f094bd034a3faefcc8dfccb49cb978538be801fcbe',
+            '5c74f61662c9a121d4b3df3b23cbd25a7646b69655d38c5aa67f57ac23436007',
         'impulse_g0.8_alpha2.csv':
             '531c3681d8d97b6c028fbca9a92abf7ba2a1f8e53f484bcaf94facf1011d84fa',
         'impulse_g0.8_alpha2.json':
-            '372af55adb6b0b1baf42cca2c842ddf9300fd924457b4603c873debf88ed6018',
+            '123510237702a0b0883440541cf062f84f386c99fd06a66a9e0de28d77c41980',
         'impulse_g0.8_alpha2_pf.csv':
-            '90b54aafb0d32ce078af1481fd637aed972212d56c2c3d39f900fcff7fcc7b46',
+            '0a6344fc9c77f6211c78656e774f0eb8a9602cb47474073b6ffdb4d259b0d626',
     },
     'impulse-near-double': {
         'impulse_g0.936819_alpha0.5.csv':
             '8053abca72f7ee905d42b78287910e85bb3e50e3197b84324aba17789cb96fb1',
         'impulse_g0.936819_alpha0.5.json':
-            '6ad29e29add91d00cdcf1a98cea808d716441c76723626f0dba1694440d362ac',
+            'ed5a1b2115134636dcb9255c50e7c4a20997d745f921e103d01c4ad0c132c73d',
         'impulse_g0.936819_alpha0.5_pf.csv':
-            '8053abca72f7ee905d42b78287910e85bb3e50e3197b84324aba17789cb96fb1',
+            'dabf66c5d209a3455fedf833aca696fa0ccd4eaa6d528aa49efd346a3f7d6212',
     },
     'impulse-near-double-65536': {
         'impulse_g0.936819_alpha0.5.csv':
             'a1de8a412a760c9b902a5d3708d3bfbc299d9ce04d9523ae2ba4555312d51e6f',
         'impulse_g0.936819_alpha0.5.json':
-            '7f02db80aa2e98702fe0327cf838ee7e9e053f526ef61bc32b0af1c3241302f8',
+            'd70533efef21d10aa83b21092f1b48b8940a746f09d24a13c15d3a7d663373e1',
         'impulse_g0.936819_alpha0.5_pf.csv':
-            'a1de8a412a760c9b902a5d3708d3bfbc299d9ce04d9523ae2ba4555312d51e6f',
+            'e2339795b3673db75719dd8c71df79d462ad3003bc2fad47242d03ba9c6f727a',
     },
     'poles': {
         'poles_alpha0.5.csv':
