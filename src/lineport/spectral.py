@@ -16,17 +16,23 @@ the underlying two-by-two dynamical system (H @ H^-1 = identity holds to
 machine precision, and time-domain simulation of the same network agrees
 with the inverse transform of these entries).
 
-Roots of p are the eigenvalues of its companion matrix, polished with one
-Newton step; a whole g grid takes one stacked ``eigvals`` call. For every
-(g, alpha) in (0,1) x (0,inf) they lie strictly in the left half plane
-(Routh-Hurwitz: a2 a1 - a3 a0 = alpha g^2 > 0). A root whose backward
-residual exceeds ``POLE_RESIDUAL_TOL``, or in ``pole_locus`` one with Re >= 0,
-is refused, not returned: below alpha g of about 1e-17 the far root
--1/(alpha g) can leave the others unresolved.
+For every (g, alpha) in (0,1) x (0,inf) the roots of p lie strictly in the
+left half plane (Routh-Hurwitz: a2 a1 - a3 a0 = alpha g^2 > 0). A whole g
+grid is rooted at once (``_poles_of_rows``): safeguarded Newton finds one
+real root, which is divided out from the end that damps its rounding
+(backward deflation when it is the far root -1/(alpha g)), and a
+cancellation-free quadratic gives the other two. So the pair's real part,
+about -alpha g^2/2, keeps its own relative accuracy however far out the far
+root lies, down to alpha g = 2.17e-154, below which p's terms leave the float
+range and the row is refused. A root whose backward residual exceeds
+``POLE_RESIDUAL_TOL``, or in ``pole_locus`` one with Re >= 0, is refused,
+not returned; the latter happens only for g below about 1e-15, where 1 - g
+rounds to within a few ulps of 1.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,8 +44,6 @@ from .signals import write_csv
 
 ENTRY_NAMES = ("h11", "h12", "h21", "h22")
 
-#: |Im| below this (relative to the pole magnitude) counts as a real pole
-REAL_AXIS_TOL = 1e-9
 #: omega_r range whose powers up to omega_r^3, which scale H(s), stay in float range
 OMEGA_R_RANGE = (1e-100, 1e100)
 #: largest backward residual (``poly_backward_residual``) of a root that is returned
@@ -155,83 +159,174 @@ def _polyval_into(out, p, x):
     return out
 
 
-def _newton_step(work, roots):
-    """One Newton step for every root; a root where p' vanishes stays put."""
-    n = work.shape[1] - 1
-    slopes = work[:, :-1] * np.arange(n, 0, -1)
-    deriv = _polyval_into(np.empty_like(roots), slopes.T[:, :, None], roots)
-    value = _polyval_into(np.empty_like(roots), work.T[:, :, None], roots)
-    step = np.divide(value, deriv, out=np.zeros_like(roots), where=np.abs(deriv) > 0)
-    return roots - step
+#: Newton stops on a root once |p(x)| is at most this fraction of the sum of
+#: p's term magnitudes there: a few eps, just above what Horner's rounding
+#: leaves at the root
+_NEWTON_TOL = float(4 * np.finfo(float).eps)
+#: Newton or bisection steps after which a root is taken as it stands
+_NEWTON_STEPS = 100
 
 
-def _order_rows(roots):
-    """Order each row: real roots ascending, then the conjugate pair with
-    positive Im first; three real roots become (most negative, least
-    negative, middle). Returns the ordered rows and which rows are all real."""
-    n = roots.shape[1]
-    real = np.abs(roots.imag) <= REAL_AXIS_TOL * np.maximum(np.abs(roots), 1.0)
-    n_real = real.sum(axis=1)
-    all_real = n_real == n
-    if not (all_real | (n_real == n - 2)).all():
-        # an odd number of off-axis roots cannot happen for real coefficients
-        raise ValidationError("root set not closed under conjugation")
-    ordered = np.sort(np.where(real, roots.real, np.inf), axis=1).astype(complex)
-    # the two off-axis roots of each other row, averaged into an exactly
-    # conjugate pair
-    pair = roots[~real].reshape(-1, 2)
-    pair_re = pair.real.sum(axis=1) / 2
-    pair_im = np.abs(pair.imag).sum(axis=1) / 2
-    ordered[~all_real, n - 2] = pair_re + 1j * pair_im
-    ordered[~all_real, n - 1] = pair_re - 1j * pair_im
-    if n == 3:
-        ordered[all_real] = ordered[all_real][:, [0, 2, 1]]
-    return ordered, all_real
+def _real_roots(a3, a2, a1, a0, radius):
+    """One real root of each cubic a3 x^3 + a2 x^2 + a1 x + a0 (a3 > 0, every
+    |root| below ``radius``) by safeguarded Newton.
+
+    The root lies on the side of the inflection point -a2/(3 a3) where p has
+    the opposite sign; Newton starts at that side's end of [-radius, radius],
+    where p p'' > 0, so it moves monotonically onto the root. A step goes to
+    (x p' - p)/p' = (2 a3 x^3 + a2 x^2 - a0)/p', which does not cancel when
+    the root is far smaller than x; one that would leave the bracket between
+    the last points with p < 0 and p > 0 bisects it instead. Once |p| is
+    within ``_NEWTON_TOL`` of the sum of p's term magnitudes, a last step
+    x - p/p' polishes the root and the row stops; it also stops when a step
+    is that small relative to x. ``_real_root`` is the one-row path: the
+    same operations in the same order, so the same bits."""
+    inflection = -a2 / (3.0 * a3)
+    left = ((a3 * inflection + a2) * inflection + a1) * inflection + a0 >= 0.0
+    lo = np.where(left, -radius, inflection)
+    hi = np.where(left, inflection, radius)
+    x = np.where(left, lo, hi)
+    m2, m1, m0 = abs(a2), abs(a1), abs(a0)
+    a3x2, a3x3, a2x2 = 2.0 * a3, 3.0 * a3, 2.0 * a2
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        size = abs(x)
+        p = ((a3 * x + a2) * x + a1) * x + a0
+        converged = abs(p) <= _NEWTON_TOL * (((a3 * size + m2) * size + m1) * size + m0)
+        below = p < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        slope = (a3x3 * x + a2x2) * x + a1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # p' = 0 bisects
+            new = np.where(converged, x - p / slope, ((a3x2 * x + a2) * x * x - a0) / slope)
+        new = np.where((lo <= new) & (new <= hi), new, np.where(converged, x, (lo + hi) / 2.0))
+        small = abs(new - x) <= _NEWTON_TOL * size
+        x = np.where(active, new, x)
+        active &= ~(converged | small)
+        if not active.any():
+            break
+    return x
+
+
+def _real_root(a3, a2, a1, a0, radius):
+    """``_real_roots`` of one row, in Python floats."""
+    inflection = -a2 / (3.0 * a3)
+    left = ((a3 * inflection + a2) * inflection + a1) * inflection + a0 >= 0.0
+    lo, hi = (-radius, inflection) if left else (inflection, radius)
+    x = lo if left else hi
+    m2, m1, m0 = abs(a2), abs(a1), abs(a0)
+    a3x2, a3x3, a2x2 = 2.0 * a3, 3.0 * a3, 2.0 * a2
+    for _ in range(_NEWTON_STEPS):
+        size = abs(x)
+        p = ((a3 * x + a2) * x + a1) * x + a0
+        converged = abs(p) <= _NEWTON_TOL * (((a3 * size + m2) * size + m1) * size + m0)
+        if p < 0.0:
+            lo = x
+        else:
+            hi = x
+        slope = (a3x3 * x + a2x2) * x + a1
+        if not slope:
+            new = math.nan
+        elif converged:
+            new = x - p / slope
+        else:
+            new = ((a3x2 * x + a2) * x * x - a0) / slope
+        if not lo <= new <= hi:
+            new = x if converged else (lo + hi) / 2.0
+        small = abs(new - x) <= _NEWTON_TOL * size
+        x = new
+        if converged or small:
+            break
+    return x
+
+
+def _deflate(b, r):
+    """(P, Q) of x^2 + P x + Q, the monic cubic x^3 + b2 x^2 + b1 x + b0 (rows
+    of ``b``) with its real root r divided out. From the constant end,
+    Q = -b0/r and P = (Q - b1)/r, when r is the largest root (r^2 at least
+    the product Q of the other two); from the leading end, P = b2 + r and
+    Q = b1 + r P, otherwise. Either way the division damps r's rounding
+    (Peters & Wilkinson, J. Inst. Maths Applics 8, 1971). Both ends are
+    computed for every row; the end not taken may overflow, and one taken
+    that overflows leaves a root whose residual is refused."""
+    b2, b1, b0 = b.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = -b0 / r
+        largest = abs(q) <= r * r
+        p = np.where(largest, (q - b1) / r, b2 + r)
+        return p, np.where(largest, q, b1 + r * p)
+
+
+def _quadratic(p, q):
+    """Roots of x^2 + p x + q without cancellation: with h = -p/2 and
+    d = h^2 - q, the pair h +- i sqrt(-d) where d < 0, else the real roots
+    y = h + sign(h) sqrt(d) and q/y. Returns h, sqrt|d|, the pair mask, y and q/y."""
+    h = p / -2.0
+    d = h * h - q
+    s = np.sqrt(abs(d))
+    y = h + np.copysign(s, h)
+    return h, s, d < 0.0, y, q / y
 
 
 def _poles_of_rows(work, omega_r=1.0, zero_roots=0, where=None):
-    """Ordered roots of each row of ``work`` (m, n+1), leading coefficient
-    nonzero, scaled by ``omega_r``; with per-row near-double and all-real flags.
-    A root whose backward residual exceeds ``POLE_RESIDUAL_TOL`` is refused
-    with NumericalPreconditionError, naming row i by ``where(i)`` (default:
-    its coefficients).
+    """Ordered roots of each row of ``work`` (m, n+1), degree n <= 3, leading
+    coefficient nonzero, scaled by ``omega_r``; with per-row near-double and
+    all-real flags. A root whose backward residual exceeds
+    ``POLE_RESIDUAL_TOL`` is refused with NumericalPreconditionError, naming
+    row i by ``where(i)`` (default: its coefficients).
 
-    All m companion matrices go to one stacked ``eigvals`` call. As in
-    ``np.roots``, the last ``zero_roots`` coefficients (zero in every row)
-    are deflated into exact zero roots; any degree n >= 1 works, down to an
-    empty companion when every root is zero. The Newton step runs in the dtype
-    ``eigvals`` returns, as in ``np.roots``; only an all-real row in a batch
-    that also holds complex roots is polished in complex arithmetic, whose
-    quotient can round one ulp of the step apart from the real one. That is
-    far below the root's last bit: no polished root differed on 1.2 million
-    rows checked against ``np.roots`` and the same Newton step.
+    As in ``np.roots``, the last ``zero_roots`` coefficients (zero in every
+    row) give exact zero roots. A cubic's real root comes from
+    ``_real_roots`` (``_real_root`` for one row, with the same bits), the
+    other two from ``_deflate`` and ``_quadratic``; a quadratic goes to
+    ``_quadratic`` directly. A row is ordered as real roots ascending, then
+    the exactly conjugate pair with positive Im first; three real roots
+    become (most negative, least negative, middle).
     """
     m, n = work.shape[0], work.shape[1] - 1
     k = n - zero_roots
-    log_limit = np.log10(np.finfo(float).max / (2 * (n + 1)))  # n + 1 terms and a margin
+    limit = np.finfo(float).max / (2 * (n + 1))  # n + 1 terms and a margin
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         top = -work[:, 1:k + 1] / work[:, :1]
         radius = 1.0 + np.abs(top).max(axis=1, initial=0.0)  # Cauchy: every |root| <= radius
-        # log10 of the largest term a_j x^(n-j) of the Newton step at |x| <= radius
-        largest = (np.log10(np.abs(work)) + np.log10(radius)[:, None] * np.arange(n, -1, -1)
-                   ).max(axis=1)
-        fits = (largest < log_limit) & (radius * omega_r < np.inf)
+        # the largest term |a_j| radius^(n-j) of p at |x| <= radius, as in
+        # _backward_residuals (radius >= 1, so no partial product exceeds it)
+        magnitudes = np.abs(work)
+        largest = magnitudes[:, 0]
+        for column in magnitudes.T[1:]:
+            largest = np.maximum(largest * radius, column)
+        fits = (largest < limit) & (radius * omega_r < np.inf)
     if not fits.all():
-        _refuse_far_root(work[np.argmin(fits)], omega_r, log_limit)
-    companion = np.zeros((m, k, k))
-    companion[:, :1, :] = top[:, None]
-    companion[:, 1:, :-1] = np.eye(max(k - 1, 0))
-    roots = np.linalg.eigvals(companion)
-    if zero_roots:
-        roots = np.concatenate((roots, np.zeros((m, zero_roots), roots.dtype)), axis=1)
-    polished = _newton_step(work, roots).astype(complex)
+        _refuse_far_root(work[np.argmin(fits)], omega_r, np.log10(limit))
+    real = [np.zeros(m)] * zero_roots
+    pair = np.zeros(m, dtype=bool)
+    if k == 1:
+        real.append(top[:, 0])
+    elif k >= 2:
+        if k == 3:
+            a = work * np.sign(work[:, :1])
+            r = (np.array([_real_root(*map(float, a[0]), float(radius[0]))]) if m == 1
+                 else _real_roots(*a.T, radius))
+            real.append(r)
+            p, q = _deflate(-top, r)
+        else:
+            p, q = -top.T
+        h, s, pair, y, z = _quadratic(p, q)
+        real += [np.where(pair, np.inf, y), np.where(pair, np.inf, z)]
+    ordered = np.sort(np.stack(real, axis=1), axis=1)
+    if n == 3:  # a pair's row [x, inf, inf] keeps its order
+        ordered = ordered[:, [0, 2, 1]]
+    ordered = ordered.astype(complex)
+    if k >= 2:
+        ordered.real[:, n - 2:] = np.where(pair[:, None], h[:, None], ordered.real[:, n - 2:])
+        ordered.imag[:, n - 2] = np.where(pair, s, 0.0)
+        ordered.imag[:, n - 1] = np.where(pair, -s, 0.0)
     # every pair of roots, none below degree two (np.triu_indices' pairs at
     # a tenth of its cost)
     i, j = np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
     # each pair's own scale: one far root must not flag the pairs near the origin
-    scale = np.maximum(1.0, np.maximum(np.abs(polished[:, i]), np.abs(polished[:, j])))
-    near_double = (np.abs(polished[:, i] - polished[:, j]) <= 1e-5 * scale).any(axis=1)
-    ordered, all_real = _order_rows(polished)
+    scale = np.maximum(1.0, np.maximum(np.abs(ordered[:, i]), np.abs(ordered[:, j])))
+    near_double = (np.abs(ordered[:, i] - ordered[:, j]) <= 1e-5 * scale).any(axis=1)
     resid = _backward_residuals(work, ordered)
     bad = ~(resid <= POLE_RESIDUAL_TOL)  # a NaN residual is refused too
     if bad.any():
@@ -239,11 +334,9 @@ def _poles_of_rows(work, omega_r=1.0, zero_roots=0, where=None):
         name = f"coefficients {work[row].tolist()}" if where is None else where(row)
         raise NumericalPreconditionError(
             f"root s = {ordered[row, col] * omega_r:.6g} at {name} has backward residual "
-            f"{resid[row, col]:.3g} > {POLE_RESIDUAL_TOL:g}: the leading coefficient "
-            f"{work[row, 0]:.3g} "
-            "puts a root so far out that the companion eigenvalues lose the others; raise it "
-            "(alpha g in H's denominator)")
-    return ordered * omega_r, near_double, all_real
+            f"{resid[row, col]:.3g} > {POLE_RESIDUAL_TOL:g}: Newton and deflation leave it "
+            "unresolved in float64")
+    return ordered * omega_r, near_double, ~pair
 
 
 def _backward_residuals(work, roots):
@@ -282,15 +375,16 @@ def _refuse_far_root(row, omega_r, log_limit):
 def find_poles(coeffs, omega_r: float = 1.0, where: str | None = None) -> PoleSet:
     """Roots of the characteristic polynomial as a classified PoleSet.
 
-    A one-row call of the batched companion-matrix core that ``pole_locus``
-    runs on a whole g grid: eigenvalues refined by one Newton step, with
-    conjugate symmetry enforced exactly. A vanishing leading coefficient
-    (g = 0) degrades gracefully to the quadratic with a 'reduced-order'
-    flag; a near-double root is reported with a 'near-double-root' flag and
-    three real roots with 'aperiodic-triple'; two roots are near-double when
-    their distance is at most 1e-5 of the larger of their magnitudes (floored
-    at 1), so a far root flags no other pair. Below degree one (after that
-    strip) it raises ValidationError. A root whose backward residual exceeds
+    A one-row call of the batched core that ``pole_locus`` runs on a whole
+    g grid (``_poles_of_rows``: Newton, deflation and a quadratic, with
+    conjugate pairs exact), so a row's roots have the same bits either way.
+    A vanishing leading coefficient (g = 0) degrades gracefully to the
+    quadratic with a 'reduced-order' flag; a near-double root is reported
+    with a 'near-double-root' flag and three real roots with
+    'aperiodic-triple'; two roots are near-double when their distance is at
+    most 1e-5 of the larger of their magnitudes (floored at 1), so a far
+    root flags no other pair. Outside degree one to three (after that strip)
+    it raises ValidationError. A root whose backward residual exceeds
     ``POLE_RESIDUAL_TOL`` raises NumericalPreconditionError, naming the
     polynomial by ``where`` when given, by its coefficients otherwise.
     """
@@ -302,6 +396,9 @@ def find_poles(coeffs, omega_r: float = 1.0, where: str | None = None) -> PoleSe
     if len(coeffs) < 2:
         degree = "0" if coeffs.any() else "undefined (the zero polynomial)"
         raise ValidationError(f"find_poles needs a polynomial of degree >= 1, got degree {degree}")
+    if len(coeffs) > 4:
+        raise ValidationError(f"find_poles takes a polynomial of degree at most 3, got degree "
+                              f"{len(coeffs) - 1}")
     zero_roots = len(coeffs) - 1 - np.flatnonzero(coeffs)[-1]
     poles, near_double, all_real = _poles_of_rows(coeffs[None, :], omega_r, zero_roots,
                                                   None if where is None else lambda i: where)
@@ -451,11 +548,13 @@ def _track_branches(rows):
 def pole_locus(alpha, g_grid) -> PoleLocus:
     """Track the three roots of p along ``g_grid`` (normalized units).
 
-    The roots at every g come from one stacked companion ``eigvals`` call
-    over the whole grid (see ``find_poles``) and are matched step by step by
+    The roots at every g come from one batched ``_poles_of_rows`` call over
+    the whole grid (see ``find_poles``) and are matched step by step by
     ``_track_branches``, so each column is one smooth branch; a branch
     collision at the aperiodic transition is tagged in ``transitions``, not
-    an error, while a root with Re >= 0 is (see the module docstring).
+    an error, while a root with Re >= 0 is: the cubic's stability margin
+    alpha g^2 is alpha g (1 - (1 - g)), which rounding of 1 - g can cancel
+    for g below about 1e-15 (see the module docstring).
     """
     g_grid = np.asarray(g_grid, dtype=float)
     if g_grid.ndim != 1 or len(g_grid) == 0:
@@ -475,8 +574,8 @@ def pole_locus(alpha, g_grid) -> PoleLocus:
         i, k = right[0]
         raise NumericalPreconditionError(
             f"root s = {branches[i, k]:.6g} at alpha = {alpha:g}, g = {g_grid[i]:g} has Re >= 0: "
-            f"the far root -1/(alpha g) drowns the pair's real part -alpha g^2/2 = "
-            f"{-alpha * g_grid[i] ** 2 / 2:.3g}; raise alpha to 1e-16 or more")
+            "1 - g rounds to within a few ulps of 1, which cancels the cubic's stability "
+            "margin alpha g (1 - (1 - g)); raise g to 1e-14 or more")
     transitions = {}
     for k in range(3):
         im = branches[:, k].imag

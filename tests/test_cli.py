@@ -599,22 +599,12 @@ def test_simulate_counts_beyond_cap_refused_first(tmp_path, capsys, monkeypatch,
                  id="impulse-leading-coefficient-underflow-tiny-g"),
     pytest.param(["impulse", "--alpha", "1e-200", "--g", "1e-200", "--n", "1024"],
                  "omega_r=1; raise alpha (--alpha)\n", id="impulse-alpha-g-underflow"),
-    # the far root -1/(alpha g) leaves the companion eigenvalues unable to
-    # resolve the others: refused by the roots' backward residual
-    pytest.param(["poles", "--alpha", "1e-20"], "at alpha = 1e-20, g = 0.004 has backward "
-                 "residual 1.65e-08 > 1e-12", id="poles-alpha-1e-20"),
-    pytest.param(["poles", "--alpha", "1e-28"], "at alpha = 1e-28, g = 0.057 has backward "
-                 "residual", id="poles-alpha-1e-28"),
-    pytest.param(["poles", "--alpha", "1e-56"], "root s = 511.999+0j at alpha = 1e-56, "
-                 "g = 0.436", id="poles-alpha-1e-56"),
-    # the residual passes, but the far root drowns the pair's real part
-    # -alpha g^2/2: a root on or right of the imaginary axis, where
-    # Routh-Hurwitz puts no pole, is refused
-    pytest.param(["poles", "--alpha", "1e-100"], "at alpha = 1e-100, g = 0.113 has Re >= 0: "
-                 "the far root", id="poles-alpha-1e-100"),
-    pytest.param(["poles", "--alpha", "1e-48"], "at alpha = 1e-48, g = 0.14 has Re >= 0: the "
-                 "far root -1/(alpha g) drowns the pair's real part -alpha g^2/2 = -9.8e-51; "
-                 "raise alpha to 1e-16 or more", id="poles-alpha-1e-48"),
+    # 1 - g rounds to 1, so the pair sits on the imaginary axis, where
+    # Routh-Hurwitz puts no pole: a root with Re >= 0 is refused
+    pytest.param(["poles", "--g-start", "1e-17", "--g-stop", "1e-17"], "at alpha = 0.5, "
+                 "g = 1e-17 has Re >= 0: 1 - g rounds to within a few ulps of 1, which cancels "
+                 "the cubic's stability margin alpha g (1 - (1 - g)); raise g to 1e-14 or more",
+                 id="poles-g-1e-17"),
     # element values whose stiffness, time constant or ladder mass matrix
     # leaves the float range; each once exited 1, printed a numpy warning or
     # blamed the initial state
@@ -680,6 +670,25 @@ def test_unrepresentable_values_exit_4(tmp_path, capsys, argv, names):
     assert "Traceback" not in err
     assert names in err
     assert not (tmp_path / "out" / "reduced_model.json").exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e-20", "1e-28", "1e-56", "1e-48", "1e-100"],
+                         ids=lambda alpha: f"poles-alpha-{alpha}")
+def test_far_root_alphas_exit_0(tmp_path, capsys, alpha):
+    """alphas whose far root -1/(alpha g) once left the other two roots
+    unresolved (a backward residual above 1e-12 at 1e-20, 1e-28 and 1e-56, a
+    pair at Re >= 0 at 1e-48 and 1e-100): deflating that root keeps the
+    pair's real part, about -alpha g^2/2, so every pole written has Re < 0
+    and a backward residual of at most 1e-12, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["poles", "--alpha", alpha, "--out", str(tmp_path)])
+    assert rc == 0
+    _, data = read_csv(tmp_path / f"poles_alpha{float(alpha):g}.csv")
+    s = data[:, 1::2] + 1j * data[:, 2::2]
+    assert np.all(s.real < 0.0)
+    coeffs = lineport.spectral.char_poly(data[:, 0], float(alpha))
+    assert lineport.spectral._backward_residuals(coeffs, s).max() <= 1e-12
 
 
 def test_poles_refusal_writes_no_file(tmp_path, capsys):

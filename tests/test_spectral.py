@@ -1,6 +1,8 @@
+import itertools
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -106,6 +108,26 @@ class TestFindPoles:
     def test_below_degree_one_refused(self, coeffs, degree):
         with pytest.raises(ValidationError, match=r"degree >= 1, got " + re.escape(degree)):
             find_poles(coeffs)
+
+    def test_above_degree_three_refused(self):
+        with pytest.raises(ValidationError, match="degree at most 3, got degree 4"):
+            find_poles([1.0, 0.0, 2.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("kind", ["three-real", "real-and-pair"])
+    def test_one_row_path_has_the_batched_bits(self, rng, kind):
+        """find_poles' one-row Newton, in Python floats, and the batched
+        core give every row the same bits: general cubics with either sign of
+        the leading coefficient, roots of either sign over six decades."""
+        roots = rng.normal(size=(400, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(400, 3))
+        if kind == "real-and-pair":
+            roots = roots.astype(complex)
+            roots[:, 1] += 1j * roots[:, 2].real
+            roots[:, 2] = roots[:, 1].conj()
+        work = (np.array([np.poly(r).real for r in roots])
+                * rng.choice([-1.0, 1.0], size=(400, 1)) * 10.0 ** rng.uniform(-5.0, 5.0, (400, 1)))
+        batched = _poles_of_rows(work)[0]
+        assert batched.tobytes() == np.array([find_poles(row).poles for row in work]).tobytes()
+        assert np.all(batched.imag == 0.0) == (kind == "three-real")
 
 
 def former_backward_residual(coeffs, x):
@@ -302,44 +324,10 @@ class TestWeakCoupling:
             weak_coupling(0.5, 1.0)
 
 
-def reference_order(roots):
-    real_mask = np.abs(roots.imag) <= 1e-9 * np.maximum(np.abs(roots), 1.0)
-    reals = np.sort(roots[real_mask].real)
-    complexes = roots[~real_mask]
-    if len(complexes) == 2:
-        pair_re = complexes.real.mean()
-        pair_im = np.abs(complexes.imag).mean()
-        ordered = [complex(r) for r in reals]
-        ordered += [pair_re + 1j * pair_im, pair_re - 1j * pair_im]
-        return np.array(ordered)
-    assert len(complexes) == 0
-    if len(reals) == 3:
-        return np.array([reals[0], reals[2], reals[1]], dtype=complex)
-    return reals.astype(complex)
-
-
 def reference_locus(alpha, g_grid):
-    """Pole locus one g at a time, as computed before the batched core."""
-    branches = np.empty((len(g_grid), 3), dtype=complex)
-    prev = None
-    for i, g in enumerate(g_grid):
-        work = np.array([alpha * g, 1.0, alpha * g, 1.0 - g])
-        roots = np.roots(work)
-        deriv = np.polyval(np.polyder(work), roots)
-        ok = np.abs(deriv) > 0
-        roots[ok] = roots[ok] - np.polyval(work, roots[ok]) / deriv[ok]
-        roots = reference_order(roots) * 1.0  # find_poles' omega_r scaling
-        if prev is None:
-            ordered = roots
-        else:
-            remaining = list(roots)
-            ordered = []
-            for target in prev:
-                j = int(np.argmin(np.abs(np.array(remaining) - target)))
-                ordered.append(remaining.pop(j))
-            ordered = np.array(ordered)
-        branches[i] = ordered
-        prev = ordered
+    """Pole locus one g at a time: ``find_poles`` per g (its one-row path)
+    and greedy matching."""
+    branches = greedy_branches(np.array([find_poles(char_poly(g, alpha)).poles for g in g_grid]))
     transitions = {}
     for k in range(3):
         im = branches[:, k].imag
@@ -420,13 +408,13 @@ class TestPoleLocus:
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 2.0, 20.0, *np.exp(
         np.random.default_rng(7).uniform(np.log(0.05), np.log(20.0), 4))])
     def test_matches_per_g_loop(self, alpha):
-        # the batched locus equals, bit for bit, the former route: np.roots
-        # per g, one Newton step, per-g ordering and greedy matching
+        # the batched locus equals, bit for bit, find_poles per g, whose
+        # one-row Newton runs in Python floats, with greedy matching
         g_grid = np.arange(0.001, 0.999 + 0.0005, 0.001)
         g_grid = g_grid[(g_grid > 0.0) & (g_grid < 1.0)]
         branches, transitions = reference_locus(alpha, g_grid)
         locus = pole_locus(alpha, g_grid)
-        assert np.array_equal(locus.branches, branches)
+        assert locus.branches.tobytes() == branches.tobytes()
         assert locus.transitions == transitions
 
 
@@ -519,6 +507,78 @@ class TestBranchTracking:
         shuffled = np.array([row[rng.permutation(3)] for row in smooth])
         order = [list(smooth[0]).index(root) for root in shuffled[0]]
         assert np.array_equal(_track_branches(shuffled), smooth[:, order])
+
+
+#: the alphas of the mpmath comparison, from a far root near the others down
+#: to alpha g = 1e-153, just above the smallest that the range check admits
+MPMATH_ALPHAS = [50.0, 2.0, 0.5, 1e-2, 1e-6, 1e-10, 1e-13, 1e-16, 1e-18, 1e-28, 1e-48, 1e-100,
+                 1e-150]
+#: every 37th point of the default g grid, and its last
+MPMATH_G = np.append(DEFAULT_G_GRID[::37], DEFAULT_G_GRID[-1])
+#: the relative coefficient perturbation a computed root may answer for: 4 eps
+#: from Newton's stopping rule and 4 eps for the deflation's and the
+#: quadratic's roundings
+BACKWARD_U = 8 * np.finfo(float).eps
+
+
+def assert_matches_mpmath(alpha, g_grid):
+    """Each root of p at (alpha, g) against ``mpmath.polyroots`` on the same
+    float coefficients, with 60 digits beyond the scale alpha g^2 of the
+    pair's real part. The bound is fixed by first-order perturbation theory:
+    coefficients perturbed by at most ``BACKWARD_U`` relatively move a root
+    x, with terms t_j = a_j x^(3-j), by -sum_j d_j t_j / p'(x), so its real
+    part by at most u sum_j |Re(t_j / p'(x))| and its imaginary part
+    likewise; near a double root, where p' vanishes, the move is at most
+    sqrt(2 u sum_j |t_j| / |p''(x)|). Each part may differ by the smaller of
+    the two, plus eps of its own size."""
+    eps, u = np.finfo(float).eps, BACKWARD_U
+    coeffs = char_poly(g_grid, alpha)
+    for row, got, g in zip(coeffs, _poles_of_rows(coeffs)[0], g_grid):
+        digits = 60 + max(0, int(np.ceil(-np.log10(alpha * g * g))))
+        with mpmath.workdps(digits):
+            a = [mpmath.mpf(float(c)) for c in row]
+            want = mpmath.polyroots(a, maxsteps=200, extraprec=2 * digits)
+            # the order of the reference roots that lies nearest the computed ones
+            want = min(itertools.permutations(want),
+                       key=lambda w: sum(abs(complex(x) - y) for x, y in zip(w, got)))
+            for x, y in zip(want, got):
+                terms = [a[j] * x ** (3 - j) for j in range(4)]
+                slope = 3 * a[0] * x ** 2 + 2 * a[1] * x + a[2]
+                second = abs(6 * a[0] * x + 2 * a[1])
+                double = float(mpmath.sqrt(2 * u * sum(abs(t) for t in terms) / second))
+                for part, got_part in ((mpmath.re, y.real), (mpmath.im, y.imag)):
+                    first = (np.inf if slope == 0 else
+                             u * float(sum(abs(part(t / slope)) for t in terms)))
+                    exact = float(part(x))
+                    bound = min(first, double) + eps * abs(exact)
+                    assert abs(got_part - exact) <= bound, (alpha, g, y, complex(x), bound)
+
+
+class TestAgainstMpmath:
+    """Every root's real and imaginary parts within a bound fixed before
+    the run (``assert_matches_mpmath``), from alpha = 50 down to 1e-150."""
+
+    @pytest.mark.parametrize("alpha", MPMATH_ALPHAS)
+    def test_default_grid_subsample(self, alpha):
+        assert_matches_mpmath(alpha, MPMATH_G)
+
+    def test_double_root_and_transition(self):
+        """alpha 0.5 near its double root, where the pair meets on the real
+        axis (the near-double point and the aperiodic-triple point just
+        past it), and at the default grid's first g past the transition."""
+        transition = min(pole_locus(0.5, DEFAULT_G_GRID).transitions.values())
+        assert_matches_mpmath(0.5, np.array([0.9368188312392204, 0.9368188412392204,
+                                             transition]))
+
+    def test_no_numpy_warning_in_the_admitted_range(self):
+        """From the smallest alpha the range check admits on the default
+        grid (alpha g >= 2.17e-154 at g = 0.001) to the largest (alpha g below
+        about 2.8e306 at g = 0.999), no step of the core raises a numpy
+        RuntimeWarning, and every root lies left of the imaginary axis."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in np.geomspace(2.2e-151, 2.8e306, 200):
+                assert np.all(pole_locus(alpha, DEFAULT_G_GRID).branches.real < 0.0)
 
 
 class TestStability:
