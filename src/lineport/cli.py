@@ -148,8 +148,9 @@ def cmd_impulse(args):
             "max_ifft_vs_partial_fractions": discrepancy,
             "poles": [[s.real, s.imag] for s in spec.poles.poles],
             "pole_flags": list(spec.poles.flags),
-            "residues": {e: [[r.real, r.imag] for r in table[e][1].meta["residues"]]
-                         for e in table},
+            # at a near-double pole the pair's residues are rounding noise
+            "residues": None if "near-double-root" in spec.poles.flags else {
+                e: [[r.real, r.imag] for r in table[e][1].meta["residues"]] for e in table},
         }
         _write(os.path.join(out, f"{stem}.json"), _write_json, sidecar)
     return 0

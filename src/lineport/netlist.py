@@ -115,10 +115,13 @@ class CircuitTopology:
 
     @cached_property
     def junction_terms(self) -> tuple:
-        """(i - 1, j - 1, E_J/phi0, phi0) of each junction: its nodes as
-        indices into the node fluxes with ground last, and the constants
-        that ``junction_forces`` reads, bound once per topology."""
-        return tuple((i - 1, j - 1, ej / phi0, phi0) for i, j, ej, phi0 in self.junctions)
+        """(i, j, E_J/phi0, phi0) of each junction: its nodes as indices
+        into a flux list whose last entry is the ground's 0.0 (node k is
+        k - 1, ground is -1), and the constants that ``junction_kernel``
+        reads, bound once per topology."""
+        n = self.node_count
+        return tuple((i - 1 if i <= n else -1, j - 1 if j <= n else -1, ej / phi0, phi0)
+                     for i, j, ej, phi0 in self.junctions)
 
 
 @dataclass(frozen=True)
@@ -286,48 +289,51 @@ def potential_gradient(topology: CircuitTopology, phi) -> np.ndarray:
         force = (flux[i - 1] - flux[j - 1]) / l
         grad[i - 1] += force
         grad[j - 1] -= force
-    return np.array(_junction_sums(topology, phi, grad)[:-1])
+    return junction_kernel(topology, (n,))(phi, grad)
 
 
-def _junction_sums(topology: CircuitTopology, phi: np.ndarray, grad=None) -> list:
-    """``grad``, a list over the nodes and ground (zeros when not given), plus
-    the junction part of grad U at the flux vector ``phi`` (shape (N,))."""
-    flux = phi.tolist()
-    flux.append(0.0)  # ground carries zero flux
-    grad = [0.0] * len(flux) if grad is None else grad
-    for i, j, scale, phi0 in topology.junction_terms:
-        try:
-            force = scale * math.sin((flux[i] - flux[j]) / phi0)
-        except ValueError:  # math.sin of a flux difference that overflowed to inf
-            raise _flux_overflow(phi) from None
-        grad[i] += force
-        grad[j] -= force
-    return grad
+def junction_kernel(topology: CircuitTopology, shape, out=None):
+    """The junction part of grad U, bound once per run: ``forces(phi)``
+    writes it into the held array ``out`` and returns ``out``, which the next
+    call overwrites. phi is a 1-D array whose first N entries are the node
+    fluxes (a packed state will do) when ``shape`` is (N,), or a stack
+    (N, B) of flux columns, taken one by one, when ``shape`` is (N, B).
+    ``out`` defaults to a new array of ``shape``; in the 1-D case it may also
+    be a stack of N-element rows, each of which gets the forces. The rest of
+    grad U is K phi, K the stiffness matrix of the circuit without junctions.
 
+    Each node's force is a sum in Python floats, in junction order, of the
+    ``math.sin`` terms of ``CircuitTopology.junction_terms``, from +0.0 or,
+    in the 1-D case, from ``start``, a list over the nodes and ground that
+    the sums are taken in. A flux difference that overflows to inf is
+    refused with the size of the node fluxes (of the column, on a stack)."""
+    terms, n = topology.junction_terms, topology.node_count
+    forces = np.empty(shape) if out is None else out
+    if len(shape) == 2:
+        column = junction_kernel(topology, (n,))
 
-def junction_forces(topology: CircuitTopology, phi: np.ndarray) -> np.ndarray:
-    """Junction part of grad U at the flux vector ``phi`` (shape (N,)), or at
-    each column of a stack of them (shape (N, B)), column by column, so with
-    the bits of a 1-D call; the rest of grad U is K phi, K the stiffness
-    matrix of the circuit without junctions."""
-    if phi.ndim == 2:
-        out = np.empty(phi.shape)
-        for k, column in enumerate(phi.T):
-            out[:, k] = junction_forces(topology, column)
-        return out
-    return np.array(_junction_sums(topology, phi)[:-1])
+        def stacked(phi):
+            for k in range(shape[1]):
+                forces[:, k] = column(phi[:, k])
+            return forces
+        return stacked
+    sin = math.sin
 
-
-def subtract_junction_forces(topology: CircuitTopology, phi: np.ndarray, out: np.ndarray,
-                             starts) -> None:
-    """out[start:start + N] -= junction_forces(topology, phi) for each start in
-    ``starts``, with the same bits and without the force array. It writes node
-    by node, and skips a node whose force is +0.0 (a sum that starts from +0.0
-    is never -0.0), as x - 0.0 is x."""
-    for k, force in enumerate(_junction_sums(topology, phi)[:-1]):
-        if force:
-            for start in starts:
-                out[start + k] -= force
+    def kernel(phi, start=None):
+        flux = phi.tolist()
+        flux.append(0.0)  # ground carries zero flux
+        grad = [0.0] * (n + 1) if start is None else start
+        for i, j, scale, phi0 in terms:
+            try:
+                force = scale * sin((flux[i] - flux[j]) / phi0)
+            except ValueError:  # math.sin of a flux difference that overflowed to inf
+                raise _flux_overflow(phi[:n]) from None
+            grad[i] += force
+            grad[j] -= force
+        grad.pop()  # ground
+        forces[...] = grad
+        return forces
+    return kernel
 
 
 def potential_energy(topology: CircuitTopology, phi):

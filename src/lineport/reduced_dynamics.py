@@ -17,9 +17,12 @@ Three independent formulations of the same physics live here:
   state per node instead of quadrature.
 
   Both right-hand sides are one flow matrix times the state, less the junction
-  forces; ``StateSpace`` builds every lumped flow but the Langevin one, and exp(At)
-  by a numpy scaling-and-squaring kernel (``_expm``; Higham, SIAM J. Matrix
-  Anal. Appl. 26, 2005), so no module here needs scipy.
+  forces (``_flow_rhs``), which one ``junction_kernel`` bound per run writes
+  into a held vector; RK4 steps either in five stage buffers made once per
+  run and writes each state straight into its output row, so a stage
+  allocates nothing. ``StateSpace`` builds every lumped flow but the
+  Langevin one, and exp(At) by a numpy scaling-and-squaring kernel (``_expm``;
+  Higham, SIAM J. Matrix Anal. Appl. 26, 2005), so no module here needs scipy.
 
 * ``ladder_oracle`` discretizes the line into n LC sections and integrates
   the closed Hamiltonian system with symplectic leapfrog; with the far end
@@ -37,14 +40,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericalPreconditionError, ValidationError
 from .netlist import (CircuitTopology, ReducedModel, _stamp_branches,
-                      build_capacitance_matrix, junction_forces, potential_energy,
-                      reduce_ground, stiffness_matrix, subtract_junction_forces)
+                      build_capacitance_matrix, junction_kernel, potential_energy,
+                      reduce_ground, stiffness_matrix)
 from .signals import Signal, Trajectory, uniform_grid
 from .tline import LineInitialState, LineParams
 
@@ -62,8 +66,11 @@ PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 THETA_13 = 5.371920351148152
-#: columns per block of the sourced scan's passes (``_propagate_affine``)
-SCAN_BLOCK = 1024
+#: columns per block of the sourced scan's passes (``_propagate_affine``), a
+#: choice of speed alone: every block size gives the same bits. A 20001-column
+#: scan at d = 7 took about 5 ms at 1024 and 1.8 ms at 4096 (one BLAS thread,
+#: 2-vCPU AVX-512 Xeon VM); its one buffer then holds d x 4097 floats.
+SCAN_BLOCK = 4096
 #: bytes per cache line, the alignment of the leapfrog kernel's written views
 CACHE_LINE = 64
 
@@ -149,21 +156,42 @@ class ReducedRhs:
     bound_stiffness: np.ndarray = field(init=False)  # see _as_gradient
     flow_matrix: np.ndarray = field(init=False)
     n: int = field(init=False)  # circuit nodes
+    _rhs: Callable = field(init=False, repr=False, compare=False)  # see _flow_rhs
 
     def __post_init__(self):
         self.n = self.model.n_nodes
         k, self.junctions, self.bound_stiffness = _as_gradient(self.grad_u, self.n)
         self.flow_matrix = StateSpace.reduced(self.model, k).a
+        self._rhs = _flow_rhs(self.flow_matrix, self.junctions, self.n, 1)
 
     @property
     def is_linear(self) -> bool:
         return self.junctions is None
 
-    def __call__(self, y):
-        out = self.flow_matrix.dot(y)
-        if self.junctions is not None:
-            subtract_junction_forces(self.junctions, y[:self.n], out, (self.n,))
-        return out
+    def __call__(self, y, out=None):
+        """f(y), written into ``out`` if given (see ``_flow_rhs``)."""
+        return self._rhs(y, out)
+
+
+def _flow_rhs(flow, junctions, n, blocks):
+    """f(y, out=None) = flow @ y less the junction forces at phi = y[:n] on
+    each of the ``blocks`` blocks of n rows from row n on, by one
+    ``junction_kernel`` bound here; ``out``, if given, is a C-contiguous
+    float64 array of y's length that f writes and returns. The kernel writes
+    the forces into a held vector that is 0 on every other row, and f
+    subtracts the whole vector: x - 0.0 is x, -0.0 included."""
+    if junctions is None:
+        return flow.dot
+    held = np.zeros(len(flow))
+    rows = held[n:n + blocks * n]  # 1-D for one block: numpy fills it faster than a (1, n)
+    forces = junction_kernel(junctions, (n,), rows if blocks == 1 else rows.reshape(blocks, n))
+    dot, subtract = flow.dot, np.subtract
+
+    def rhs(y, out=None):
+        out = dot(y, out)
+        forces(y)
+        return subtract(out, held, out)
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -290,41 +318,51 @@ def _propagate_affine(flow, source, u0, dt, count):
 def _rk4(f, source, y0, t_grid):
     """Classic RK4 for y' = f(y) + b(t), b = s(t) e_row for ``source`` = (row,
     samples s) and linear between the samples, b = 0 for None; the columns
-    from the first non-finite state on are NaN.
+    from the first non-finite state on are NaN. f(y, out) writes f(y) into
+    ``out``, as ``ReducedRhs`` and ``_flow_rhs`` do.
 
-    The loop adds each stage's input to its row alone, stores the states by
-    row, and keeps numpy's per-call overhead off the 2n+1-element stage
-    arithmetic: the step factors are 0-d arrays, which numpy takes without
-    the conversion a Python float costs, and 2 k is k + k; both are the same
-    products bit for bit."""
+    The loop adds each stage's input to its row alone and keeps numpy's
+    per-call overhead off the 2n+1-element stage arithmetic: the stages and
+    their argument live in five buffers made once, each state is written
+    straight into its output row, the step factors are 0-d arrays, which
+    numpy takes without the conversion a Python float costs, and 2 k is
+    k + k; the bits are those of y + (k1 + (k2 + k2) + (k3 + k3) + k4) * sixth."""
     dt = t_grid[1] - t_grid[0]
     half, step, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
     row, samples = source if source is not None else (0, np.zeros(len(t_grid)))
     s, s_mid = samples.tolist(), (0.5 * (samples[:-1] + samples[1:])).tolist()
     out = np.empty((len(t_grid), len(y0)))
-    out[0] = y = y0
+    out[0] = y0
+    stages = np.empty((5, len(y0)))
+    k1, k2, k3, k4, arg = stages
+    doubled = stages[1:3]  # k2 and k3
+    add, multiply, isfinite = np.add, np.multiply, math.isfinite
+    y = out[0]
     for k in range(len(t_grid) - 1):
-        k1 = f(y)
+        f(y, k1)
         k1[row] += s[k]
-        k2 = f(y + k1 * half)
+        f(add(y, multiply(k1, half, arg), arg), k2)
         k2[row] += s_mid[k]
-        k3 = f(y + k2 * half)
+        f(add(y, multiply(k2, half, arg), arg), k3)
         k3[row] += s_mid[k]
-        k4 = f(y + k3 * step)
+        f(add(y, multiply(k3, step, arg), arg), k4)
         k4[row] += s[k + 1]
-        y = y + (k1 + (k2 + k2) + (k3 + k3) + k4) * sixth
+        add(doubled, doubled, doubled)
+        add(k1, k2, k1)
+        add(k1, k3, k1)
+        add(k1, k4, k1)
+        y = add(y, multiply(k1, sixth, k1), out[k + 1])
         # y.y is finite only if y is; an overflowing y.y asks the full check
-        if not (math.isfinite(y.dot(y)) or np.isfinite(y).all()):
+        if not (isfinite(y.dot(y)) or np.isfinite(y).all()):
             out[k + 1:] = np.nan
             break
-        out[k + 1] = y
     return out.T
 
 
 def _evolve(model: ReducedModel, stiffness, flow, f, linear, source, y0, t_grid, method):
     """Integrate y' = f(y) + b(t) on ``t_grid``, b = s(t) e_row for ``source`` =
     (row, samples s on the grid) and 0 for None, by 'expm' on ``flow`` when f
-    is ``linear`` (f(y) = flow @ y) or 'rk4' on f;
+    is ``linear`` (f(y) = flow @ y) or 'rk4' on f (``_rk4``);
     'auto' takes 'expm' when it can; ``stiffness`` (``_as_gradient``'s bound)
     bounds dt in a warning. Returns the columns and method."""
     dt = t_grid[1] - t_grid[0]
@@ -404,12 +442,7 @@ def langevin_form(model: ReducedModel, grad_u, e0: Signal | None,
     flow[2 * n:3 * n, 2 * n:3 * n] = -np.eye(n) / model.tau
     flow[3 * n, 3 * n] = -1.0 / model.tau
 
-    def rhs(y):
-        out = flow @ y
-        if junctions is not None:
-            subtract_junction_forces(junctions, y[:n], out, (n, 2 * n))
-        return out
-
+    rhs = _flow_rhs(flow, junctions, n, 2)
     source = None if e0 is None else (3 * n, e0(t_grid) / model.tau)
     ys, method = _evolve(model, bound_stiffness, flow, rhs, junctions is None, source, y0,
                          t_grid, method)
@@ -492,7 +525,7 @@ class LadderSystem:
         out = np.empty_like(q)
         np.matmul(self._k_circ, q[:n], out=out[:n])
         if not self.topology.is_linear:
-            out[:n] += junction_forces(self.topology, q[:n])
+            out[:n] += junction_kernel(self.topology, q[:n].shape)(q[:n])
         line = out[n:]
         np.subtract(q[n + 1:], q[n:-1], out=line[1:])
         np.negative(line[1:2], out=line[:1])
@@ -538,13 +571,15 @@ class LadderSystem:
         Line node j gets dt^2 k_line / cell_j (d_{j-1} - d_j), d_ns = 0 past
         the far node; the head block dt^2 head_inv @ [K q_circ + forces;
         -k_line d_0] is A @ q[:n+2] with K folded into A, plus the junction
-        forces, if any, through A's head_inv part. A, the line factors, d and
-        the views of q, u and acc are built here, once, so the loop allocates
-        nothing state-sized; the system keeps none of them. d and the line
-        factors start a cache line (``_cache_aligned``); the loop is fastest
-        when the caller's q and u do at element 0 and acc at element n + 1,
-        the start of the kick's line output acc[n + 1:], as ``ladder_oracle``
-        allocates them. Layout never changes a bit of the result.
+        forces, if any, through A's head_inv part: one ``junction_kernel``
+        writes them into its held array and the product goes into another.
+        A, the kernel, the line factors, d and the views of q, u and acc are
+        built here, once, so the loop allocates nothing state-sized; the
+        system keeps none of them. d and the line factors start a cache line
+        (``_cache_aligned``); the loop is fastest when the caller's q and u
+        do at element 0 and acc at element n + 1, the start of the kick's
+        line output acc[n + 1:], as ``ladder_oracle`` allocates them. Layout
+        never changes a bit of the result.
         """
         n = self.n_circ
         head = dt * dt * self._head_inv
@@ -552,7 +587,7 @@ class LadderSystem:
         fold = np.empty((n + 1, n + 2))
         np.matmul(head[:, :n], self._k_circ, out=fold[:, :n])
         fold[:, n], fold[:, n + 1] = -head[:, n], head[:, n]
-        force_head = np.ascontiguousarray(head[:, :n])
+        force_dot = np.ascontiguousarray(head[:, :n]).dot  # dt^2 head_inv on the forces
         line_inv = np.divide(dt * dt * self._k_line, self.cells[1:],
                              out=_cache_aligned(self.n_sections))
         line_inv = line_inv.reshape((-1,) + (1,) * (q.ndim - 1))
@@ -560,15 +595,17 @@ class LadderSystem:
         d, d_next = diff[:-1], diff[1:]
         q_circ, q_head, q_line, q_next = q[:n], q[:n + 2], q[n:-1], q[n + 1:]
         acc_head, acc_line = acc[:n + 1], acc[n + 1:]
-        topology, linear = self.topology, self.topology.is_linear
+        forces = None if self.topology.is_linear else junction_kernel(self.topology, q_circ.shape)
+        kick_head = np.empty(acc_head.shape)  # the junction forces' part of the head kick
         add, subtract, multiply, dot = np.add, np.subtract, np.multiply, fold.dot
 
         def loop(steps):  # in-place ufuncs: an augmented assignment would rebind
             for _ in range(steps):
                 add(q, u, q)
                 dot(q_head, acc_head)
-                if not linear:
-                    add(acc_head, force_head.dot(junction_forces(topology, q_circ)), acc_head)
+                if forces is not None:
+                    force_dot(forces(q_circ), kick_head)
+                    add(acc_head, kick_head, acc_head)
                 subtract(q_next, q_line, d)
                 subtract(d, d_next, acc_line)
                 multiply(acc_line, line_inv, acc_line)

@@ -321,6 +321,20 @@ class TestImpulse:
         assert sidecar["n_samples"] == 65536
         assert isinstance(sidecar["max_ifft_vs_partial_fractions"], float)
 
+    def test_near_double_residues_written_as_null(self, tmp_path, capsys):
+        """A near-double pair's residues are rounding noise of order 1e8, so
+        a sidecar whose poles carry the near-double flag writes null for
+        them; the other pole sets keep one [re, im] pair per pole and entry."""
+        rc = main(["impulse", "--g", "0.9368188312392204", "--g", "0.3", "--alpha", "0.5",
+                   "--n", "4096", "--out", str(tmp_path)])
+        assert rc == 0
+        near = json.loads((tmp_path / "impulse_g0.936819_alpha0.5.json").read_text())
+        plain = json.loads((tmp_path / "impulse_g0.3_alpha0.5.json").read_text())
+        assert near["pole_flags"] == ["near-double-root"] and near["residues"] is None
+        assert "near-double-root" not in plain["pole_flags"]
+        assert sorted(plain["residues"]) == ["h11", "h12", "h21", "h22"]
+        assert all(np.shape(r) == (3, 2) for r in plain["residues"].values())
+
 
 class TestSimulate:
     def test_decoupled_limit(self, tmp_path, capsys):

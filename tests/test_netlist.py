@@ -10,7 +10,7 @@ from lineport import (CircuitTopology, NetlistParseError, NumericalPreconditionE
                       ValidationError, build_capacitance_matrix, derive_reduced_model,
                       invariant_report, parse_netlist, potential_energy,
                       potential_gradient, reduce_ground, stiffness_matrix)
-from lineport.netlist import PHI0_JOSEPHSON, junction_forces, subtract_junction_forces
+from lineport.netlist import PHI0_JOSEPHSON, junction_kernel
 
 from conftest import lc_model, lc_topology, random_topology
 
@@ -367,9 +367,11 @@ class TestPotential:
             assert potential_energy(topo, phi) == u
 
     def test_subtracted_forces_keep_the_array_bits(self, rng):
-        """``subtract_junction_forces`` writes the right-hand sides' rows node by
-        node with the bits of a slice minus ``junction_forces``, also where
-        junctions share a node and where a flux or a row is a signed zero."""
+        """The right-hand sides subtract a whole vector that holds the
+        junction forces on the rows where -grad U enters and 0.0 elsewhere,
+        which ``junction_kernel`` writes on both blocks at once: the bits of
+        slices minus the forces, also where junctions share a node and where
+        a flux or a row is a signed zero."""
         for trial in range(50):
             topo = random_topology(rng, n_max=6)
             junctions = tuple((j, i, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.2, 2.0)))
@@ -378,14 +380,19 @@ class TestPotential:
                                    inductors=topo.inductors[1:], junctions=junctions,
                                    coupling_capacitance=topo.coupling_capacitance)
             n = topo.node_count
-            phi = rng.normal(scale=3.0, size=n) if trial % 5 else np.zeros(n)
+            y = rng.normal(scale=3.0, size=3 * n + 1)
+            if not trial % 5:
+                y[:n] = 0.0
             out = rng.normal(size=3 * n + 1)
             out[rng.random(len(out)) < 0.3] = -0.0
             want = out.copy()
-            force = junction_forces(topo, phi)
+            force = junction_kernel(topo, (n,))(y[:n]).copy()
             want[n:2 * n] -= force
             want[2 * n:3 * n] -= force
-            subtract_junction_forces(topo, phi, out, (n, 2 * n))
+            held = np.zeros(3 * n + 1)
+            junction_kernel(topo, (n,), held[n:3 * n].reshape(2, n))(y)
+            assert np.array_equal(held[n:2 * n], force) and np.array_equal(held[2 * n:3 * n], force)
+            np.subtract(out, held, out)
             assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
     def test_stacked_energy_equals_row_calls(self, rng):

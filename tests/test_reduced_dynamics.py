@@ -12,8 +12,8 @@ from lineport import (LadderSystem, LineInitialState, NumericalPreconditionError
                       find_poles, integrate, ladder_oracle, langevin_form,
                       line_params, parse_netlist, peak_envelope, reduce_ground,
                       stiffness_matrix, thevenin_source)
-from lineport.netlist import junction_forces
-from lineport.reduced_dynamics import (CACHE_LINE, SCAN_BLOCK, _cache_aligned,
+from lineport.netlist import junction_kernel
+from lineport.reduced_dynamics import (CACHE_LINE, _cache_aligned,
                                        _lti_step_operators, _propagate_affine)
 from lineport.signals import Signal
 
@@ -339,13 +339,13 @@ class TestSplitRhs:
 class TestPropagateAffine:
     """The one-row doubling scan against the per-sample loop it replaced and,
     bit for bit, against the former scan of a d x T input matrix; the sample
-    counts cover one and two passes, both sides of a power of two and of the
-    column block, and a lone column left over after two blocks."""
+    counts cover one and two passes, both sides of a power of two and of a
+    1024-column block, and a lone column left over after two such blocks.
+    Other block sizes give the same bits (``test_block_size_keeps_the_bits``)."""
 
     DT = 0.01
     ROW = 6
-    COUNTS = [2, 3, 5, 64, 65, 20001,
-              SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1]
+    COUNTS = [2, 3, 5, 64, 65, 20001, 1023, 1024, 1025, 2049]
 
     @pytest.fixture
     def flow(self):
@@ -429,6 +429,20 @@ class TestPropagateAffine:
         """Random flows and rows, samples holding exact zeros and -0.0, a
         state holding -0.0: every bit, signs of zero included, as the scan of
         the d x T input matrix gave it."""
+        self.assert_matrix_scan_bits(d, n)
+
+    @pytest.mark.parametrize("block", [2, 1024, 4096, "count + 1"])
+    def test_block_size_keeps_the_bits(self, monkeypatch, block):
+        """``SCAN_BLOCK`` is a choice of speed alone: at blocks of 2, 1024 and
+        4096 columns and of one more than the count, the matrix scan's bits
+        on counts at both sides of 4096 and with a lone column left over
+        after two 4096-column blocks."""
+        import lineport.reduced_dynamics as rd
+        for n in (3, 1025, 4095, 4097, 8193):
+            monkeypatch.setattr(rd, "SCAN_BLOCK", n + 1 if block == "count + 1" else block)
+            self.assert_matrix_scan_bits(7, n)
+
+    def assert_matrix_scan_bits(self, d, n):
         rng = np.random.default_rng([d, n])
         flow = self.stable_flow(rng, d)
         samples = rng.standard_normal(n)
@@ -782,12 +796,13 @@ class TestLeapfrogKernel:
         q0, u0 = rng.normal(size=(2, system.dim, 3))
         u0 *= 1e-3
         dt = 0.5 * system.cfl_dt()
-        forces, grad = junction_forces(topo, q0[:n]), system.grad_potential(q0)
+        forces = junction_kernel(topo, (n, 3))(q0[:n]).copy()
+        grad = system.grad_potential(q0)
         q, u, acc = q0.copy(), u0.copy(), np.empty_like(q0)
         system.drift_kick(q, u, dt, acc)(5)
         stepped = system.leapfrog_step(q0, u0, grad, dt, steps=3)
         for j in range(3):
-            assert forces[:, j].tobytes() == junction_forces(topo, q0[:n, j]).tobytes()
+            assert forces[:, j].tobytes() == junction_kernel(topo, (n,))(q0[:n, j]).tobytes()
             assert grad[:, j].tobytes() == system.grad_potential(q0[:, j]).tobytes()
             qj, uj, accj = q0[:, j].copy(), u0[:, j].copy(), np.empty(system.dim)
             system.drift_kick(qj, uj, dt, accj)(5)
@@ -798,7 +813,7 @@ class TestLeapfrogKernel:
         q0[:n, 1] = [1e308, -1e308]
         with pytest.raises(NumericalPreconditionError,
                            match="junction flux difference overflows at flux size 1e\\+308"):
-            junction_forces(topo, q0[:n])
+            junction_kernel(topo, (n, 3))(q0[:n])
 
     @pytest.mark.parametrize("topo", [
         pytest.param(lc_model(g=0.3, alpha=2.0)[1], id="lc"),

@@ -8,7 +8,8 @@ changed; a refactor that claims identical output leaves them alone.
 The ``poles`` and ``impulse`` bytes depend on the SIMD code numpy dispatches
 to (np.exp and np.log round differently on its AVX-512 and AVX2 paths), so
 their digests are kept per numpy version and dispatch target, ``TARGET``; the
-others hold on every target.
+others hold on every target, which a fresh interpreter on this host's AVX2
+and baseline paths checks for the ``simulate`` runs.
 """
 import hashlib
 import json
@@ -137,7 +138,7 @@ SIMD_DIGESTS = {
             'impulse_g0.936819_alpha0.5.csv':
                 'a7c55a30ba975e071cfc8b6772ae11957ef17d34e49046a1013ee3cd5c6adf4d',
             'impulse_g0.936819_alpha0.5.json':
-                'b387f19d1a841e4035638b3d93bd6ef6a32792613a6b4c6cf7efef7f11a4c138',
+                '078e952be9e5039bf70f04af4da1929f80b0c505b9e09c2e46cd98a8b723ad9b',
             'impulse_g0.936819_alpha0.5_pf.csv':
                 'ab8b995befff154f11496431132960ec8dafaf0512951802445dc77fd1de8d31',
         },
@@ -145,7 +146,7 @@ SIMD_DIGESTS = {
             'impulse_g0.936819_alpha0.5.csv':
                 '38f0a9c52bdcc0e05f9a708b8499f1b90bb07570fb951807d010c91819046d97',
             'impulse_g0.936819_alpha0.5.json':
-                '4cda83cb518b9a1c14d088ec9775a40acae744ae9d74004f9a91d89fddb8852a',
+                'ca94b8da6138aec6bcda5db1d423e68ac18bf635c1d44ea7c09ea9f6a58fc88e',
             'impulse_g0.936819_alpha0.5_pf.csv':
                 '1cb34b8d11ad766f89b0f15e3760c4d79073d11e26e5adaa1f1e968e38d2f6f1',
         },
@@ -194,7 +195,7 @@ SIMD_DIGESTS = {
             'impulse_g0.936819_alpha0.5.csv':
                 '26278baa518fd195daae4256bf46c1f40f18dea834e22725b9ca74afcbb15d2b',
             'impulse_g0.936819_alpha0.5.json':
-                'b387f19d1a841e4035638b3d93bd6ef6a32792613a6b4c6cf7efef7f11a4c138',
+                '078e952be9e5039bf70f04af4da1929f80b0c505b9e09c2e46cd98a8b723ad9b',
             'impulse_g0.936819_alpha0.5_pf.csv':
                 'ab8b995befff154f11496431132960ec8dafaf0512951802445dc77fd1de8d31',
         },
@@ -202,7 +203,7 @@ SIMD_DIGESTS = {
             'impulse_g0.936819_alpha0.5.csv':
                 '1d4cb5524eb131917931c1b1ffa7404933c884f57754d6bec2cadf00bc183417',
             'impulse_g0.936819_alpha0.5.json':
-                '4cda83cb518b9a1c14d088ec9775a40acae744ae9d74004f9a91d89fddb8852a',
+                'ca94b8da6138aec6bcda5db1d423e68ac18bf635c1d44ea7c09ea9f6a58fc88e',
             'impulse_g0.936819_alpha0.5_pf.csv':
                 '1cb34b8d11ad766f89b0f15e3760c4d79073d11e26e5adaa1f1e968e38d2f6f1',
         },
@@ -240,15 +241,12 @@ def test_result_files_keep_their_bytes(tmp_path, capsys, run):
     assert digests_of(run, tmp_path) == want
 
 
-def test_simd_runs_keep_their_bytes_on_the_avx2_path(tmp_path):
-    """The SIMD-dependent runs again, in a fresh interpreter whose numpy has
-    its AVX-512 targets disabled (``NPY_DISABLE_CPU_FEATURES``), against the
-    AVX2 digests."""
-    if "X86_V3" not in TARGET[1]:
-        pytest.skip(f"numpy enables no AVX2 target (X86_V3) here: {TARGET[1]}")
-    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(
-        disabled + [t for t in AVX512_TARGETS if t in TARGET[1]]))
+def digests_in_subprocess(tmp_path, disabled, runs):
+    """Run ``runs`` in a fresh interpreter whose numpy has the dispatch
+    targets ``disabled`` turned off (``NPY_DISABLE_CPU_FEATURES``): its
+    ``TARGET`` and the digests of each run."""
+    off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off + list(disabled)))
     tests = Path(__file__).parent
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
                                                       env.get("PYTHONPATH")]))
@@ -256,12 +254,41 @@ def test_simd_runs_keep_their_bytes_on_the_avx2_path(tmp_path):
             "import test_result_bytes as t\n"
             "tmp = pathlib.Path(sys.argv[1])\n"
             "digests = {}\n"
-            "for run in sorted(set(t.RUNS) - set(t.DIGESTS)):\n"
+            "for run in sys.argv[2:]:\n"
             "    (tmp / run).mkdir()\n"
             "    digests[run] = t.digests_of(run, tmp / run)\n"
             "(tmp / 'digests.json').write_text(json.dumps([t.TARGET, digests]))\n")
-    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
+    subprocess.run([sys.executable, "-c", code, str(tmp_path), *runs], env=env, check=True,
                    timeout=300, capture_output=True)
     (version, target), got = json.loads((tmp_path / "digests.json").read_text())
-    assert (version, tuple(target)) == (np.__version__, ("X86_V3",))
-    assert got == SIMD_DIGESTS[version, ("X86_V3",)]
+    return (version, tuple(target)), got
+
+
+def test_simd_runs_keep_their_bytes_on_the_avx2_path(tmp_path):
+    """The SIMD-dependent runs again, in a fresh interpreter whose numpy has
+    its AVX-512 targets disabled, against the AVX2 digests."""
+    if "X86_V3" not in TARGET[1]:
+        pytest.skip(f"numpy enables no AVX2 target (X86_V3) here: {TARGET[1]}")
+    target, got = digests_in_subprocess(
+        tmp_path, [t for t in AVX512_TARGETS if t in TARGET[1]], sorted(set(RUNS) - set(DIGESTS)))
+    assert target == (np.__version__, ("X86_V3",))
+    assert got == SIMD_DIGESTS[target]
+
+
+@pytest.mark.parametrize("path", ["avx2", "baseline"])
+def test_simulate_runs_keep_their_bytes_off_the_host_path(tmp_path, path):
+    """The four ``simulate`` runs, whose digests hold on every dispatch
+    target, again in a fresh interpreter on another SIMD path of this host:
+    AVX2, with the AVX-512 targets disabled, and the baseline, with X86_V3
+    disabled too. Each path runs where the host enables what it disables."""
+    disabled = [t for t in AVX512_TARGETS if t in TARGET[1]]
+    if path == "avx2" and not disabled:
+        pytest.skip(f"numpy enables no AVX-512 target here: {TARGET[1]}")
+    if path == "baseline":
+        if "X86_V3" not in TARGET[1]:
+            pytest.skip(f"numpy enables no AVX2 target (X86_V3) here: {TARGET[1]}")
+        disabled.append("X86_V3")
+    runs = sorted(run for run in DIGESTS if run.startswith("simulate-"))
+    target, got = digests_in_subprocess(tmp_path, disabled, runs)
+    assert not set(disabled) & set(target[1])
+    assert got == {run: DIGESTS[run] for run in runs}
