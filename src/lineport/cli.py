@@ -23,13 +23,13 @@ import numpy as np
 from . import __version__
 from .errors import InputError, LineportError, NumericalPreconditionError, ValidationError
 from .inversion import (DEFAULT_IFFT_SAMPLES, MAX_IFFT_SAMPLES, MIN_IFFT_SAMPLES,
-                        impulse_response_table)
+                        impulse_response_table, residues)
 from .netlist import derive_reduced_model, invariant_report, parse_netlist_file
 from .reduced_dynamics import (MAX_LADDER_SECTIONS, MIN_LADDER_SECTIONS, LadderSystem,
                                ReducedState, assemble_rhs, integrate, ladder_oracle)
-from .signals import Signal, write_csv
+from .signals import write_csv
 from .spectral import ENTRY_NAMES, pole_locus, transfer_matrix
-from .tline import LineInitialState, line_params, thevenin_samples
+from .tline import LineInitialState, line_params, thevenin_source
 
 OUT_DIR_ENV = "LINEPORT_OUT"
 INVARIANT_TOL = 1e-9
@@ -150,7 +150,8 @@ def cmd_impulse(args):
             "pole_flags": list(spec.poles.flags),
             # at a near-double pole the pair's residues are rounding noise
             "residues": None if "near-double-root" in spec.poles.flags else {
-                e: [[r.real, r.imag] for r in table[e][1].meta["residues"]] for e in table},
+                e: [[r.real, r.imag] for r in row]
+                for e, row in zip(ENTRY_NAMES, residues(spec)[1])},
         }
         _write(os.path.join(out, f"{stem}.json"), _write_json, sidecar)
     return 0
@@ -197,12 +198,15 @@ def _line_source(args, profiles, topology, line, t_grid, length):
     rest = ReducedState(phi=np.zeros(n), q=np.zeros(n), q0=0.0)
 
     def not_finite(state):
-        """e0's samples and the names of what is not finite: e0, the energy."""
-        e0 = thevenin_samples(state, line, t_grid)
+        """The source e0, None if refused, and the names of what is not finite."""
+        try:
+            e0 = thevenin_source(state, line, t_grid)
+        except NumericalPreconditionError:
+            e0 = None
         with np.errstate(over="ignore", invalid="ignore"):
             energy = system.hamiltonian(*system.initial_state(rest, state))
-        return e0, [what for what, value in (("source e0", e0), ("ladder energy", energy))
-                    if not np.isfinite(value).all()]
+        return e0, [what for what, bad in (("source e0", e0 is None),
+                                           ("ladder energy", not np.isfinite(energy))) if bad]
 
     def fits(k):
         """Whether the profiles scaled by 2^-k give a finite e0 and energy."""
@@ -220,7 +224,7 @@ def _line_source(args, profiles, topology, line, t_grid, length):
             f"{'are' if len(failed) > 1 else 'is'} not finite in float64 with the circuit "
             f"at rest; scale the profile values by 1e{math.floor(-high * math.log10(2.0))} "
             "or less")
-    return Signal.from_samples(t_grid, e0)
+    return e0
 
 
 def cmd_simulate(args):

@@ -256,12 +256,8 @@ def _confluent_rows(spec: TransferMatrixSpec, t_grid, orders=(0,)):
 def invert_partial_fractions(spec: TransferMatrixSpec, t_grid):
     """The analytic oracle: the four entries on the uniform ``t_grid`` from
     their poles alone (``_confluent_rows``), one ``Signal`` each in
-    ``ENTRY_NAMES`` order; each carries its poles and residues in ``meta``."""
-    s, rs = residues(spec)
-    signals = [Signal.from_samples(t_grid, row) for row in _confluent_rows(spec, t_grid)[0]]
-    for sig, r in zip(signals, rs):
-        sig.meta.update(poles=s, residues=r)
-    return signals
+    ``ENTRY_NAMES`` order; ``residues`` gives the poles and residues."""
+    return [Signal.from_samples(t_grid, row) for row in _confluent_rows(spec, t_grid)[0]]
 
 
 @dataclass

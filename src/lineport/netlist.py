@@ -126,7 +126,8 @@ class CircuitTopology:
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Matrices of the reduced one-port dynamics; see module docstring."""
+    """Matrices of the reduced one-port dynamics; see module docstring. ``tau``
+    is derived, Z_c C_p, so it follows a replaced ``z_c`` or ``c_p``."""
 
     cb: np.ndarray
     cb_inv: np.ndarray
@@ -134,7 +135,6 @@ class ReducedModel:
     c_p: float
     a: np.ndarray
     b: np.ndarray
-    tau: float
     z_c: float
     coupling_capacitance: float
     warnings: tuple = field(default=())
@@ -142,6 +142,10 @@ class ReducedModel:
     @property
     def n_nodes(self) -> int:
         return len(self.p)
+
+    @property
+    def tau(self) -> float:
+        return self.z_c * self.c_p
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,7 +247,7 @@ def derive_reduced_model(topology: CircuitTopology, z_c: float) -> ReducedModel:
             f"tau = Z_c C_p = {tau:g} at Z_c = {z_c:g}, C_p = {c_p:g} is not a positive finite "
             "time; rescale the capacitances or the line impedance (--z-c, or --ell/--c-per-len)")
     return ReducedModel(cb=cb, cb_inv=cb_inv, p=p, c_p=c_p, a=a, b=b,
-                        tau=tau, z_c=z_c, coupling_capacitance=c_c,
+                        z_c=z_c, coupling_capacitance=c_c,
                         warnings=tuple(warnings))
 
 

@@ -167,7 +167,7 @@ def langevin_weak(params: LcExampleParams, drive: Signal | None,
     omega_big, kappa = weak_coupling(params.g, params.alpha, params.omega_r)
     flow = np.array([[0.0, 1.0], [-omega_big ** 2, -kappa]])
     u0 = np.array([initial[0], initial[1]], dtype=float)
-    source = (None if drive is None
-              else (1, 2.0 * params.g * np.gradient(drive(t_grid, extend="zero"), dt)))
-    ys = _propagate_affine(flow, source, u0, dt, len(t_grid))
+    force = (np.zeros(len(t_grid)) if drive is None
+             else 2.0 * params.g * np.gradient(drive(t_grid, extend="zero"), dt))
+    ys = _propagate_affine(flow, (1, force), u0, dt, len(t_grid))
     return Signal.from_samples(t_grid, ys[0])

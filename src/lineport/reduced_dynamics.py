@@ -155,14 +155,13 @@ class ReducedRhs:
     junctions: CircuitTopology | None = field(init=False)
     bound_stiffness: np.ndarray = field(init=False)  # see _as_gradient
     flow_matrix: np.ndarray = field(init=False)
-    n: int = field(init=False)  # circuit nodes
     _rhs: Callable = field(init=False, repr=False, compare=False)  # see _flow_rhs
 
     def __post_init__(self):
-        self.n = self.model.n_nodes
-        k, self.junctions, self.bound_stiffness = _as_gradient(self.grad_u, self.n)
+        n = self.model.n_nodes
+        k, self.junctions, self.bound_stiffness = _as_gradient(self.grad_u, n)
         self.flow_matrix = StateSpace.reduced(self.model, k).a
-        self._rhs = _flow_rhs(self.flow_matrix, self.junctions, self.n, 1)
+        self._rhs = _flow_rhs(self.flow_matrix, self.junctions, n, 1)
 
     @property
     def is_linear(self) -> bool:
@@ -282,9 +281,9 @@ def _column_blocks(first, stop):
 
 def _propagate_affine(flow, source, u0, dt, count):
     """``count`` columns u_k of u_{k+1} = E u_k + F b_k + G (b_{k+1} - b_k),
-    b_k = s_k e_row for ``source`` = (row, samples s), b = 0 for None, by a
-    doubling scan: column k starts as step k's input term (u0 for k = 0), and
-    each pass at shift s = 1, 2, 4, ... adds E^s times the column s to its left.
+    b_k = s_k e_row for ``source`` = (row, samples s), by a doubling scan:
+    column k starts as step k's input term (u0 for k = 0), and each pass at
+    shift s = 1, 2, 4, ... adds E^s times the column s to its left.
 
     The input terms are outer products of column ``row`` of F - G and of G
     with the samples; +0.0 turns their -0 into the +0 of a matrix product
@@ -295,15 +294,12 @@ def _propagate_affine(flow, source, u0, dt, count):
     us = np.empty((len(u0), count))
     buf = np.empty((len(u0), min(SCAN_BLOCK + 1, count)))
     us[:, 0] = u0
-    if source is None:
-        us[:, 1:] = 0.0
-    else:
-        row, samples = source
-        np.multiply.outer(f_op[:, row] - g_op[:, row], samples[:-1], out=us[:, 1:])
-        us[:, 1:] += 0.0
-        for start, stop in _column_blocks(1, count):
-            np.multiply.outer(g_op[:, row], samples[start:stop], out=buf[:, :stop - start])
-            us[:, start:stop] += buf[:, :stop - start]
+    row, samples = source
+    np.multiply.outer(f_op[:, row] - g_op[:, row], samples[:-1], out=us[:, 1:])
+    us[:, 1:] += 0.0
+    for start, stop in _column_blocks(1, count):
+        np.multiply.outer(g_op[:, row], samples[start:stop], out=buf[:, :stop - start])
+        us[:, start:stop] += buf[:, :stop - start]
     shift = 1
     while shift < count:
         for start, stop in _column_blocks(shift, count):
@@ -317,9 +313,9 @@ def _propagate_affine(flow, source, u0, dt, count):
 
 def _rk4(f, source, y0, t_grid):
     """Classic RK4 for y' = f(y) + b(t), b = s(t) e_row for ``source`` = (row,
-    samples s) and linear between the samples, b = 0 for None; the columns
-    from the first non-finite state on are NaN. f(y, out) writes f(y) into
-    ``out``, as ``ReducedRhs`` and ``_flow_rhs`` do.
+    samples s) and linear between the samples; the columns from the first
+    non-finite state on are NaN. f(y, out) writes f(y) into ``out``, as
+    ``ReducedRhs`` and ``_flow_rhs`` do.
 
     The loop adds each stage's input to its row alone and keeps numpy's
     per-call overhead off the 2n+1-element stage arithmetic: the stages and
@@ -329,7 +325,7 @@ def _rk4(f, source, y0, t_grid):
     k + k; the bits are those of y + (k1 + (k2 + k2) + (k3 + k3) + k4) * sixth."""
     dt = t_grid[1] - t_grid[0]
     half, step, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
-    row, samples = source if source is not None else (0, np.zeros(len(t_grid)))
+    row, samples = source
     s, s_mid = samples.tolist(), (0.5 * (samples[:-1] + samples[1:])).tolist()
     out = np.empty((len(t_grid), len(y0)))
     out[0] = y0
@@ -361,8 +357,8 @@ def _rk4(f, source, y0, t_grid):
 
 def _evolve(model: ReducedModel, stiffness, flow, f, linear, source, y0, t_grid, method):
     """Integrate y' = f(y) + b(t) on ``t_grid``, b = s(t) e_row for ``source`` =
-    (row, samples s on the grid) and 0 for None, by 'expm' on ``flow`` when f
-    is ``linear`` (f(y) = flow @ y) or 'rk4' on f (``_rk4``);
+    (row, samples s on the grid), None taken as zero samples, by 'expm' on
+    ``flow`` when f is ``linear`` (f(y) = flow @ y) or 'rk4' on f (``_rk4``);
     'auto' takes 'expm' when it can; ``stiffness`` (``_as_gradient``'s bound)
     bounds dt in a warning. Returns the columns and method."""
     dt = t_grid[1] - t_grid[0]
@@ -372,8 +368,9 @@ def _evolve(model: ReducedModel, stiffness, flow, f, linear, source, y0, t_grid,
         raise ValidationError(f"unknown integration method {method!r}")
     if method == "expm" and not linear:
         raise ValidationError("matrix-exponential stepper requires a linear circuit")
+    source = source or (0, np.zeros(len(t_grid)))
     # warn where accuracy depends on dt: all but the exact homogeneous stepper
-    if method != "expm" or (source is not None and source[1].any()):
+    if method != "expm" or source[1].any():
         # a root of each norm: their product may overflow or underflow to 0
         omega_max = (np.sqrt(np.linalg.norm(model.cb_inv, 2))
                      * np.sqrt(max(np.linalg.norm(stiffness, 2), 1e-300)))

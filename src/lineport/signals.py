@@ -233,10 +233,13 @@ class Signal:
         """Linear interpolation at ``t``.
 
         extend='error' rejects out-of-domain times, extend='zero' returns 0
-        outside the sampled window.
+        outside the sampled window, which reaches 1e-9 dt per sample past
+        [t0, t_max] (the drift ``uniform_grid`` admits) and reads the end
+        samples there: a read on the signal's own grid keeps its last sample.
         """
         t = np.asarray(t, dtype=float)
-        inside = (t >= self.t0 - 1e-12 * self.dt) & (t <= self.t_max + 1e-12 * self.dt)
+        slack = 1e-9 * self.dt * len(self.samples)
+        inside = (t >= self.t0 - slack) & (t <= self.t_max + slack)
         if extend == "error":
             if not np.all(inside):
                 raise ValidationError(
@@ -245,16 +248,8 @@ class Signal:
                 )
         elif extend != "zero":
             raise ValidationError(f"unknown extend policy {extend!r}")
-        out = np.interp(t, self.t_grid, self.samples, left=0.0, right=0.0)
-        if extend == "zero":
-            out = np.where(inside, out, 0.0)
+        out = np.where(inside, np.interp(t, self.t_grid, self.samples), 0.0)
         return out if out.ndim else float(out)
-
-    @classmethod
-    def zeros(cls, t_grid) -> "Signal":
-        t_grid = np.asarray(t_grid, dtype=float)
-        return cls(t0=float(t_grid[0]), dt=float(t_grid[1] - t_grid[0]),
-                   samples=np.zeros(len(t_grid)))
 
     @classmethod
     def from_samples(cls, t_grid, samples) -> "Signal":

@@ -142,19 +142,12 @@ def backward_wave(initial: LineInitialState, params: LineParams, t):
             + 0.5 * params.v_p * initial.phi_x_at(x))
 
 
-def thevenin_samples(initial: LineInitialState, params: LineParams, t_grid) -> np.ndarray:
-    """The samples e0 = 2 v_bwd(t) of ``thevenin_source`` on ``t_grid``, without
-    its refusal: inf or NaN where the profiles overflow float64, with no
-    numpy warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 2.0 * backward_wave(initial, params, t_grid)
-
-
 def thevenin_source(initial: LineInitialState, params: LineParams, t_grid) -> Signal:
     """One-port source e0(t) = 2 v_bwd(t) sampled on ``t_grid``; profiles whose
     e0 is not finite in float64 are refused with ``NumericalPreconditionError``."""
     t_grid = np.asarray(t_grid, dtype=float)
-    e0 = thevenin_samples(initial, params, t_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0 = 2.0 * backward_wave(initial, params, t_grid)
     if not np.isfinite(e0).all():
         raise NumericalPreconditionError(
             "the line profiles' source e0 is not finite in float64; "

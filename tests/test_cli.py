@@ -931,6 +931,18 @@ def test_shifted_profile_exit_2(tmp_path, capsys):
     assert "shifted.csv' starts at x = 5" in err and "shift its x column by -5" in err
 
 
+def test_simulate_reads_e0_at_the_last_sample(tmp_path, capsys):
+    """At 20001 samples over t_max 3 the output grid stops an ulp past the
+    source's own t0 + dt k: the run reads e0 there rather than refusing the
+    last sample as outside the signal."""
+    net = write_netlist(tmp_path)
+    (tmp_path / "pulse.csv").write_text(triangle_profile(0.5))
+    rc = main(["simulate", str(net), "--ell", "2", "--c-per-len", "0.5", "--t-max", "3",
+               "--samples", "20001", "--n-sections", "100",
+               "--phi0-csv", str(tmp_path / "pulse.csv"), "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, names", [
     pytest.param(["--alpha", "1e-9"],
                  ["(|s| = 3.33e+09)", "a t_max (--t-max) of at most 3.82e-06"], id="alpha-1e-9"),

@@ -4,11 +4,16 @@ the ladder's potential gradient and its leapfrog substep loop.
 Each case runs in-process on one of two junction netlists, and the sha256 of
 its result arrays is compared with the digests below, recorded with the
 package as it stood before the junction forces were bound once per run and
-the RK4 stages moved into held buffers. The ladder cases run on a 1-D state
-and on a (dim, B) stack. A flux difference that overflows is refused, on
-every path, with one message and the exit code of a numerical precondition.
+the RK4 stages moved into held buffers. The sourced ``integrate`` case was
+recorded again, with the same package, when its source came to be built by
+``math.exp``, whose bits hold on every SIMD path where ``np.exp``'s do not.
+Every case runs on this host's path and again on its AVX2 and baseline
+paths. The ladder cases run on a 1-D state and on a (dim, B) stack. A flux
+difference that overflows is refused, on every path, with one message and
+the exit code of a numerical precondition.
 """
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +21,8 @@ import pytest
 from lineport import (LadderSystem, NumericalPreconditionError, ReducedState, Signal,
                       assemble_rhs, derive_reduced_model, integrate, langevin_form,
                       line_params, parse_netlist)
+
+from test_result_bytes import off_host_targets, run_off_host
 
 NETLISTS = {
     # the tests' two-node Josephson circuit: one junction between nodes 1 and 2
@@ -40,7 +47,9 @@ def reduced_case(name, form):
     topo = parse_netlist(NETLISTS[name])
     n = topo.node_count
     t = np.linspace(0.0, 5.0, 401)
-    e0 = Signal.from_samples(t, 0.5 * np.exp(-((t - 2.0) / 0.4) ** 2))
+    # math.exp: np.exp rounds differently on numpy's AVX-512 and AVX2 paths
+    pulse = [math.exp(x) for x in (-((t - 2.0) / 0.4) ** 2).tolist()]
+    e0 = Signal.from_samples(t, 0.5 * np.array(pulse))
     rng = np.random.default_rng([len(name), len(form)])
     initial = ReducedState(phi=rng.normal(size=n), q=0.2 * rng.normal(size=n), q0=-0.2)
     return derive_reduced_model(topo, 1.5), topo, e0, initial, t
@@ -95,7 +104,7 @@ DIGESTS = {
     ('josephson', 'grad_potential', 'stack'):
         '38102dca21657d8f71b418ec56013b567580416eca4658c95af29f9fc24e062c',
     ('josephson', 'integrate'):
-        '2c857b14477cd0278270b1d967d65de98cbc1f54d5be17c933af5708653d6ddd',
+        'bc20ada359a77939abbf5c10e04b9f24353b48b9662a9a67c854fd60287f2824',
     ('josephson', 'langevin_form'):
         '2315ffc56489fde891f5ac076bce48ecf8ad6510630b1cd5b9d6597ad392bcbd',
     ('three-junctions', 'drift_kick', '1d'):
@@ -116,6 +125,16 @@ DIGESTS = {
 @pytest.mark.parametrize("case", sorted(CASES), ids="-".join)
 def test_josephson_path_keeps_its_bits(case):
     assert digest(*CASES[case]()) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("path", ["avx2", "baseline"])
+def test_josephson_path_keeps_its_bits_off_the_host_path(path):
+    """Every case again, in a fresh interpreter on another SIMD path of this
+    host (``off_host_targets``), against the same digests."""
+    code = ("import test_josephson_bytes as t\n"
+            "value = {'-'.join(case): t.digest(*run()) for case, run in t.CASES.items()}\n")
+    _, got = run_off_host(off_host_targets(path), code)
+    assert got == {"-".join(case): want for case, want in DIGESTS.items()}
 
 
 OVERFLOW = ("a junction flux difference overflows at flux size 1e+308; "

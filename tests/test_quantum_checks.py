@@ -503,8 +503,8 @@ class TestLangevinWeak:
         params = LcExampleParams.from_dimensionless(0.02, 0.5)
         t = np.linspace(0.0, 20 * params.t_r, 8001)
         none = langevin_weak(params, None, (1.0, 0.3), t)
-        zero = langevin_weak(params, Signal.zeros(t), (1.0, 0.3), t)
-        assert np.abs(zero.samples - none.samples).max() <= 1e-14 * np.abs(none.samples).max()
+        zero = langevin_weak(params, Signal.from_samples(t, np.zeros(len(t))), (1.0, 0.3), t)
+        assert np.array_equal(zero.samples, none.samples)
 
     def test_drive_term_scaling(self):
         # a ramp drive enters as the constant force 2g * slope; compare the

@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import mpmath
@@ -360,8 +361,7 @@ class TestPropagateAffine:
     def input_matrix(source, d, n):
         """The d x T input that ``source`` = (row, samples) stands for."""
         b = np.zeros((d, n))
-        if source is not None:
-            b[source[0]] = source[1]
+        b[source[0]] = source[1]
         return b
 
     @staticmethod
@@ -414,13 +414,17 @@ class TestPropagateAffine:
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n", COUNTS)
-    def test_no_source_is_repeated_step(self, flow, n):
-        """No source adds no input terms: the zero source's columns exactly."""
-        u0 = np.random.default_rng(n).standard_normal(7)
-        got = _propagate_affine(flow, None, u0, self.DT, n)
-        ref = self.repeated_step(flow, u0, n)
+    def test_no_source_is_repeated_step(self, n):
+        """``integrate`` takes an absent e0 as zero samples: the repeated
+        step's columns, and bit for bit those of a zero e0."""
+        model, topo, _ = lc_model()
+        t = self.DT * np.arange(n)
+        initial = ReducedState(phi=[1.0], q=[0.3], q0=-0.2)
+        runs = [integrate(assemble_rhs(model, topo, e0=e0), initial, t, method="expm")
+                for e0 in (None, Signal.from_samples(t, np.zeros(n)))]
+        got, zero = (np.column_stack([traj.phi, traj.q, traj.q0]).T for traj in runs)
+        ref = self.repeated_step(assemble_rhs(model, topo).flow_matrix, initial.packed(), n)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        zero = _propagate_affine(flow, (self.ROW, np.zeros(n)), u0, self.DT, n)
         assert np.array_equal(got, zero) and np.array_equal(np.signbit(got), np.signbit(zero))
 
     @pytest.mark.parametrize("n", COUNTS)
@@ -450,7 +454,8 @@ class TestPropagateAffine:
         samples[rng.random(n) < 0.2] = -0.0
         u0 = rng.standard_normal(d)
         u0[0] = -0.0
-        for source in ((int(rng.integers(d)), samples), None):
+        row = int(rng.integers(d))
+        for source in ((row, samples), (row, np.zeros(n))):
             got = _propagate_affine(flow, source, u0, self.DT, n)
             ref = self.matrix_scan(flow, self.input_matrix(source, d, n), u0, self.DT)
             assert np.array_equal(got, ref)
@@ -487,6 +492,26 @@ def test_sourced_expm_traced_peak(form, d):
     else:
         run = partial(langevin_form, model, k, e0, initial, t, method="expm")
     assert traced_peak(run) <= 2.0 * d * len(t) * 8
+
+
+@pytest.mark.parametrize("field", ["c_p", "z_c"])
+@pytest.mark.parametrize("netlist", [
+    pytest.param("C 1 2 1.0\nL 1 2 1.0\nCOUPLE 0.42857142857142855\n", id="lc"),
+    pytest.param(CHAIN_NETLIST, id="chain")])
+def test_replaced_port_constant_moves_tau(netlist, field):
+    """tau is Z_c C_p, not a value of its own: a model with C_p or Z_c
+    replaced (x 1.01) has the flow's -1/tau of the new product, and a phi1
+    that differs from the model's own."""
+    topo = parse_netlist(netlist)
+    model = derive_reduced_model(topo, 1.0)
+    planted = replace(model, **{field: 1.01 * getattr(model, field)})
+    n = model.n_nodes
+    a = StateSpace.reduced(planted, stiffness_matrix(topo)).a
+    assert a[2 * n, 2 * n] == -1.0 / (planted.z_c * planted.c_p)
+    t = np.linspace(0.0, 5.0, 51)
+    initial = ReducedState(phi=np.eye(n)[0], q=np.zeros(n), q0=0.0)
+    phi1 = [integrate(assemble_rhs(m, topo), initial, t).phi[:, 0] for m in (model, planted)]
+    assert not np.array_equal(*phi1)
 
 
 class TestLangevinForm:

@@ -7,9 +7,10 @@ changed; a refactor that claims identical output leaves them alone.
 
 The ``poles`` and ``impulse`` bytes depend on the SIMD code numpy dispatches
 to (np.exp and np.log round differently on its AVX-512 and AVX2 paths), so
-their digests are kept per numpy version and dispatch target, ``TARGET``; the
-others hold on every target, which a fresh interpreter on this host's AVX2
-and baseline paths checks for the ``simulate`` runs.
+their digests are kept per numpy version and dispatch target, ``TARGET``: an
+AVX-512 set, an AVX2 set and a baseline set, each checked in a fresh
+interpreter on that path of an AVX-512 host. The others hold on every target,
+which the same check makes for the ``simulate`` runs.
 """
 import hashlib
 import json
@@ -218,6 +219,63 @@ SIMD_DIGESTS = {
                 '1bf892580e742b9491390e516c632bc0a64d688cdc25208d9ebe8eccae0b8a76',
         },
     },
+    # the same host with NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+    ('2.4.6', ()): {
+        'impulse': {
+            'impulse_g0.3_alpha2.csv':
+                'bf15b1058e8b76f9860a1dce439ca07de4f665fb76226b5d8e8f4a0a665d064a',
+            'impulse_g0.3_alpha2.json':
+                'a13f5a950b3969e4b7122864cec0ee73181e5dd73d6ffb8fa61cfa656f957a95',
+            'impulse_g0.3_alpha2_pf.csv':
+                '700ca052f877830d4d90ec14d7236008061b8015d25cf70a37b4d85043fcf0a9',
+            'impulse_g0.8_alpha2.csv':
+                '25ec3fb555b09731e1a62657f22aa28e5aa421cf3819e41aa2116e2c41d1104d',
+            'impulse_g0.8_alpha2.json':
+                '3504dd0ec59f08043fee20bb5364cfd6900c8ef8eafc1d39e79f74ce5be14d1e',
+            'impulse_g0.8_alpha2_pf.csv':
+                '3f687c9d137cb8b34fcf434162c2e37716d34c405a18a0e3610431f74de61931',
+        },
+        'impulse-65536': {
+            'impulse_g0.3_alpha2.csv':
+                'bba72e567e99df91aa5279dfc99443a1e90a8ef2b291380147fa13c0cef4d78f',
+            'impulse_g0.3_alpha2.json':
+                '2637ab7f770ff6b47ea422bec2864111e6f55957ec2ba7bad608fe9042808c28',
+            'impulse_g0.3_alpha2_pf.csv':
+                '6cf9babb588da44c68b56fa7db1e0a5ec2b8a7c89628e79c829e81c8f830465a',
+            'impulse_g0.8_alpha2.csv':
+                'ef0383c73151651f9082e61091bd3f0fc9a4f4ad0079c1b738350474fc5dcfbd',
+            'impulse_g0.8_alpha2.json':
+                '0e4b4768247c83d5607eb59a281f6d4dbdadf267c3ba90892beb71484e61a1be',
+            'impulse_g0.8_alpha2_pf.csv':
+                '0a6344fc9c77f6211c78656e774f0eb8a9602cb47474073b6ffdb4d259b0d626',
+        },
+        'impulse-near-double': {
+            'impulse_g0.936819_alpha0.5.csv':
+                '6833f6dc649566d67bf767978b9d05200eac11965ea214cfdfa941a97f6910be',
+            'impulse_g0.936819_alpha0.5.json':
+                '06bebbcb1c77a53cdfb1adc8a2cb13569cf15084d67b56e9d824694ee4bdb5f1',
+            'impulse_g0.936819_alpha0.5_pf.csv':
+                'ab8b995befff154f11496431132960ec8dafaf0512951802445dc77fd1de8d31',
+        },
+        'impulse-near-double-65536': {
+            'impulse_g0.936819_alpha0.5.csv':
+                'e12aee57f5219b3231694bec27287a282187bdf4c650c84963dc6aee7f335496',
+            'impulse_g0.936819_alpha0.5.json':
+                'f91e634b3f0bb60ed7ba71a72d73e23d905ea6d28ce9ecdf89fcf2a6e8569a3f',
+            'impulse_g0.936819_alpha0.5_pf.csv':
+                '1cb34b8d11ad766f89b0f15e3760c4d79073d11e26e5adaa1f1e968e38d2f6f1',
+        },
+        'poles': {
+            'poles_alpha0.5.csv':
+                '018124002e64084ca43b5a3d6eb85e0dd337ccd45b7b908d7c2e066dbd64d9b0',
+            'poles_alpha1.csv':
+                '63fe937a99e2592fa449b251521cfbe5e1d1122d032516bd0a571ee59b90be2c',
+            'poles_alpha2.csv':
+                'bc6434454ce230d18c85dd92242ec2bfbd29758a9302e9cebc17ab624a4a48fb',
+            'poles_params.json':
+                '1bf892580e742b9491390e516c632bc0a64d688cdc25208d9ebe8eccae0b8a76',
+        },
+    },
 }
 
 
@@ -241,46 +299,10 @@ def test_result_files_keep_their_bytes(tmp_path, capsys, run):
     assert digests_of(run, tmp_path) == want
 
 
-def digests_in_subprocess(tmp_path, disabled, runs):
-    """Run ``runs`` in a fresh interpreter whose numpy has the dispatch
-    targets ``disabled`` turned off (``NPY_DISABLE_CPU_FEATURES``): its
-    ``TARGET`` and the digests of each run."""
-    off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off + list(disabled)))
-    tests = Path(__file__).parent
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
-                                                      env.get("PYTHONPATH")]))
-    code = ("import json, pathlib, sys\n"
-            "import test_result_bytes as t\n"
-            "tmp = pathlib.Path(sys.argv[1])\n"
-            "digests = {}\n"
-            "for run in sys.argv[2:]:\n"
-            "    (tmp / run).mkdir()\n"
-            "    digests[run] = t.digests_of(run, tmp / run)\n"
-            "(tmp / 'digests.json').write_text(json.dumps([t.TARGET, digests]))\n")
-    subprocess.run([sys.executable, "-c", code, str(tmp_path), *runs], env=env, check=True,
-                   timeout=300, capture_output=True)
-    (version, target), got = json.loads((tmp_path / "digests.json").read_text())
-    return (version, tuple(target)), got
-
-
-def test_simd_runs_keep_their_bytes_on_the_avx2_path(tmp_path):
-    """The SIMD-dependent runs again, in a fresh interpreter whose numpy has
-    its AVX-512 targets disabled, against the AVX2 digests."""
-    if "X86_V3" not in TARGET[1]:
-        pytest.skip(f"numpy enables no AVX2 target (X86_V3) here: {TARGET[1]}")
-    target, got = digests_in_subprocess(
-        tmp_path, [t for t in AVX512_TARGETS if t in TARGET[1]], sorted(set(RUNS) - set(DIGESTS)))
-    assert target == (np.__version__, ("X86_V3",))
-    assert got == SIMD_DIGESTS[target]
-
-
-@pytest.mark.parametrize("path", ["avx2", "baseline"])
-def test_simulate_runs_keep_their_bytes_off_the_host_path(tmp_path, path):
-    """The four ``simulate`` runs, whose digests hold on every dispatch
-    target, again in a fresh interpreter on another SIMD path of this host:
-    AVX2, with the AVX-512 targets disabled, and the baseline, with X86_V3
-    disabled too. Each path runs where the host enables what it disables."""
+def off_host_targets(path):
+    """The dispatch targets to disable for another SIMD path of this host:
+    'avx2' disables the AVX-512 targets, 'baseline' X86_V3 as well. A path
+    is skipped where the host enables none of what it disables."""
     disabled = [t for t in AVX512_TARGETS if t in TARGET[1]]
     if path == "avx2" and not disabled:
         pytest.skip(f"numpy enables no AVX-512 target here: {TARGET[1]}")
@@ -288,7 +310,58 @@ def test_simulate_runs_keep_their_bytes_off_the_host_path(tmp_path, path):
         if "X86_V3" not in TARGET[1]:
             pytest.skip(f"numpy enables no AVX2 target (X86_V3) here: {TARGET[1]}")
         disabled.append("X86_V3")
-    runs = sorted(run for run in DIGESTS if run.startswith("simulate-"))
-    target, got = digests_in_subprocess(tmp_path, disabled, runs)
+    return disabled
+
+
+def run_off_host(disabled, code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter whose numpy has the
+    dispatch targets ``disabled`` turned off (``NPY_DISABLE_CPU_FEATURES``),
+    with the package and these tests importable; the JSON value that its
+    last line of output prints, and the interpreter's ``TARGET``, which
+    shares none of ``disabled``."""
+    off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off + list(disabled)))
+    tests = Path(__file__).parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import json\nimport test_result_bytes\n" + code
+            + "print(json.dumps([test_result_bytes.TARGET, value]))\n")
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                         timeout=300, capture_output=True, text=True).stdout
+    (version, target), value = json.loads(out.splitlines()[-1])
+    target = (version, tuple(target))
     assert not set(disabled) & set(target[1])
+    return target, value
+
+
+def digests_in_subprocess(tmp_path, disabled, runs):
+    """Run ``runs`` on the SIMD path that ``disabled`` leaves (``run_off_host``):
+    its ``TARGET`` and the digests of each run."""
+    code = ("import pathlib, sys\n"
+            "tmp = pathlib.Path(sys.argv[1])\n"
+            "value = {}\n"
+            "for run in sys.argv[2:]:\n"
+            "    (tmp / run).mkdir()\n"
+            "    value[run] = test_result_bytes.digests_of(run, tmp / run)\n")
+    return run_off_host(disabled, code, str(tmp_path), *runs)
+
+
+@pytest.mark.parametrize("path", ["avx2", "baseline"])
+def test_simd_runs_keep_their_bytes_off_the_host_path(tmp_path, path):
+    """The SIMD-dependent runs again, in a fresh interpreter on another SIMD
+    path of this host (``off_host_targets``), against the digests of the
+    target it runs on."""
+    target, got = digests_in_subprocess(tmp_path, off_host_targets(path),
+                                        sorted(set(RUNS) - set(DIGESTS)))
+    assert target in SIMD_DIGESTS, f"no digests recorded for numpy {target[0]} on {target[1]}"
+    assert got == SIMD_DIGESTS[target]
+
+
+@pytest.mark.parametrize("path", ["avx2", "baseline"])
+def test_simulate_runs_keep_their_bytes_off_the_host_path(tmp_path, path):
+    """The four ``simulate`` runs, whose digests hold on every dispatch
+    target, again in a fresh interpreter on another SIMD path of this host
+    (``off_host_targets``)."""
+    runs = sorted(run for run in DIGESTS if run.startswith("simulate-"))
+    _, got = digests_in_subprocess(tmp_path, off_host_targets(path), runs)
     assert got == {run: DIGESTS[run] for run in runs}

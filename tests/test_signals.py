@@ -101,3 +101,31 @@ def test_rounding_tie_takes_the_exact_path(tmp_path):
 def test_malformed_arguments_refused(call, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         call()
+
+
+#: the scan's sample counts: every count up to 399 and five long grids
+LINSPACE_COUNTS = [*range(2, 400), 501, 1001, 2001, 4001, 20001]
+
+
+@pytest.mark.parametrize("t_max", [0.1, 0.3, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0,
+                                   62.83185307179586, 1e4])
+def test_signal_reads_its_own_linspace_grid(t_max):
+    """A signal sampled on an np.linspace grid reads its samples back there,
+    the last one included, although t0 + dt k may end an ulp before or after
+    the grid's stop: the identity t, which linear interpolation keeps, to
+    within an ulp at every point."""
+    for count in LINSPACE_COUNTS:
+        t = np.linspace(0.0, t_max, count)
+        got = Signal.from_samples(t, t)(t)
+        assert np.all(np.abs(got - t) <= np.spacing(t)), count
+
+
+def test_signal_keeps_its_last_sample():
+    """np.linspace(0, 5, 78) stops an ulp past t0 + 77 dt: the read there is
+    the last sample, not the zero of the outside; a time 1e-6 dt further out
+    is outside."""
+    t = np.linspace(0.0, 5.0, 78)
+    sig = Signal.from_samples(t, 1.0 + t)
+    assert sig(t)[-1] == 6.0
+    assert sig(5.0) == 6.0
+    assert sig(5.0 + 1e-6 * sig.dt, extend="zero") == 0.0
